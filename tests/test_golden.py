@@ -1,0 +1,115 @@
+"""Golden digests of complete runs: any change to the computed bits shows here.
+
+Each case is a 3-round ``run_experiment`` on ``synthetic:10x20`` with 10
+single-label clients of 20 examples.  The pinned values are blake2b digests
+of ``model_final.sfl1``, of ``metrics.csv`` without its wall-clock
+``elapsed_ms`` column, and of ``ledger.csv``.
+
+The runs happen in one child process with the BLAS thread variables set to 1
+before numpy is imported: OpenBLAS splits a GEMM differently at another
+thread count, and the rounding then differs (``cl-mlp`` changes with two
+threads).  The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
+(scipy-openblas, Haswell kernels) on CPython 3.11; another BLAS build may
+round differently.  A change that alters a digest on purpose must say why in
+CHANGES.md.
+
+Print the digests of the current code:
+``PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tests/test_golden.py``
+"""
+
+import csv
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+BASE = dict(dataset="synthetic:10x20", partition="noniid", clients=10, per_client=20,
+            rounds=3, local_epochs=1, local_batch=10, learning_rate=0.05, cl_batch=50,
+            eval_every=2, master_seed=5)
+
+CASES = {
+    **{f"{mode}-{arch}": dict(mode=mode, arch=arch)
+       for mode in ("semifl", "fl", "cl") for arch in ("mlp", "cnn")},
+    "fl-mlp-sampled": dict(mode="fl", arch="mlp", client_fraction=0.3),
+    "semifl-cnn-shuffled": dict(mode="semifl", arch="cnn", cluster_order="shuffled:3"),
+}
+
+# case -> (model_final.sfl1, metrics.csv minus elapsed_ms, ledger.csv)
+GOLDEN = {
+    "semifl-mlp": ("0a9b65615e8c5557043d49df89d1bbc7",
+                   "d1177b413df6526b15a331a87f3c311e",
+                   "778df4f13b518118887eea8a79a4020d"),
+    "semifl-cnn": ("4dfd7f80b4239b5ebb1a8fdc2ea2e07f",
+                   "7dab0bb753e55278f7907552de4bf864",
+                   "c1dc0bf0b2fa476a25939a133896e989"),
+    "fl-mlp": ("b2fa6d8b436575bca4ad8a564cd88a6b",
+               "4497cf9634ca4c6c6617435ddb23ed66",
+               "23272d926c5a2ad1b6d10ae743056f76"),
+    "fl-cnn": ("f5ca4bfc9239ae4715a0d12f8b8da0f9",
+               "8cf904296256296fc67e791982658913",
+               "6c08b36366f2a68445bf4419f72f193f"),
+    "cl-mlp": ("f8191ed86df77de8fae561bb2a5c3203",
+               "d0025f3edefb6dc8703437f34a538958",
+               "dabdc06c5b8604418a212f6a6fdd84da"),
+    "cl-cnn": ("1df7ea81577b70365c953444b08c1953",
+               "51544ea2fb9673c905f27654014957a1",
+               "dabdc06c5b8604418a212f6a6fdd84da"),
+    "fl-mlp-sampled": ("fd22c898f4f6b036f7b56fc028b4262d",
+                       "6e9a411e7238d82c5e2e393d4060ee84",
+                       "16d275becefa9e8d12088a77d22769f5"),
+    "semifl-cnn-shuffled": ("2486e08dd6200ce68a918a9041d516b1",
+                            "6ec6be928e09fcbbae40554fb2d465ac",
+                            "c1dc0bf0b2fa476a25939a133896e989"),
+}
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _metrics_digest(path: Path) -> str:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("elapsed_ms")
+    buf = io.StringIO()
+    csv.writer(buf).writerows([c for i, c in enumerate(r) if i != drop] for r in rows)
+    return _digest(buf.getvalue().encode())
+
+
+def run_digests(case: str, out: Path) -> list[str]:
+    from semifl import experiment
+    from semifl.config import ExperimentConfig
+    experiment.run_experiment(ExperimentConfig(**BASE, **CASES[case]), out)
+    return [_digest((out / "model_final.sfl1").read_bytes()),
+            _metrics_digest(out / "metrics.csv"),
+            _digest((out / "ledger.csv").read_bytes())]
+
+
+@pytest.fixture(scope="module")
+def digests():
+    env = {**os.environ, **{v: "1" for v in THREAD_VARS},
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digests(case, digests):
+    assert tuple(digests[case]) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps({name: run_digests(name, Path(tmp) / name) for name in CASES}))
