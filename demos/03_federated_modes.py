@@ -5,12 +5,13 @@ training with one upload per cluster, (b) classic federated averaging with
 full and 10% participation, and (c) a centralized pool.  Prints a per-round
 accuracy table plus what each mode paid in uplink traffic.
 
-The ``semifl train`` command line wraps exactly this loop; see README.
+``semifl train`` runs the same plan_rounds/run_round loop; see README.
 
 Run:  python3 demos/03_federated_modes.py
 """
 
 from semifl import checkpoint, clustering, data, federation, metrics, nn
+from semifl.config import ExperimentConfig
 
 ROUNDS = 6
 SEED = 0
@@ -22,45 +23,39 @@ def main():
     clients = data.partition(source,
                              data.PartitionPlan("noniid_shards", 100, 12, seed=SEED))
     assignment = clustering.build_pattern("c3", clients)
-    pool = federation.pool_clients(clients)
-
-    local = nn.LocalTrainConfig(epochs=1, batch_size=12, learning_rate=0.05)
     model_bytes = len(checkpoint.checkpoint_bytes(nn.init_mlp(SEED)))
 
     runs = {
-        "semifl c3": ("semifl", 1.0),
-        "fl 100%": ("fl", 1.0),
-        "fl 10%": ("fl", 0.1),
-        "central": ("cl", 1.0),
+        "semifl c3": dict(mode="semifl"),
+        "fl 100%": dict(mode="fl", client_fraction=1.0),
+        "fl 10%": dict(mode="fl", client_fraction=0.1),
+        "central": dict(mode="cl"),
+    }
+    # one plan per mode: which chains train each round and what the server does
+    plans = {
+        name: federation.plan_rounds(
+            ExperimentConfig(arch="mlp", local_epochs=1, local_batch=12,
+                             learning_rate=0.05, cl_batch=120, master_seed=SEED, **kw),
+            clients, assignment, model_bytes)
+        for name, kw in runs.items()
     }
     models = {name: nn.init_mlp(SEED) for name in runs}
-    ledgers = {name: federation.CommLedger() for name in runs}
+    uploads = {name: [] for name in runs}
 
     print(f"round  " + "".join(f"{name:>12}" for name in runs))
     for t in range(1, ROUNDS + 1):
         row = []
-        for name, (mode, frac) in runs.items():
-            cfg = federation.FederationConfig(
-                mode=mode, rounds=ROUNDS, client_fraction=frac, local=local,
-                cl_batch_size=120, master_seed=SEED, model_bytes=model_bytes)
-            if mode == "semifl":
-                models[name], rec = federation.run_round_semifl(
-                    models[name], clients, assignment, cfg, t)
-            elif mode == "fl":
-                models[name], rec = federation.run_round_fedavg(
-                    models[name], clients, cfg, t)
-            else:
-                models[name], rec = federation.run_round_cl(
-                    models[name], pool, cfg, t)
-            ledgers[name].record(t, rec.uplink_models, rec.uplink_bytes, 1)
+        for name, plan in plans.items():
+            models[name], rec = federation.run_round(models[name], plan, t)
+            uploads[name].append((rec.uplink_models, rec.uplink_bytes))
             acc = metrics.evaluate_accuracy(models[name], test.images, test.labels)
             row.append(f"{acc:>12.3f}")
         print(f"{t:>5}  " + "".join(row))
 
     print("\nuplink over the whole run:")
-    for name, ledger in ledgers.items():
-        print(f"  {name:>10}: {ledger.total_uplink_models:>4} model uploads, "
-              f"{ledger.total_uplink_bytes / 1e6:.1f} MB")
+    for name, rounds in uploads.items():
+        print(f"  {name:>10}: {sum(m for m, _ in rounds):>4} model uploads, "
+              f"{sum(b for _, b in rounds) / 1e6:.1f} MB")
 
 
 if __name__ == "__main__":

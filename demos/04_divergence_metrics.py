@@ -20,8 +20,9 @@ from semifl import checkpoint, data, metrics, nn
 
 def train(examples, seed, epochs):
     cfg = nn.LocalTrainConfig(epochs=epochs, batch_size=20, learning_rate=0.05)
-    return nn.train_local(nn.init_mlp(0), examples.images, examples.labels,
-                          cfg, np.random.default_rng(seed))
+    model, _ = nn.train_local_with_loss(nn.init_mlp(0), examples.images, examples.labels,
+                                        cfg, np.random.default_rng(seed))
+    return model
 
 
 def main():
@@ -42,18 +43,19 @@ def main():
         print(f"{name:>16}  {e.acs:>8.3f}  {e.red:>8.3f}")
 
     # the same comparison straight from checkpoint files
-    tmp = tempfile.mkdtemp()
-    ref_path = os.path.join(tmp, "reference.sfl1")
-    sub_path = os.path.join(tmp, "subject.sfl1")
-    checkpoint.save_checkpoint(reference, ref_path)
-    checkpoint.save_checkpoint(train(variants["1 class"], seed=2, epochs=8), sub_path)
-    report = metrics.layer_divergence(checkpoint.load_checkpoint(sub_path),
-                                      checkpoint.load_checkpoint(ref_path),
-                                      subject_id="subject.sfl1",
-                                      reference_id="reference.sfl1")
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_path = os.path.join(tmp, "reference.sfl1")
+        sub_path = os.path.join(tmp, "subject.sfl1")
+        checkpoint.save_checkpoint(reference, ref_path)
+        checkpoint.save_checkpoint(train(variants["1 class"], seed=2, epochs=8), sub_path)
+        report = metrics.layer_divergence(checkpoint.load_checkpoint(sub_path),
+                                          checkpoint.load_checkpoint(ref_path),
+                                          subject_id="subject.sfl1",
+                                          reference_id="reference.sfl1")
+        size = os.path.getsize(ref_path)
     print("\ncsv form (what `semifl compare` writes):")
     print(report.to_csv())
-    print(f"checkpoint size on disk: {os.path.getsize(ref_path)} bytes")
+    print(f"checkpoint size on disk: {size} bytes")
 
 
 if __name__ == "__main__":

@@ -14,15 +14,13 @@ from .data import (ClientDataset, LabeledSet, PartitionPlan, generate_synthetic,
                    load_idx, partition, partition_iid, partition_noniid_shards)
 from .errors import ConfigError, DataError, SemiFLError
 from .experiment import compare_checkpoints, run_experiment, summarize_run
-from .federation import (CommLedger, FederationConfig, RoundRecord, aggregate_mean,
-                         num_uplink_models, pool_clients, run_cl, run_round_cl,
-                         run_round_fedavg, run_round_semifl, stream,
-                         train_cluster_sequential, uplink_cost)
+from .federation import (RoundRecord, aggregate_mean, plan_rounds, pool_clients,
+                         run_round, stream)
 from .metrics import (DivergenceReport, LayerDivergence, acs, cosine_map,
                       evaluate_accuracy, fiber_view, layer_divergence, red)
 from .nn import (ARCHITECTURES, LayerParams, LocalTrainConfig, ModelParams,
-                 combine, forward, grad_check, init_cnn, init_mlp, init_model,
-                 loss_and_grads, sgd_step, train_local, train_local_with_loss)
+                 forward, grad_check, init_cnn, init_mlp, init_model,
+                 loss_and_grads, sgd_step, train_local_with_loss)
 
 __version__ = "0.1.0"
 

@@ -8,6 +8,7 @@ empty file is a valid all-defaults run configuration.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, fields
@@ -88,6 +89,7 @@ _CHOICES = {
 _POSITIVE = ("clients", "per_client", "rounds", "local_epochs", "local_batch",
              "cl_batch", "eval_every")
 _NON_NEGATIVE = ("checkpoint_every", "master_seed")
+_STRINGS = tuple(name for name, ftype in _FIELD_TYPES.items() if ftype in ("str", str))
 
 
 def _convert(key: str, raw: str, where: str):
@@ -123,13 +125,18 @@ def validate_config(cfg: ExperimentConfig, where: str = "config") -> ExperimentC
     for key in _NON_NEGATIVE:
         if getattr(cfg, key) < 0:
             _bad(where, key, f"{key} must be >= 0, got {getattr(cfg, key)}")
+    for key in _STRINGS:
+        value = getattr(cfg, key)
+        if any(ch in value for ch in "#\n\r") or value != value.strip():
+            _bad(where, key, f"{key} cannot hold '#', a line break or surrounding "
+                             f"blanks (config.resolved would not read back), got {value!r}")
     if cfg.partition_seed < -1:
         _bad(where, "partition_seed",
              f"partition_seed must be -1 (reuse master_seed) or >= 0, "
              f"got {cfg.partition_seed}")
-    if cfg.learning_rate < 0:
+    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate >= 0):
         _bad(where, "learning_rate",
-             f"learning_rate must be >= 0, got {cfg.learning_rate}")
+             f"learning_rate must be a finite number >= 0, got {cfg.learning_rate}")
     if not 0.0 < cfg.client_fraction <= 1.0:
         _bad(where, "client_fraction",
              f"client_fraction must be in (0, 1], got {cfg.client_fraction}")

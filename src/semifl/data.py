@@ -19,6 +19,7 @@ from .errors import DataError
 
 IDX_IMAGES_MAGIC = 0x803
 IDX_LABELS_MAGIC = 0x801
+NUM_CLASSES = 10  # the models' output width
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +109,10 @@ def load_idx(images_path, labels_path) -> LabeledSet:
         raise DataError(f"{images_path} has {count} images but "
                         f"{labels_path} has {lcount} labels")
     labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
+    bad = np.flatnonzero(labels >= NUM_CLASSES)
+    if bad.size:
+        raise DataError(f"{labels_path}: label {labels[bad[0]]} at index {bad[0]} "
+                        f"is outside 0..{NUM_CLASSES - 1}")
     return LabeledSet(images, labels)
 
 

@@ -22,10 +22,10 @@ from . import clustering, federation
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, render_config, resolve_data_dir, validate_config
 from .data import LabeledSet, PartitionPlan, generate_synthetic, load_idx, partition
-from .errors import ConfigError, DataError
-from .federation import CommLedger, FederationConfig, RoundRecord
+from .errors import DataError
+from .federation import RoundRecord
 from .metrics import DivergenceReport, evaluate_accuracy, layer_divergence
-from .nn import LocalTrainConfig, init_model
+from .nn import init_model
 
 METRICS_COLUMNS = ("round", "mode", "pattern", "test_accuracy", "train_loss",
                    "uplink_models", "uplink_bytes", "elapsed_ms")
@@ -102,15 +102,6 @@ def build_assignment(cfg: ExperimentConfig, clients) -> clustering.ClusterAssign
     return assignment
 
 
-def federation_config(cfg: ExperimentConfig, model_bytes: int) -> FederationConfig:
-    return FederationConfig(
-        mode=cfg.mode, rounds=cfg.rounds, client_fraction=cfg.client_fraction,
-        local=LocalTrainConfig(epochs=cfg.local_epochs, batch_size=cfg.local_batch,
-                               learning_rate=cfg.learning_rate),
-        cl_batch_size=cfg.cl_batch, eval_every=cfg.eval_every,
-        master_seed=cfg.master_seed, model_bytes=model_bytes)
-
-
 def _format_row(rec: RoundRecord) -> dict:
     return {
         "round": rec.round,
@@ -134,28 +125,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     train, test = load_datasets(cfg)
     clients = build_clients(cfg, train)
     assignment = build_assignment(cfg, clients) if cfg.mode == "semifl" else None
-    pool = federation.pool_clients(clients) if cfg.mode == "cl" else None
-
     model = init_model(cfg.arch, cfg.master_seed)
-    model_bytes = len(checkpoint_bytes(model))
-    fed = federation_config(cfg, model_bytes)
+    plan = federation.plan_rounds(cfg, clients, assignment, len(checkpoint_bytes(model)))
 
     records: list[RoundRecord] = []
-    ledger = CommLedger()
+    ledger = []
     with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
         writer.writeheader()
         for t in range(1, cfg.rounds + 1):
-            if cfg.mode == "semifl":
-                model, rec = federation.run_round_semifl(model, clients, assignment, fed, t)
-                downlink = assignment.num_clusters
-            elif cfg.mode == "fl":
-                model, rec = federation.run_round_fedavg(model, clients, fed, t)
-                downlink = rec.uplink_models
-            else:
-                model, rec = federation.run_round_cl(model, pool, fed, t)
-                downlink = 0
-            ledger.record(t, rec.uplink_models, rec.uplink_bytes, downlink)
+            model, rec = federation.run_round(model, plan, t)
+            # each uploaded head came from a chain that downloaded the snapshot;
+            # cl has no server and moves no model
+            ledger.append((t, rec.uplink_models, rec.uplink_bytes, rec.uplink_models))
             if t % cfg.eval_every == 0 or t == cfg.rounds:
                 rec.test_accuracy = evaluate_accuracy(model, test.images, test.labels)
                 writer.writerow(_format_row(rec))
@@ -167,7 +149,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     with open(out / "ledger.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "uplink_models", "uplink_bytes", "downlink_models"])
-        writer.writerows(ledger.entries)
+        writer.writerows(ledger)
 
     save_checkpoint(model, out / "model_final.sfl1")
     return records

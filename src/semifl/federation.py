@@ -1,32 +1,38 @@
-"""Round drivers for the three training modes.
+"""The round engine shared by the three training modes.
 
-* ``semifl`` -- clients inside each cluster train sequentially (each starts
-  from its predecessor's weights); the cluster's last model is its head; the
-  server averages the N heads.
-* ``fl``     -- classic FedAvg: sample max(1, round(C*K)) clients, each
-  trains from the same global snapshot, uniform average of the results.
-* ``cl``     -- centralized pooled minibatch SGD; one round is one epoch.
+A round trains ordered chains of participants, every chain starting from the
+same global snapshot; each participant continues from its predecessor's
+weights and the chain's last model is its head.  The modes differ only in the
+chains they train and in what happens to the heads:
 
-Every random draw is keyed by (master_seed, purpose, round, id) through
-``SeedSequence``, so a client's training stream depends only on who it is
-and which round it is -- not on scheduling order.  Aggregation folds models
-in ascending index order and accumulates in float64, so averaging N copies
-of the same model reproduces it bit for bit.
+* ``semifl`` -- one chain per cluster; the server averages the N heads.
+* ``fl``     -- classic FedAvg: max(1, round(C*K)) sampled clients, each a
+  one-client chain; the server averages their models.
+* ``cl``     -- centralized pooled minibatch SGD: one chain holding the pooled
+  set, trained for one epoch at ``cl_batch``; with no server, its head is the
+  new model.
+
+:func:`plan_rounds` holds that per-mode knowledge; :func:`run_round` is the
+engine.  Every random draw is keyed by (master_seed, purpose, round, id)
+through ``SeedSequence``, so a client's training stream depends only on who
+it is and which round it is -- not on scheduling order.  Aggregation folds
+models in ascending index order and accumulates in float64, so averaging N
+copies of the same model reproduces it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import ClusterAssignment
+from .config import ExperimentConfig
 from .data import ClientDataset, LabeledSet
 from .errors import ConfigError
 from .nn import LocalTrainConfig, ModelParams, LayerParams, train_local_with_loss
-
-MODES = ("semifl", "fl", "cl")
 
 # stream purposes
 _KIND_TRAIN = 0   # per-client local training (shuffles)
@@ -38,34 +44,6 @@ def stream(master_seed: int, kind: int, round_idx: int, ident: int = 0) -> np.ra
     """Independent generator for one (purpose, round, id) slot."""
     return np.random.default_rng(
         np.random.SeedSequence([master_seed, kind, round_idx, ident]))
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    """Run-wide knobs shared by all round drivers."""
-
-    mode: str = "semifl"
-    rounds: int = 200
-    client_fraction: float = 1.0
-    local: LocalTrainConfig = field(default_factory=LocalTrainConfig)
-    cl_batch_size: int = 200
-    eval_every: int = 5
-    master_seed: int = 0
-    model_bytes: int = 0
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0.0 < self.client_fraction <= 1.0:
-            raise ConfigError(f"client_fraction must be in (0, 1], got {self.client_fraction}")
-        if self.cl_batch_size < 1:
-            raise ConfigError(f"cl_batch_size must be >= 1, got {self.cl_batch_size}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass
@@ -82,45 +60,92 @@ class RoundRecord:
     elapsed_ms: int = 0
 
 
-@dataclass
-class CommLedger:
-    """Cumulative communication accounting across rounds."""
-
-    entries: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    def record(self, round_idx: int, uplink_models: int, uplink_bytes: int,
-               downlink_models: int) -> None:
-        self.entries.append((round_idx, uplink_models, uplink_bytes, downlink_models))
-
-    @property
-    def total_uplink_models(self) -> int:
-        return sum(e[1] for e in self.entries)
-
-    @property
-    def total_uplink_bytes(self) -> int:
-        return sum(e[2] for e in self.entries)
+Chain = tuple[tuple[int, LabeledSet], ...]  # (stream id, examples) in training order
 
 
-def uplink_cost(mode: str, num_clients: int, client_fraction: float,
-                num_clusters: int, model_bytes: int) -> int:
-    """Bytes sent client->server in one round of the given mode."""
-    return num_uplink_models(mode, num_clients, client_fraction, num_clusters) * model_bytes
+@dataclass(frozen=True)
+class RoundPlan:
+    """What one mode trains in every round of a run."""
+
+    mode: str
+    pattern: str
+    chains: tuple[Chain, ...]
+    kind: int                # stream purpose of the chain links
+    local: LocalTrainConfig
+    sample: int              # chains drawn per round; 0 trains them all
+    server: bool             # average the heads; without a server the one head is the model
+    seed: int
+    model_bytes: int
 
 
-def num_uplink_models(mode: str, num_clients: int, client_fraction: float,
-                      num_clusters: int) -> int:
-    """Model uploads per round: N for semifl, max(1, round(C*K)) for fl, 0 for cl."""
-    if mode == "semifl":
-        return num_clusters
-    if mode == "fl":
-        return max(1, round(client_fraction * num_clients))
-    if mode == "cl":
-        return 0
-    raise ConfigError(f"unknown mode {mode!r}")
+def plan_rounds(cfg: ExperimentConfig, clients: list[ClientDataset],
+                assignment: ClusterAssignment | None = None,
+                model_bytes: int = 0) -> RoundPlan:
+    """The chains, streams and hyperparameters of ``cfg.mode``.
+
+    ``assignment`` gives the semifl clusters and is ignored by the other modes.
+    """
+    local = LocalTrainConfig(cfg.local_epochs, cfg.local_batch, cfg.learning_rate)
+    common = dict(mode=cfg.mode, seed=cfg.master_seed, model_bytes=model_bytes)
+    if cfg.mode == "cl":
+        return RoundPlan(pattern="-", chains=(((0, pool_clients(clients)),),), kind=_KIND_CL,
+                         local=LocalTrainConfig(1, cfg.cl_batch, cfg.learning_rate),
+                         sample=0, server=False, **common)
+    shards = {c.client_id: c.examples for c in clients}
+    if cfg.mode == "fl":
+        m = max(1, round(cfg.client_fraction * len(shards)))
+        singletons = tuple(((cid, shards[cid]),) for cid in sorted(shards))
+        return RoundPlan(pattern="-", chains=singletons, kind=_KIND_TRAIN, local=local,
+                         sample=m if m < len(shards) else 0, server=True, **common)
+    for ci, cluster in enumerate(assignment.clusters):
+        if not cluster:
+            raise ConfigError(f"cluster {ci}: empty cluster")
+        unknown = [cid for cid in cluster if cid not in shards]
+        if unknown:
+            raise ConfigError(f"cluster {ci} references unknown client {unknown[0]}")
+    chains = tuple(tuple((cid, shards[cid]) for cid in cluster)
+                   for cluster in assignment.clusters)
+    return RoundPlan(pattern=assignment.pattern, chains=chains, kind=_KIND_TRAIN,
+                     local=local, sample=0, server=True, **common)
 
 
-# ---------------------------------------------------------------------------
-# aggregation
+def run_round(model: ModelParams, plan: RoundPlan,
+              round_idx: int) -> tuple[ModelParams, RoundRecord]:
+    """Train every chain of the round from ``model`` and combine the heads.
+
+    Raises :class:`FloatingPointError` naming the round, chain and client as
+    soon as a client's training loss is not finite.
+    """
+    t0 = time.perf_counter()
+    chains = plan.chains
+    if plan.sample:
+        sampler = stream(plan.seed, _KIND_SAMPLE, round_idx)
+        picks = np.sort(sampler.choice(len(chains), size=plan.sample, replace=False))
+        chains = [chains[i] for i in picks]
+
+    heads, losses = [], []
+    for ci, chain in enumerate(chains):
+        head = model
+        for ident, examples in chain:
+            head, loss = train_local_with_loss(
+                head, examples.images, examples.labels, plan.local,
+                stream(plan.seed, plan.kind, round_idx, ident))
+            if not math.isfinite(loss):
+                who = f"client {ident}" if plan.server else "the pooled set"
+                raise FloatingPointError(
+                    f"round {round_idx}, chain {ci}, {who}: training loss is {loss}; "
+                    f"training diverged (try a lower learning_rate)")
+            losses.append(loss)
+        heads.append(head)
+
+    uplink = len(heads) if plan.server else 0
+    new_model = aggregate_mean(heads) if plan.server else heads[0]
+    rec = RoundRecord(
+        round=round_idx, mode=plan.mode, pattern=plan.pattern,
+        train_loss=float(np.mean(losses)),
+        uplink_models=uplink, uplink_bytes=uplink * plan.model_bytes,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000))
+    return new_model, rec
 
 
 def aggregate_mean(models: list[ModelParams]) -> ModelParams:
@@ -149,134 +174,6 @@ def aggregate_mean(models: list[ModelParams]) -> ModelParams:
         for (ws, bs), lp in zip(sums, first.layers)
     )
     return ModelParams(first.arch, layers)
-
-
-# ---------------------------------------------------------------------------
-# round drivers
-
-
-def train_cluster_sequential(global_model: ModelParams,
-                             cluster: list[ClientDataset],
-                             cfg: LocalTrainConfig,
-                             streams) -> ModelParams:
-    """Chain local training through the cluster; the last client's model is the head.
-
-    ``streams`` maps a client id to that client's round generator.  Client k
-    initialises from client k-1's output (the first from the global model).
-    """
-    head, _ = _train_cluster(global_model, cluster, cfg, streams)
-    return head
-
-
-def _train_cluster(global_model, cluster, cfg, streams):
-    if not cluster:
-        raise ConfigError("empty cluster")
-    model = global_model
-    losses = []
-    for client in cluster:
-        model, loss = train_local_with_loss(
-            model, client.examples.images, client.examples.labels,
-            cfg, streams(client.client_id))
-        losses.append(loss)
-    return model, losses
-
-
-def run_round_semifl(model: ModelParams, clients: list[ClientDataset],
-                     assignment: ClusterAssignment, cfg: FederationConfig,
-                     round_idx: int) -> tuple[ModelParams, RoundRecord]:
-    """One global round: every cluster trains from the same snapshot, then average."""
-    t0 = time.perf_counter()
-    by_id = {c.client_id: c for c in clients}
-
-    def streams(cid):
-        return stream(cfg.master_seed, _KIND_TRAIN, round_idx, cid)
-
-    heads = []
-    losses = []
-    for ci, cluster_ids in enumerate(assignment.clusters):
-        try:
-            cluster = [by_id[cid] for cid in cluster_ids]
-        except KeyError as exc:
-            raise ConfigError(f"cluster {ci} references unknown client {exc}") from exc
-        try:
-            head, cluster_losses = _train_cluster(model, cluster, cfg.local, streams)
-        except (ConfigError, ValueError) as exc:
-            raise type(exc)(f"cluster {ci}: {exc}") from exc
-        heads.append(head)
-        losses.extend(cluster_losses)
-
-    new_model = aggregate_mean(heads)
-    n = len(heads)
-    rec = RoundRecord(
-        round=round_idx, mode="semifl", pattern=assignment.pattern,
-        train_loss=float(np.mean(losses)),
-        uplink_models=n, uplink_bytes=n * cfg.model_bytes,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000))
-    return new_model, rec
-
-
-def run_round_fedavg(model: ModelParams, clients: list[ClientDataset],
-                     cfg: FederationConfig, round_idx: int) -> tuple[ModelParams, RoundRecord]:
-    """One FedAvg round over a sampled client subset (all start from the snapshot)."""
-    t0 = time.perf_counter()
-    ids = np.array(sorted(c.client_id for c in clients))
-    by_id = {c.client_id: c for c in clients}
-    m = max(1, round(cfg.client_fraction * len(ids)))
-    if m < len(ids):
-        sampler = stream(cfg.master_seed, _KIND_SAMPLE, round_idx)
-        chosen = np.sort(sampler.choice(ids, size=m, replace=False))
-    else:
-        chosen = ids
-
-    updates = []
-    losses = []
-    for cid in chosen:
-        client = by_id[int(cid)]
-        trained, loss = train_local_with_loss(
-            model, client.examples.images, client.examples.labels,
-            cfg.local, stream(cfg.master_seed, _KIND_TRAIN, round_idx, int(cid)))
-        updates.append(trained)
-        losses.append(loss)
-
-    new_model = aggregate_mean(updates)
-    rec = RoundRecord(
-        round=round_idx, mode="fl", pattern="-",
-        train_loss=float(np.mean(losses)),
-        uplink_models=m, uplink_bytes=m * cfg.model_bytes,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000))
-    return new_model, rec
-
-
-def run_round_cl(model: ModelParams, pool: LabeledSet, cfg: FederationConfig,
-                 round_idx: int) -> tuple[ModelParams, RoundRecord]:
-    """One epoch of pooled minibatch SGD (the centralized baseline)."""
-    t0 = time.perf_counter()
-    epoch_cfg = LocalTrainConfig(epochs=1, batch_size=cfg.cl_batch_size,
-                                 learning_rate=cfg.local.learning_rate)
-    new_model, loss = train_local_with_loss(
-        model, pool.images, pool.labels, epoch_cfg,
-        stream(cfg.master_seed, _KIND_CL, round_idx))
-    rec = RoundRecord(
-        round=round_idx, mode="cl", pattern="-", train_loss=loss,
-        uplink_models=0, uplink_bytes=0,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000))
-    return new_model, rec
-
-
-def run_cl(model: ModelParams, pool: LabeledSet, cfg: FederationConfig,
-           eval_fn=None) -> tuple[ModelParams, list[RoundRecord]]:
-    """Run the centralized baseline for ``cfg.rounds`` epochs.
-
-    ``eval_fn(model) -> float`` is invoked on the federated evaluation cadence
-    (every ``eval_every`` rounds and at the end) to fill in test accuracy.
-    """
-    records = []
-    for t in range(1, cfg.rounds + 1):
-        model, rec = run_round_cl(model, pool, cfg, t)
-        if eval_fn is not None and (t % cfg.eval_every == 0 or t == cfg.rounds):
-            rec.test_accuracy = float(eval_fn(model))
-        records.append(rec)
-    return model, records
 
 
 def pool_clients(clients: list[ClientDataset]) -> LabeledSet:

@@ -332,26 +332,10 @@ def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     return ModelParams(model.arch, layers)
 
 
-def combine(a: float, m1: ModelParams, b: float, m2: ModelParams) -> ModelParams:
-    """Layer-wise linear combination a*m1 + b*m2."""
-    _check_aligned(m1, m2)
-    layers = tuple(
-        LayerParams(l1.name, a * l1.weights + b * l2.weights, a * l1.bias + b * l2.bias)
-        for l1, l2 in zip(m1.layers, m2.layers)
-    )
-    return ModelParams(m1.arch, layers)
-
-
-def train_local(model: ModelParams, images: np.ndarray, labels: np.ndarray,
-                cfg: LocalTrainConfig, rng: np.random.Generator) -> ModelParams:
-    """Minibatch SGD over the given examples for ``cfg.epochs`` epochs."""
-    return train_local_with_loss(model, images, labels, cfg, rng)[0]
-
-
 def train_local_with_loss(model: ModelParams, images: np.ndarray, labels: np.ndarray,
                           cfg: LocalTrainConfig,
                           rng: np.random.Generator) -> tuple[ModelParams, float]:
-    """Like :func:`train_local` but also returns the mean per-step training loss.
+    """Minibatch SGD for ``cfg.epochs`` epochs; returns the model and its mean per-step loss.
 
     Each epoch reshuffles the example order; a trailing partial batch is kept.
     When the whole set fits in one batch the source order is used as-is, so a

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from semifl import checkpoint, clustering, data, federation, metrics, nn
+from semifl.config import ExperimentConfig
 from conftest import models_equal, max_param_diff
 
 EPOCHS_DESK = 5
@@ -99,15 +100,15 @@ def test_criterion_1_property_suite(clients_100):
 def test_criterion_2a_singleton_clusters_match_fedavg(clients_100):
     singletons = clustering.ClusterAssignment(
         "explicit", tuple((c.client_id,) for c in clients_100))
-    local = nn.LocalTrainConfig(epochs=2, batch_size=6, learning_rate=0.05)
-    cfg_semi = federation.FederationConfig(mode="semifl", rounds=3, local=local,
-                                           master_seed=13)
-    cfg_fl = federation.FederationConfig(mode="fl", rounds=3, client_fraction=1.0,
-                                         local=local, master_seed=13)
+    local = dict(local_epochs=2, local_batch=6, learning_rate=0.05, master_seed=13)
+    semi = federation.plan_rounds(ExperimentConfig(mode="semifl", **local), clients_100,
+                                  singletons)
+    fl = federation.plan_rounds(ExperimentConfig(mode="fl", client_fraction=1.0, **local),
+                                clients_100)
     a = b = nn.init_mlp(13)
     for t in (1, 2, 3):
-        a, rec_a = federation.run_round_semifl(a, clients_100, singletons, cfg_semi, t)
-        b, rec_b = federation.run_round_fedavg(b, clients_100, cfg_fl, t)
+        a, rec_a = federation.run_round(a, semi, t)
+        b, rec_b = federation.run_round(b, fl, t)
         assert models_equal(a, b), f"diverged at round {t}"
         assert rec_a.uplink_models == rec_b.uplink_models == 100
     report("criterion 2a: 100 singleton clusters == FedAvg(C=1), 3 rounds",
@@ -118,12 +119,13 @@ def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):
     k = 5
     shared = synth_10x12  # every client holds the identical dataset
     cluster = [data.ClientDataset(i, shared) for i in range(k)]
-    cfg = nn.LocalTrainConfig(epochs=1, batch_size=len(shared), learning_rate=0.1)
+    cfg = ExperimentConfig(mode="semifl", local_epochs=1, local_batch=len(shared),
+                           learning_rate=0.1, master_seed=21)
+    chain = clustering.ClusterAssignment("explicit", (tuple(range(k)),))
     model64 = nn.init_mlp(21).astype(np.float64)
     x64 = shared.images.astype(np.float64)
 
-    head = federation.train_cluster_sequential(
-        model64, cluster, cfg, lambda cid: federation.stream(21, 0, 1, cid))
+    head, _ = federation.run_round(model64, federation.plan_rounds(cfg, cluster, chain), 1)
     ref = model64
     for _ in range(k):
         _, g = nn.loss_and_grads(ref, x64, shared.labels)
@@ -138,29 +140,21 @@ def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):
 
 
 def test_criterion_6_uplink_counts(clients_100):
-    counts = {
-        "fl 10%": federation.num_uplink_models("fl", 100, 0.1, 10),
-        "fl 100%": federation.num_uplink_models("fl", 100, 1.0, 10),
-        "semifl": federation.num_uplink_models("semifl", 100, 1.0, 10),
-    }
-    assert counts == {"fl 10%": 10, "fl 100%": 100, "semifl": 10}
-
-    # confirm with live rounds over 100 clients / 10 clusters
-    local = nn.LocalTrainConfig(epochs=1, batch_size=12, learning_rate=0.01)
+    # live rounds over 100 clients / 10 clusters
+    local = dict(local_epochs=1, local_batch=12, learning_rate=0.01, master_seed=0)
     m0 = nn.init_mlp(0)
     c1 = clustering.build_pattern("c1", clients_100)
-    cfg = federation.FederationConfig(mode="semifl", rounds=1, local=local,
-                                      master_seed=0)
-    _, rec = federation.run_round_semifl(m0, clients_100, c1, cfg, 1)
-    assert rec.uplink_models == 10
-    cfg10 = federation.FederationConfig(mode="fl", rounds=1, client_fraction=0.1,
-                                        local=local, master_seed=0)
-    _, rec10 = federation.run_round_fedavg(m0, clients_100, cfg10, 1)
-    assert rec10.uplink_models == 10
-    cfg100 = federation.FederationConfig(mode="fl", rounds=1, client_fraction=1.0,
-                                         local=local, master_seed=0)
-    _, rec100 = federation.run_round_fedavg(m0, clients_100, cfg100, 1)
-    assert rec100.uplink_models == 100
+    plans = {
+        "fl 10%": federation.plan_rounds(
+            ExperimentConfig(mode="fl", client_fraction=0.1, **local), clients_100),
+        "fl 100%": federation.plan_rounds(
+            ExperimentConfig(mode="fl", client_fraction=1.0, **local), clients_100),
+        "semifl": federation.plan_rounds(ExperimentConfig(mode="semifl", **local),
+                                         clients_100, c1),
+    }
+    counts = {name: federation.run_round(m0, p, 1)[1].uplink_models
+              for name, p in plans.items()}
+    assert counts == {"fl 10%": 10, "fl 100%": 100, "semifl": 10}
     report("criterion 6: per-round uplink models", True,
            "fl(10%)=10, fl(100%)=100, semifl=10")
 
@@ -169,22 +163,20 @@ def test_criterion_6_uplink_counts(clients_100):
 # criteria 3 and 5: desk-scale MNIST runs (skipped when MNIST is absent)
 
 
-def _desk_train(mode, seed, test, clients=None, assignment=None, pool=None,
-                fraction=1.0, rounds=30):
-    local = nn.LocalTrainConfig(epochs=EPOCHS_DESK, batch_size=20, learning_rate=0.01)
-    cfg = federation.FederationConfig(
-        mode=mode, rounds=rounds, client_fraction=fraction, local=local,
-        cl_batch_size=200, master_seed=seed)
-    model = nn.init_model("mlp", seed)
+def _train(arch, mode, seed, rounds, epochs, clients, assignment=None, fraction=1.0):
+    cfg = ExperimentConfig(mode=mode, arch=arch, local_epochs=epochs, local_batch=20,
+                           learning_rate=0.01, client_fraction=fraction, cl_batch=200,
+                           master_seed=seed)
+    plan = federation.plan_rounds(cfg, clients, assignment)
+    model = nn.init_model(arch, seed)
     for t in range(1, rounds + 1):
-        if mode == "semifl":
-            model, _ = federation.run_round_semifl(model, clients, assignment, cfg, t)
-        elif mode == "fl":
-            model, _ = federation.run_round_fedavg(model, clients, cfg, t)
-        else:
-            model, _ = federation.run_round_cl(model, pool, cfg, t)
-    acc = metrics.evaluate_accuracy(model, test.images, test.labels)
-    return model, acc
+        model, _ = federation.run_round(model, plan, t)
+    return model
+
+
+def _desk_train(mode, seed, test, clients, assignment=None, fraction=1.0, rounds=30):
+    model = _train("mlp", mode, seed, rounds, EPOCHS_DESK, clients, assignment, fraction)
+    return model, metrics.evaluate_accuracy(model, test.images, test.labels)
 
 
 @pytest.fixture(scope="module")
@@ -195,20 +187,16 @@ def desk_results(mnist_sets):
     for seed in DESK_SEEDS:
         clients = data.partition_noniid_shards(
             train, data.PartitionPlan("noniid_shards", 100, 100, seed=seed))
-        pool = federation.pool_clients(clients)
         variants = {
-            "c1": ("semifl", dict(clients=clients,
-                                  assignment=clustering.build_pattern("c1", clients))),
-            "c2": ("semifl", dict(clients=clients,
-                                  assignment=clustering.build_pattern("c2", clients))),
-            "c3": ("semifl", dict(clients=clients,
-                                  assignment=clustering.build_pattern("c3", clients))),
-            "fl100": ("fl", dict(clients=clients, fraction=1.0)),
-            "fl10": ("fl", dict(clients=clients, fraction=0.1)),
-            "cl": ("cl", dict(pool=pool)),
+            "c1": ("semifl", dict(assignment=clustering.build_pattern("c1", clients))),
+            "c2": ("semifl", dict(assignment=clustering.build_pattern("c2", clients))),
+            "c3": ("semifl", dict(assignment=clustering.build_pattern("c3", clients))),
+            "fl100": ("fl", dict(fraction=1.0)),
+            "fl10": ("fl", dict(fraction=0.1)),
+            "cl": ("cl", {}),
         }
         for name, (mode, kw) in variants.items():
-            model, acc = _desk_train(mode, seed, test, **kw)
+            model, acc = _desk_train(mode, seed, test, clients, **kw)
             results[(seed, name)] = (model, acc)
     return results
 
@@ -260,19 +248,9 @@ def test_criterion_5_divergence_ordering(desk_results):
 @pytest.mark.slow
 def test_criterion_4_full_scale(mnist_sets):
     train, test = mnist_sets
-    local = nn.LocalTrainConfig(epochs=5, batch_size=20, learning_rate=0.01)
 
     def run(mode, clients, assignment=None, fraction=1.0):
-        cfg = federation.FederationConfig(
-            mode=mode, rounds=200, client_fraction=fraction, local=local,
-            cl_batch_size=200, master_seed=0)
-        model = nn.init_model("cnn", 0)
-        for t in range(1, 201):
-            if mode == "semifl":
-                model, _ = federation.run_round_semifl(model, clients, assignment,
-                                                       cfg, t)
-            else:
-                model, _ = federation.run_round_fedavg(model, clients, cfg, t)
+        model = _train("cnn", mode, 0, 200, 5, clients, assignment, fraction)
         return metrics.evaluate_accuracy(model, test.images, test.labels)
 
     # 542/client is the largest single-label shard size that gives all ten

@@ -1,5 +1,7 @@
 """Config-file parsing, validation, and echo tests."""
 
+import dataclasses
+
 import pytest
 
 from semifl import config
@@ -89,6 +91,10 @@ class TestValidation:
         ("client_fraction = 0", "client_fraction"),
         ("client_fraction = 1.2", "client_fraction"),
         ("learning_rate = -0.5", "learning_rate"),
+        ("learning_rate = nan", "learning_rate"),
+        ("learning_rate = inf", "learning_rate"),
+        ("rounds = 0", "rounds"),
+        ("master_seed = -1", "master_seed"),
         ("eval_every = 0", "eval_every"),
         ("dataset = synthetic:tenx5", "dataset"),
         ("cluster_order = sometimes", "cluster_order"),
@@ -97,6 +103,12 @@ class TestValidation:
     def test_rejections(self, tmp_path, line, fragment):
         with pytest.raises(ConfigError, match=fragment):
             config.parse_config(write(tmp_path, line + "\n"))
+
+    @pytest.mark.parametrize("value", ["/tmp/a#b", "/tmp/a\nb", " /tmp/a"])
+    def test_unreadable_string_rejected(self, value):
+        # render_config writes it out, parse_config would read back something else
+        with pytest.raises(ConfigError, match="data_dir"):
+            config.validate_config(config.ExperimentConfig(data_dir=value))
 
     def test_order_spec(self, tmp_path):
         cfg = config.parse_config(write(tmp_path, "cluster_order = shuffled:42\n"))
@@ -112,8 +124,18 @@ class TestRender:
         assert back == cfg
 
     def test_roundtrip_modified(self, tmp_path):
-        cfg = config.ExperimentConfig(mode="fl", rounds=17, client_fraction=0.25,
-                                      dataset="synthetic:4x9", master_seed=99)
+        # every key differs from its default
+        cfg = config.ExperimentConfig(
+            mode="cl", arch="mlp", dataset="synthetic:3x7", data_dir="/data/mnist v2",
+            train_images="a.idx", train_labels="b.idx", test_images="c.idx",
+            test_labels="d.idx", partition="iid", clients=7, per_client=3,
+            pattern="explicit", assignment_file="clusters.txt",
+            cluster_order="shuffled:8", rounds=9, local_epochs=2, local_batch=4,
+            learning_rate=1e-07, client_fraction=0.1, cl_batch=33, eval_every=3,
+            checkpoint_every=4, master_seed=2**40, partition_seed=0)
+        defaults = config.ExperimentConfig()
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(cfg))
         back = config.parse_config(write(tmp_path, config.render_config(cfg)))
         assert back == cfg
 

@@ -83,6 +83,14 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="2 images but.*3 labels"):
             data.load_idx(ip, lp3)
 
+    def test_label_out_of_range(self, idx_pair, tmp_path):
+        ip, _ = idx_pair
+        lp = tmp_path / "bad_labels.idx"
+        lp.write_bytes(idx_labels_bytes([9, 12]))
+        with pytest.raises(DataError, match=r"bad_labels\.idx: label 12 at index 1 "
+                                            r"is outside 0\.\.9"):
+            data.load_idx(ip, lp)
+
     def test_missing_file(self, idx_pair):
         with pytest.raises(DataError, match="cannot read"):
             data.load_idx("/nonexistent/images.idx", idx_pair[1])
@@ -110,8 +118,8 @@ class TestSynthetic:
         train = data.generate_synthetic(2, 50, seed=7)
         test = data.generate_synthetic(2, 50, seed=8)
         cfg = nn.LocalTrainConfig(epochs=5, batch_size=20, learning_rate=0.01)
-        model = nn.train_local(nn.init_mlp(0), train.images, train.labels, cfg,
-                               np.random.default_rng(1))
+        model, _ = nn.train_local_with_loss(nn.init_mlp(0), train.images, train.labels,
+                                            cfg, np.random.default_rng(1))
         assert evaluate_accuracy(model, test.images, test.labels) > 0.9
 
     def test_argument_validation(self):

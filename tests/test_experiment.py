@@ -2,6 +2,7 @@
 
 import csv
 
+import numpy as np
 import pytest
 
 from semifl import checkpoint, cli, clustering, experiment
@@ -278,6 +279,20 @@ class TestCli:
         assert cli.main(["report", str(out)]) == 0
         line = capsys.readouterr().out
         assert "mode=semifl" in line and "final_acc=" in line
+
+    def test_divergence_is_exit_3_without_nan_rows(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("mode = fl\narch = mlp\ndataset = synthetic:10x20\nclients = 10\n"
+                       "per_client = 20\nrounds = 3\neval_every = 1\nlocal_epochs = 1\n"
+                       "learning_rate = 1e30\n")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert "round 2, chain 0, client 0: training loss is nan" in capsys.readouterr().err
+        rows = read_metrics(out)
+        assert [r["round"] for r in rows] == ["1"]
+        assert all(r["train_loss"] != "nan" for r in rows)
 
     def test_unwritable_out_is_exit_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c3")

@@ -1,9 +1,10 @@
-"""Round-driver tests: aggregation, sequential chains, sampling, baselines."""
+"""Round-engine tests: aggregation, sequential chains, sampling, baselines."""
 
 import numpy as np
 import pytest
 
-from semifl import clustering, data, federation, nn
+from semifl import clustering, data, experiment, federation, nn
+from semifl.config import ExperimentConfig
 from semifl.errors import ConfigError
 from conftest import models_equal
 
@@ -15,11 +16,26 @@ def ten_clients(synth_10x12):
 
 
 def fed_cfg(**kw):
-    base = dict(mode="semifl", rounds=3,
-                local=nn.LocalTrainConfig(epochs=2, batch_size=6, learning_rate=0.05),
-                master_seed=9, model_bytes=1000)
+    base = dict(mode="semifl", local_epochs=2, local_batch=6, learning_rate=0.05,
+                master_seed=9)
     base.update(kw)
-    return federation.FederationConfig(**base)
+    return ExperimentConfig(**base)
+
+
+def plan(clients, clusters=None, model_bytes=1000, **kw):
+    assignment = None if clusters is None else clustering.ClusterAssignment("explicit",
+                                                                          clusters)
+    return federation.plan_rounds(fed_cfg(**kw), clients, assignment, model_bytes)
+
+
+def chain_head(model, chain, cfg, round_idx):
+    """Oracle: train the clients one after another from ``model``."""
+    local = nn.LocalTrainConfig(cfg.local_epochs, cfg.local_batch, cfg.learning_rate)
+    for c in chain:
+        model, _ = nn.train_local_with_loss(
+            model, c.examples.images, c.examples.labels, local,
+            federation.stream(cfg.master_seed, 0, round_idx, c.client_id))
+    return model
 
 
 class TestStream:
@@ -69,128 +85,115 @@ class TestAggregateMean:
 class TestClusterChain:
     def test_chain_equals_primitive_composition(self, ten_clients):
         # full-batch, one epoch: the head must equal composing plain GD steps
-        cluster = ten_clients[:3]
-        cfg = nn.LocalTrainConfig(epochs=1, batch_size=12, learning_rate=0.1)
         m0 = nn.init_mlp(4)
-
-        def streams(cid):
-            return federation.stream(9, 0, 1, cid)
-
-        head = federation.train_cluster_sequential(m0, cluster, cfg, streams)
+        head, _ = federation.run_round(
+            m0, plan(ten_clients, ((0, 1, 2),), local_epochs=1, local_batch=12,
+                     learning_rate=0.1), 1)
         ref = m0
-        for c in cluster:
+        for c in ten_clients[:3]:
             _, g = nn.loss_and_grads(ref, c.examples.images, c.examples.labels)
             ref = nn.sgd_step(ref, g, 0.1)
         assert models_equal(head, ref)
 
     def test_order_matters(self, ten_clients):
-        cfg = nn.LocalTrainConfig(epochs=1, batch_size=12, learning_rate=0.1)
         m0 = nn.init_mlp(4)
-
-        def streams(cid):
-            return federation.stream(9, 0, 1, cid)
-
-        fwd = federation.train_cluster_sequential(m0, ten_clients[:3], cfg, streams)
-        rev = federation.train_cluster_sequential(m0, ten_clients[2::-1], cfg, streams)
+        kw = dict(local_epochs=1, local_batch=12, learning_rate=0.1)
+        fwd, _ = federation.run_round(m0, plan(ten_clients, ((0, 1, 2),), **kw), 1)
+        rev, _ = federation.run_round(m0, plan(ten_clients, ((2, 1, 0),), **kw), 1)
         assert not models_equal(fwd, rev)
 
-    def test_empty_cluster_rejected(self):
+    def test_empty_cluster_rejected(self, ten_clients):
         with pytest.raises(ConfigError, match="empty cluster"):
-            federation.train_cluster_sequential(
-                nn.init_mlp(0), [], nn.LocalTrainConfig(), lambda cid: None)
+            plan(ten_clients, ((),))
 
 
 class TestSemiflRound:
     def test_snapshot_isolation(self, ten_clients):
         # every cluster must start from the same global model, so a round equals
         # aggregating independently computed heads
-        assignment = clustering.ClusterAssignment(
-            "explicit", ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9)))
+        clusters = ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9))
         cfg = fed_cfg()
         m0 = nn.init_mlp(1)
-        new, rec = federation.run_round_semifl(m0, ten_clients, assignment, cfg, 2)
-
-        def streams(cid):
-            return federation.stream(cfg.master_seed, 0, 2, cid)
-
-        heads = [federation.train_cluster_sequential(
-                     m0, [ten_clients[cid] for cid in cl], cfg.local, streams)
-                 for cl in assignment.clusters]
+        new, rec = federation.run_round(m0, plan(ten_clients, clusters), 2)
+        heads = [chain_head(m0, [ten_clients[cid] for cid in cl], cfg, 2)
+                 for cl in clusters]
         assert models_equal(new, federation.aggregate_mean(heads))
         assert rec.uplink_models == 3
-        assert rec.uplink_bytes == 3 * cfg.model_bytes
+        assert rec.uplink_bytes == 3 * 1000
         assert rec.mode == "semifl"
         assert rec.pattern == "explicit"
         assert np.isfinite(rec.train_loss)
 
     def test_deterministic_across_calls(self, ten_clients):
-        assignment = clustering.ClusterAssignment("explicit", ((0, 1), (2, 3)))
-        cfg = fed_cfg()
+        p = plan(ten_clients, ((0, 1), (2, 3)))
         m0 = nn.init_mlp(2)
-        a, _ = federation.run_round_semifl(m0, ten_clients, assignment, cfg, 1)
-        b, _ = federation.run_round_semifl(m0, ten_clients, assignment, cfg, 1)
+        a, _ = federation.run_round(m0, p, 1)
+        b, _ = federation.run_round(m0, p, 1)
         assert models_equal(a, b)
-        c, _ = federation.run_round_semifl(m0, ten_clients, assignment, cfg, 2)
+        c, _ = federation.run_round(m0, p, 2)
         assert not models_equal(a, c)  # round index feeds the streams
 
     def test_unknown_client_in_assignment(self, ten_clients):
-        assignment = clustering.ClusterAssignment("explicit", ((0, 42),))
-        with pytest.raises(ConfigError, match="cluster 0 references unknown client"):
-            federation.run_round_semifl(nn.init_mlp(0), ten_clients, assignment,
-                                        fed_cfg(), 1)
+        with pytest.raises(ConfigError, match="cluster 0 references unknown client 42"):
+            plan(ten_clients, ((0, 42),))
 
     def test_error_carries_cluster_index(self, ten_clients):
-        assignment = clustering.ClusterAssignment("explicit", ((0, 1), tuple()))
         with pytest.raises(ConfigError, match="cluster 1: empty cluster"):
-            federation.run_round_semifl(nn.init_mlp(0), ten_clients, assignment,
-                                        fed_cfg(), 1)
+            plan(ten_clients, ((0, 1), ()))
 
 
 class TestFedavgRound:
     def test_full_participation_equals_primitive_mean(self, ten_clients):
-        cfg = fed_cfg(mode="fl", client_fraction=1.0)
+        cfg = fed_cfg(mode="fl")
         m0 = nn.init_mlp(3)
-        new, rec = federation.run_round_fedavg(m0, ten_clients, cfg, 1)
-        updates = [nn.train_local(m0, c.examples.images, c.examples.labels, cfg.local,
-                                  federation.stream(cfg.master_seed, 0, 1, c.client_id))
-                   for c in ten_clients]
+        new, rec = federation.run_round(m0, plan(ten_clients, mode="fl"), 1)
+        updates = [chain_head(m0, [c], cfg, 1) for c in ten_clients]
         assert models_equal(new, federation.aggregate_mean(updates))
         assert rec.uplink_models == 10
         assert rec.pattern == "-"
 
     def test_sampling_count_and_determinism(self, ten_clients):
-        cfg = fed_cfg(mode="fl", client_fraction=0.3)
+        p = plan(ten_clients, mode="fl", client_fraction=0.3)
         m0 = nn.init_mlp(3)
-        a, rec = federation.run_round_fedavg(m0, ten_clients, cfg, 4)
-        b, _ = federation.run_round_fedavg(m0, ten_clients, cfg, 4)
+        a, rec = federation.run_round(m0, p, 4)
+        b, _ = federation.run_round(m0, p, 4)
         assert rec.uplink_models == 3  # round(0.3 * 10)
         assert models_equal(a, b)
 
-    def test_sampling_varies_by_round(self, ten_clients):
-        cfg = fed_cfg(mode="fl", client_fraction=0.2)
-        picks = []
+    def test_sampling_varies_by_round(self, ten_clients, monkeypatch):
+        trained = []
+        original = federation.train_local_with_loss
+
+        def spy(model, images, labels, cfg, rng):
+            trained[-1].append(images[0].tobytes())
+            return original(model, images, labels, cfg, rng)
+
+        monkeypatch.setattr(federation, "train_local_with_loss", spy)
+        p = plan(ten_clients, mode="fl", client_fraction=0.2, local_epochs=1)
         for t in range(1, 7):
-            sampler = federation.stream(cfg.master_seed, 1, t)
-            picks.append(tuple(np.sort(sampler.choice(10, size=2, replace=False))))
-        assert len(set(picks)) > 1
+            trained.append([])
+            federation.run_round(nn.init_mlp(0), p, t)
+        assert all(len(picks) == 2 for picks in trained)
+        assert len({tuple(picks) for picks in trained}) > 1
 
     def test_fraction_floor_one(self, ten_clients):
-        cfg = fed_cfg(mode="fl", client_fraction=0.01)
-        _, rec = federation.run_round_fedavg(nn.init_mlp(0), ten_clients, cfg, 1)
+        p = plan(ten_clients, mode="fl", client_fraction=0.01)
+        _, rec = federation.run_round(nn.init_mlp(0), p, 1)
         assert rec.uplink_models == 1  # max(1, round(0.1))
 
 
 class TestCentralized:
-    def test_single_batch_round_is_one_gd_step(self, synth_10x12):
-        cfg = fed_cfg(mode="cl", cl_batch_size=len(synth_10x12))
+    def test_single_batch_round_is_one_gd_step(self, ten_clients):
+        pool = federation.pool_clients(ten_clients)
         m0 = nn.init_mlp(5)
-        new, rec = federation.run_round_cl(m0, synth_10x12, cfg, 1)
-        _, g = nn.loss_and_grads(m0, synth_10x12.images, synth_10x12.labels)
-        assert models_equal(new, nn.sgd_step(m0, g, cfg.local.learning_rate))
+        new, rec = federation.run_round(m0, plan(ten_clients, mode="cl",
+                                                 cl_batch=len(pool)), 1)
+        _, g = nn.loss_and_grads(m0, pool.images, pool.labels)
+        assert models_equal(new, nn.sgd_step(m0, g, 0.05))
         assert rec.uplink_models == 0
         assert rec.uplink_bytes == 0
 
-    def test_round_is_one_epoch(self, synth_10x12, monkeypatch):
+    def test_round_is_one_epoch(self, ten_clients, monkeypatch):
         calls = []
         original = nn.loss_and_grads
 
@@ -199,44 +202,60 @@ class TestCentralized:
             return original(model, inputs, labels)
 
         monkeypatch.setattr(nn, "loss_and_grads", spy)
-        cfg = fed_cfg(mode="cl", cl_batch_size=50)
-        federation.run_round_cl(nn.init_mlp(0), synth_10x12, cfg, 1)
+        p = plan(ten_clients, mode="cl", cl_batch=50)  # local_epochs=2 does not apply
+        federation.run_round(nn.init_mlp(0), p, 1)
         assert calls == [50, 50, 20]  # ceil(120/50) batches, trailing partial kept
 
-    def test_run_cl_cadence(self, synth_10x12):
-        cfg = fed_cfg(mode="cl", rounds=5, eval_every=2, cl_batch_size=60)
-        seen = []
-
-        def eval_fn(model):
-            seen.append(1)
-            return 0.5
-
-        _, records = federation.run_cl(nn.init_mlp(0), synth_10x12, cfg, eval_fn)
+    def test_run_cl_cadence(self, tmp_path):
+        cfg = ExperimentConfig(mode="cl", arch="mlp", dataset="synthetic:10x12",
+                               clients=10, per_client=12, rounds=5, eval_every=2,
+                               cl_batch=60)
+        records = experiment.run_experiment(cfg, tmp_path)
         assert len(records) == 5
         evaluated = [r.round for r in records if r.test_accuracy == r.test_accuracy]
         assert evaluated == [2, 4, 5]  # every other round plus the final round
-        assert len(seen) == 3
 
 
 class TestUplinkAccounting:
-    def test_reference_counts(self):
+    def test_reference_counts(self, clients_100):
         # K=100, C=0.1, N=10: fl(10%)=10, fl(100%)=100, semifl=10, cl=0
-        assert federation.num_uplink_models("fl", 100, 0.1, 10) == 10
-        assert federation.num_uplink_models("fl", 100, 1.0, 10) == 100
-        assert federation.num_uplink_models("semifl", 100, 1.0, 10) == 10
-        assert federation.num_uplink_models("cl", 100, 1.0, 10) == 0
+        c1 = clustering.build_pattern("c1", clients_100)
+        semi = federation.plan_rounds(fed_cfg(), clients_100, c1)
+        fl10 = federation.plan_rounds(fed_cfg(mode="fl", client_fraction=0.1), clients_100)
+        fl100 = federation.plan_rounds(fed_cfg(mode="fl"), clients_100)
+        cl = federation.plan_rounds(fed_cfg(mode="cl"), clients_100)
+        assert (len(semi.chains), semi.sample, semi.server) == (10, 0, True)
+        assert (len(fl10.chains), fl10.sample, fl10.server) == (100, 10, True)
+        assert (len(fl100.chains), fl100.sample, fl100.server) == (100, 0, True)
+        assert (len(cl.chains), cl.server) == (1, False)
 
-    def test_bytes_scale_with_model(self):
-        assert federation.uplink_cost("fl", 100, 0.1, 10, 87472) == 10 * 87472
-        assert federation.uplink_cost("semifl", 100, 1.0, 10, 87472) == 10 * 87472
-        assert federation.uplink_cost("cl", 100, 1.0, 10, 87472) == 0
+    def test_bytes_scale_with_model(self, ten_clients):
+        m0 = nn.init_mlp(0)
+        for kw, models in ((dict(mode="fl", client_fraction=0.3), 3),
+                           (dict(clusters=((0, 1), (2, 3))), 2),
+                           (dict(mode="cl"), 0)):
+            _, rec = federation.run_round(
+                m0, plan(ten_clients, model_bytes=87472, local_epochs=1, **kw), 1)
+            assert (rec.uplink_models, rec.uplink_bytes) == (models, models * 87472)
 
-    def test_ledger_totals(self):
-        ledger = federation.CommLedger()
-        ledger.record(1, 10, 1000, 10)
-        ledger.record(2, 10, 1000, 10)
-        assert ledger.total_uplink_models == 20
-        assert ledger.total_uplink_bytes == 2000
+
+class TestDivergence:
+    def test_nonfinite_loss_names_round_chain_client(self, ten_clients):
+        # one full-batch step per client: each chain's first loss is still finite,
+        # the second client of chain 1 starts from a blown-up model
+        p = plan(ten_clients, ((4,), (2, 3)), local_epochs=1, local_batch=12,
+                 learning_rate=1e30)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match=r"round 3, chain 1, client 3: "
+                                                        r"training loss is nan"):
+            federation.run_round(nn.init_mlp(0), p, 3)
+
+    def test_pooled_set_named_in_cl(self, ten_clients):
+        p = plan(ten_clients, mode="cl", cl_batch=120, learning_rate=1e30)
+        model, _ = federation.run_round(nn.init_mlp(0), p, 1)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="round 2, chain 0, the pooled set"):
+            federation.run_round(model, p, 2)
 
 
 class TestPool:
@@ -245,17 +264,3 @@ class TestPool:
         assert len(pool) == 120
         assert np.array_equal(pool.images[:12], ten_clients[0].examples.images)
         assert np.array_equal(pool.labels[-12:], ten_clients[9].examples.labels)
-
-
-class TestConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            federation.FederationConfig(mode="gossip")
-        with pytest.raises(ConfigError):
-            federation.FederationConfig(client_fraction=0.0)
-        with pytest.raises(ConfigError):
-            federation.FederationConfig(client_fraction=1.5)
-        with pytest.raises(ConfigError):
-            federation.FederationConfig(rounds=0)
-        with pytest.raises(ConfigError):
-            federation.FederationConfig(master_seed=-1)

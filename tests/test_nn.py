@@ -205,8 +205,11 @@ class TestSgd:
         w = model([1.0, 0.5, 2.0, 0.25])
         g1 = model([0.25, 0.5, 0.5, 1.0])
         g2 = model([0.125, 0.25, 0.75, 0.5])
+        summed = nn.ModelParams("mlp", tuple(
+            nn.LayerParams(a.name, a.weights + b.weights, a.bias + b.bias)
+            for a, b in zip(g1.layers, g2.layers)))
         two = nn.sgd_step(nn.sgd_step(w, g1, 0.5), g2, 0.5)
-        one = nn.sgd_step(w, nn.combine(1.0, g1, 1.0, g2), 0.5)
+        one = nn.sgd_step(w, summed, 0.5)
         assert models_equal(two, one)
 
     def test_step_reduces_loss_on_batch(self):
@@ -222,7 +225,12 @@ class TestSgd:
         with pytest.raises(ValueError, match="mismatch"):
             nn.sgd_step(nn.init_mlp(0), nn.init_mlp(0, hidden=32), 0.1)
         with pytest.raises(ValueError, match="mismatch"):
-            nn.combine(0.5, nn.init_mlp(0), 0.5, nn.init_cnn(0))
+            nn.sgd_step(nn.init_mlp(0), nn.init_cnn(0), 0.1)
+
+
+def train(model, images, labels, cfg, rng):
+    """The model that ``train_local_with_loss`` returns, without its loss."""
+    return nn.train_local_with_loss(model, images, labels, cfg, rng)[0]
 
 
 class TestTrainLocal:
@@ -236,17 +244,17 @@ class TestTrainLocal:
         x, y = self._toy()
         cfg = nn.LocalTrainConfig(epochs=2, batch_size=10, learning_rate=0.05)
         m = nn.init_mlp(1)
-        a = nn.train_local(m, x, y, cfg, np.random.default_rng(77))
-        b = nn.train_local(m, x, y, cfg, np.random.default_rng(77))
+        a = train(m, x, y, cfg, np.random.default_rng(77))
+        b = train(m, x, y, cfg, np.random.default_rng(77))
         assert models_equal(a, b)
-        c = nn.train_local(m, x, y, cfg, np.random.default_rng(78))
+        c = train(m, x, y, cfg, np.random.default_rng(78))
         assert not models_equal(a, c)
 
     def test_full_batch_epochs_equal_gd_steps(self):
         x, y = self._toy(n=12)
         m = nn.init_mlp(2)
         cfg = nn.LocalTrainConfig(epochs=3, batch_size=12, learning_rate=0.1)
-        trained = nn.train_local(m, x, y, cfg, np.random.default_rng(0))
+        trained = train(m, x, y, cfg, np.random.default_rng(0))
         ref = m
         for _ in range(3):
             _, g = nn.loss_and_grads(ref, x, y)
@@ -264,7 +272,7 @@ class TestTrainLocal:
 
         monkeypatch.setattr(nn, "loss_and_grads", spy)
         cfg = nn.LocalTrainConfig(epochs=2, batch_size=20, learning_rate=0.01)
-        nn.train_local(nn.init_mlp(3), x, y, cfg, np.random.default_rng(5))
+        train(nn.init_mlp(3), x, y, cfg, np.random.default_rng(5))
         assert seen == [20, 5, 20, 5]
 
     def test_mean_loss_reported(self):
@@ -278,13 +286,13 @@ class TestTrainLocal:
     def test_empty_dataset_rejected(self):
         cfg = nn.LocalTrainConfig()
         with pytest.raises(ValueError, match="empty"):
-            nn.train_local(nn.init_mlp(0), np.zeros((0, 784), dtype=np.float32),
+            train(nn.init_mlp(0), np.zeros((0, 784), dtype=np.float32),
                            np.zeros(0, dtype=np.int64), cfg, np.random.default_rng(0))
 
     def test_outputs_stay_finite(self):
         x, y = self._toy(n=40)
         cfg = nn.LocalTrainConfig(epochs=5, batch_size=8, learning_rate=0.1)
-        m = nn.train_local(nn.init_cnn(5), x, y, cfg, np.random.default_rng(6))
+        m = train(nn.init_cnn(5), x, y, cfg, np.random.default_rng(6))
         for l in m.layers:
             assert np.all(np.isfinite(l.weights))
             assert np.all(np.isfinite(l.bias))
