@@ -4,19 +4,26 @@
 directory and produces:
 
 * ``config.resolved`` -- the full configuration echoed back (re-parseable)
+* ``env.json``        -- Python, numpy and BLAS versions and the BLAS thread
+  variables (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``)
 * ``metrics.csv``     -- one row per evaluation round
 * ``ledger.csv``      -- per-round communication accounting
 * ``model_final.sfl1`` (and optional periodic checkpoints)
 
 Two runs with the same configuration produce identical outputs apart from
-the ``elapsed_ms`` column.
+the ``elapsed_ms`` column, provided they use the same numpy and BLAS build at
+the same BLAS thread count (all recorded in ``env.json``): BLAS splits a GEMM
+differently at another thread count, and the rounding then differs.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import platform
 from pathlib import Path
+
+import numpy as np
 
 from . import clustering, federation
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
@@ -26,6 +33,8 @@ from .errors import DataError
 from .federation import RoundRecord
 from .metrics import DivergenceReport, evaluate_accuracy, layer_divergence
 from .nn import init_model
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 METRICS_COLUMNS = ("round", "mode", "pattern", "test_accuracy", "train_loss",
                    "uplink_models", "uplink_bytes", "elapsed_ms")
@@ -102,6 +111,21 @@ def build_assignment(cfg: ExperimentConfig, clients) -> clustering.ClusterAssign
     return assignment
 
 
+def _environment() -> dict:
+    """The software a run's bits depend on: versions, BLAS build and thread variables."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints instead of returning
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+    }
+
+
 def _format_row(rec: RoundRecord) -> dict:
     return {
         "round": rec.round,
@@ -121,6 +145,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(render_config(cfg), encoding="utf-8")
+    import json  # here, not at module level: the import costs ~3 ms of start-up
+    (out / "env.json").write_text(json.dumps(_environment(), indent=2) + "\n",
+                                  encoding="utf-8")
 
     train, test = load_datasets(cfg)
     clients = build_clients(cfg, train)

@@ -114,7 +114,8 @@ def run_round(model: ModelParams, plan: RoundPlan,
     """Train every chain of the round from ``model`` and combine the heads.
 
     Raises :class:`FloatingPointError` naming the round, chain and client as
-    soon as a client's training loss is not finite.
+    soon as a client's training loss is not finite, and naming the round and
+    layer when the new model holds a non-finite parameter.
     """
     t0 = time.perf_counter()
     chains = plan.chains
@@ -140,6 +141,11 @@ def run_round(model: ModelParams, plan: RoundPlan,
 
     uplink = len(heads) if plan.server else 0
     new_model = aggregate_mean(heads) if plan.server else heads[0]
+    for lp in new_model.layers:
+        if not (np.isfinite(lp.weights).all() and np.isfinite(lp.bias).all()):
+            raise FloatingPointError(
+                f"round {round_idx}: layer {lp.name} has non-finite parameters; "
+                f"training diverged (try a lower learning_rate)")
     rec = RoundRecord(
         round=round_idx, mode=plan.mode, pattern=plan.pattern,
         train_loss=float(np.mean(losses)),

@@ -9,6 +9,14 @@ Two fixed architectures are supported:
 Parameters are float32; training is plain minibatch SGD on softmax
 cross-entropy.  All randomness comes from generators passed in by the
 caller, so every function here is a pure function of its inputs.
+
+Inside the cnn, activations are channels-last, (B, H, W, C), from the input
+to the fc3 flatten: the im2col GEMM output is then already in that layout and
+the 2x2 max-pool compares four strided views of it.  Only the 320-wide fc3
+input is put back in (C, H, W) order, so parameter shapes and the checkpoint
+layout stay channels-first.  Max-pool runs before ReLU, with which it
+commutes.  When cells of a pooling tile tie, the first in row-major order
+takes the whole gradient.
 """
 
 from __future__ import annotations
@@ -140,53 +148,71 @@ def _relu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Valid 5x5 convolution via im2col.  Returns (out, cols) with cols kept
-    for the backward pass.  x: (B,Cin,H,W), w: (Cout,Cin,KH,KW)."""
-    bsz, cin, h, wid = x.shape
+    """Valid convolution via im2col on a channels-last batch.
+
+    x: (B,H,W,Cin), w: (Cout,Cin,KH,KW).  Returns (out, cols): out is
+    (B,OH,OW,Cout), and cols, the (B*OH*OW, Cin*KH*KW) patch matrix with its
+    columns in ``w``'s (Cin,KH,KW) order, is kept for the backward pass.  The
+    GEMM output rows are already channels-last, so nothing is transposed.
+    """
+    bsz, h, wid, cin = x.shape
     cout, _, kh, kw = w.shape
     oh, ow = h - kh + 1, wid - kw + 1
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))  # (B,Cin,OH,OW,KH,KW)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * ow, cin * kh * kw)
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B,OH,OW,Cin,KH,KW)
+    cols = windows.reshape(bsz * oh * ow, cin * kh * kw)
     out = cols @ w.reshape(cout, -1).T + b
-    out = out.reshape(bsz, oh, ow, cout).transpose(0, 3, 1, 2)
-    return out, cols
+    return out.reshape(bsz, oh, ow, cout), cols
 
 
-def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray,
-                     x_shape, need_dx: bool):
-    bsz, cout, oh, ow = dout.shape
-    _, cin, h, wid = x_shape
-    kh, kw = w.shape[2], w.shape[3]
-    dmat = dout.transpose(0, 2, 3, 1).reshape(bsz * oh * ow, cout)
+def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=None):
+    """Gradients (dw, db, dx) of :func:`_conv2d`; dout and dx are channels-last.
+
+    dx, the input gradient of shape ``x_shape``, is None without ``x_shape``.
+    """
+    bsz, oh, ow, cout = dout.shape
+    _, cin, kh, kw = w.shape
+    dmat = dout.reshape(bsz * oh * ow, cout)
     dw = (dmat.T @ cols).reshape(w.shape)
     db = dmat.sum(axis=0)
     dx = None
-    if need_dx:
+    if x_shape is not None:
         dcols = (dmat @ w.reshape(cout, -1)).reshape(bsz, oh, ow, cin, kh, kw)
-        dcols = dcols.transpose(0, 3, 1, 2, 4, 5)  # (B,Cin,OH,OW,KH,KW)
         dx = np.zeros(x_shape, dtype=dout.dtype)
         for i in range(kh):
             for j in range(kw):
-                dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j]
+                dx[:, i:i + oh, j:j + ow] += dcols[..., i, j]
     return dw, db, dx
 
 
-def _maxpool2(x: np.ndarray):
-    """2x2 max pooling, stride 2.  Ties resolve to the first (row-major) cell."""
-    bsz, ch, h, wid = x.shape
-    tiles = x.reshape(bsz, ch, h // 2, 2, wid // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = tiles.reshape(bsz, ch, h // 2, wid // 2, 4)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+def _tiles(x: np.ndarray) -> np.ndarray:
+    """(B,H,W,C) viewed as (B,H/2,2,W/2,2,C): 2x2 tiles, cell (i, j) at [:, :, i, :, j]."""
+    bsz, h, wid, ch = x.shape
+    return x.reshape(bsz, h // 2, 2, wid // 2, 2, ch)
 
 
-def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray, x_shape):
-    bsz, ch, h, wid = x_shape
-    dflat = np.zeros((bsz, ch, h // 2, wid // 2, 4), dtype=dout.dtype)
-    np.put_along_axis(dflat, idx[..., None], dout[..., None], axis=-1)
-    return dflat.reshape(bsz, ch, h // 2, wid // 2, 2, 2) \
-                .transpose(0, 1, 2, 4, 3, 5).reshape(x_shape)
+def _maxpool2(x: np.ndarray) -> np.ndarray:
+    """2x2 max pooling, stride 2, of a channels-last batch (B,H,W,C)."""
+    t = _tiles(x)
+    return np.maximum(np.maximum(t[:, :, 0, :, 0], t[:, :, 0, :, 1]),
+                      np.maximum(t[:, :, 1, :, 0], t[:, :, 1, :, 1]))
+
+
+def _maxpool2_backward(dout: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Route each pooled gradient to the cell of its tile that holds the maximum.
+
+    ``x`` is the pooling input and ``out`` its :func:`_maxpool2` result.  When
+    several cells tie, the first in row-major order takes the whole gradient
+    and the others get zero.
+    """
+    t = _tiles(x)
+    dx = np.empty(t.shape, dtype=dout.dtype)
+    free = np.ones(out.shape, dtype=bool)  # tiles whose maximum is still unclaimed
+    for i, j in ((0, 0), (0, 1), (1, 0)):
+        hit = (t[:, :, i, :, j] == out) & free
+        np.multiply(dout, hit, out=dx[:, :, i, :, j])
+        free ^= hit
+    np.multiply(dout, free, out=dx[:, :, 1, :, 1])  # only the last cell is left
+    return dx.reshape(x.shape)
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -233,20 +259,21 @@ def _forward_cached(model: ModelParams, x: np.ndarray):
         return logits, (x, a1, m1)
 
     (w1, b1), (w2, b2), (w3, b3), (w4, b4) = [(l.weights, l.bias) for l in model.layers]
-    z1, cols1 = _conv2d(x, w1, b1)
-    a1, m1 = _relu(z1)
-    p1, i1 = _maxpool2(a1)
-    z2, cols2 = _conv2d(p1, w2, b2)
-    a2, m2 = _relu(z2)
-    p2, i2 = _maxpool2(a2)
-    flat = p2.reshape(p2.shape[0], -1)
+    # C=1 at the input, so the channels-last transpose is a free view
+    z1, cols1 = _conv2d(x.transpose(0, 2, 3, 1), w1, b1)
+    q1 = _maxpool2(z1)
+    a1, m1 = _relu(q1)
+    z2, cols2 = _conv2d(a1, w2, b2)
+    q2 = _maxpool2(z2)
+    a2, m2 = _relu(q2)
+    flat = a2.transpose(0, 3, 1, 2).reshape(a2.shape[0], -1)  # fc3 reads (C,H,W) order
     if flat.shape[1] != w3.shape[1]:
         raise ValueError(
             f"input spatial size yields {flat.shape[1]} features, fc3 expects {w3.shape[1]}")
     z3 = flat @ w3.T + b3
     a3, m3 = _relu(z3)
     logits = a3 @ w4.T + b4
-    cache = (x, cols1, a1, m1, i1, p1, cols2, a2, m2, i2, p2, flat, a3, m3)
+    cache = (cols1, z1, q1, m1, cols2, z2, q2, m2, flat, a3, m3)
     return logits, cache
 
 
@@ -261,12 +288,17 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
                    labels: np.ndarray) -> tuple[float, ModelParams]:
     """Mean softmax cross-entropy over the batch and its parameter gradients.
 
-    The returned gradients mirror ``model``'s structure layer for layer.
+    Labels must lie in 0..n_classes-1.  The returned gradients mirror
+    ``model``'s structure layer for layer.
     """
     x = _as_model_input(model, inputs)
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
         raise ValueError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
+    n_classes = model.layers[-1].bias.shape[0]
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        i = int(np.flatnonzero((labels < 0) | (labels >= n_classes))[0])
+        raise ValueError(f"label {labels[i]} at batch index {i} is outside 0..{n_classes - 1}")
     logits, cache = _forward_cached(model, x)
     loss, dlogits = _softmax_cross_entropy(logits, labels)
 
@@ -281,7 +313,7 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
         grads = (LayerParams("fc1", dw1, db1), LayerParams("fc2", dw2, db2))
         return loss, ModelParams("mlp", grads)
 
-    xin, cols1, a1, m1, i1, p1, cols2, a2, m2, i2, p2, flat, a3, m3 = cache
+    cols1, z1, q1, m1, cols2, z2, q2, m2, flat, a3, m3 = cache
     w1 = model.layer("conv1").weights
     w2 = model.layer("conv2").weights
     w3 = model.layer("fc3").weights
@@ -292,11 +324,12 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
     dz3 = (dlogits @ w4) * m3
     dw3 = dz3.T @ flat
     db3 = dz3.sum(axis=0)
-    dp2 = (dz3 @ w3).reshape(p2.shape)
-    dz2 = _maxpool2_backward(dp2, i2, a2.shape) * m2
-    dw2, db2, dp1 = _conv2d_backward(dz2, cols2, w2, p1.shape, need_dx=True)
-    dz1 = _maxpool2_backward(dp1, i1, a1.shape) * m1
-    dw1, db1, _ = _conv2d_backward(dz1, cols1, w1, xin.shape, need_dx=False)
+    bsz, side, _, ch = q2.shape
+    dq2 = (dz3 @ w3).reshape(bsz, ch, side, side).transpose(0, 2, 3, 1) * m2
+    dz2 = _maxpool2_backward(dq2, z2, q2)
+    dw2, db2, da1 = _conv2d_backward(dz2, cols2, w2, q1.shape)
+    dz1 = _maxpool2_backward(da1 * m1, z1, q1)
+    dw1, db1, _ = _conv2d_backward(dz1, cols1, w1)
     grads = (
         LayerParams("conv1", dw1, db1),
         LayerParams("conv2", dw2, db2),

@@ -1,6 +1,7 @@
 """End-to-end run orchestration and CLI tests (synthetic data only)."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -48,6 +49,20 @@ class TestRunExperiment:
         assert all(r["uplink_models"] == "1" for r in rows)
         final = checkpoint.load_checkpoint(out / "model_final.sfl1")
         assert final.arch == "mlp"
+
+    def test_env_json_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        experiment.run_experiment(tiny_cfg(rounds=1), out)
+        env = json.loads((out / "env.json").read_text())
+        assert env["numpy"] == np.__version__
+        assert env["python"].count(".") == 2
+        assert {"blas", "blas_version"} <= set(env)
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert set(env["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS"}
 
     def test_ledger_rows_every_round(self, tmp_path):
         out = tmp_path / "run"
@@ -293,6 +308,20 @@ class TestCli:
         rows = read_metrics(out)
         assert [r["round"] for r in rows] == ["1"]
         assert all(r["train_loss"] != "nan" for r in rows)
+
+    def test_non_finite_parameters_are_exit_3_without_row_or_model(self, tmp_path, capsys):
+        # one step at lr 1e39 overflows every weight while the step's loss is still finite
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("mode = fl\narch = mlp\ndataset = synthetic:10x20\nclients = 10\n"
+                       "per_client = 20\nrounds = 1\nlocal_batch = 20\nlocal_epochs = 1\n"
+                       "learning_rate = 1e39\n")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert "round 1: layer fc1 has non-finite parameters" in capsys.readouterr().err
+        assert read_metrics(out) == []
+        assert not (out / "model_final.sfl1").exists()
 
     def test_unwritable_out_is_exit_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c3")

@@ -257,6 +257,15 @@ class TestDivergence:
                 pytest.raises(FloatingPointError, match="round 2, chain 0, the pooled set"):
             federation.run_round(model, p, 2)
 
+    def test_nonfinite_parameters_name_round_and_layer(self, ten_clients):
+        # a single full-batch step per chain: every loss is finite, the weights are not
+        p = plan(ten_clients, ((4,), (2,)), local_epochs=1, local_batch=12,
+                 learning_rate=1e39)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError,
+                              match="round 2: layer fc1 has non-finite parameters"):
+            federation.run_round(nn.init_mlp(0), p, 2)
+
 
 class TestPool:
     def test_pool_concatenates_ascending(self, ten_clients):

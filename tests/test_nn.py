@@ -148,6 +148,11 @@ class TestLoss:
         x = np.zeros((3, 784), dtype=np.float32)
         with pytest.raises(ValueError, match="labels"):
             nn.loss_and_grads(m, x, np.array([1, 2]))
+        # -1 would otherwise index class 9 and 12 would raise a bare IndexError
+        with pytest.raises(ValueError, match=r"label -1 at batch index 1 is outside 0\.\.9"):
+            nn.loss_and_grads(m, x, np.array([3, -1, 12]))
+        with pytest.raises(ValueError, match=r"label 12 at batch index 2 is outside 0\.\.9"):
+            nn.loss_and_grads(m, x, np.array([3, 9, 12]))
 
     def test_grads_mirror_model_structure(self):
         m = nn.init_cnn(8)
@@ -179,6 +184,15 @@ class TestGradCheck:
         x = np.random.default_rng(99).random((2, 1, 16, 16)).astype(np.float32)
         assert nn.grad_check(m, x, np.array([0, 7]), step=1e-4) < 1e-3
 
+    def test_cnn_non_square_batch_wide_conv2(self):
+        # 4 conv2 channels over a 2x2 map (20x20 input) and 3 examples: a wrong
+        # channels-last <-> (C,H,W) order at fc3 shows up as a gradient mismatch.
+        # float64 analytic grads and a small step keep clear of max-pool kinks.
+        m = nn.init_cnn(12, conv1=2, conv2=4, hidden=5, image_size=20).astype(np.float64)
+        assert m.layer("fc3").weights.shape[1] == 4 * 2 * 2
+        x = np.random.default_rng(98).random((3, 1, 20, 20))
+        assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-6) < 1e-4
+
     def test_identity_activation_hook(self, monkeypatch):
         # with ReLU swapped for identity the net is linear; grads must still match
         monkeypatch.setattr(nn, "_relu", lambda z: (z, np.ones(z.shape, dtype=bool)))
@@ -187,6 +201,42 @@ class TestGradCheck:
         x = rng.random((6, 12)).astype(np.float32)
         y = rng.integers(0, 10, 6)
         assert nn.grad_check(m, x, y) < 1e-4
+
+
+class TestMaxPool:
+    def test_forward_takes_tile_maxima(self):
+        x = np.random.default_rng(20).random((2, 4, 6, 3)).astype(np.float32)
+        want = x.reshape(2, 2, 2, 3, 2, 3).max(axis=(2, 4))
+        assert np.array_equal(nn._maxpool2(x), want)
+
+    @pytest.mark.parametrize("tile, routed", [
+        ([[3, 3], [3, 3]], [[5, 0], [0, 0]]),  # four-way tie: the top-left cell
+        ([[1, 7], [7, 7]], [[0, 5], [0, 0]]),  # three-way tie: (0, 1) comes first
+    ])
+    def test_ties_go_to_first_cell_in_row_major_order(self, tile, routed):
+        x = np.float32(tile)[None, :, :, None]  # one tile, one channel, channels-last
+        out = nn._maxpool2(x)
+        assert out.shape == (1, 1, 1, 1) and out[0, 0, 0, 0] == np.max(tile)
+        dx = nn._maxpool2_backward(np.full(out.shape, 5.0, dtype=np.float32), x, out)
+        assert dx[0, :, :, 0].tolist() == routed
+
+    def test_four_way_tie_through_loss_and_grads(self):
+        # conv1 copies the centre pixel of its 5x5 window, so the 2x2 block of
+        # ones at input rows/cols 2..3 makes the four cells of pool1's first tile
+        # tie at 1; every other conv1 output is 0 and ReLU blocks its gradient
+        m = nn.init_cnn(13, conv1=1, conv2=2, hidden=4, image_size=16)
+        w1 = np.zeros((1, 1, 5, 5), dtype=np.float32)
+        w1[0, 0, 2, 2] = 1.0
+        layers = (nn.LayerParams("conv1", w1, np.zeros(1, dtype=np.float32)),) + m.layers[1:]
+        m = nn.ModelParams("cnn", layers)
+        x = np.zeros((1, 1, 16, 16), dtype=np.float32)
+        x[0, 0, 2:4, 2:4] = 1.0
+        _, g = nn.loss_and_grads(m, x, np.array([3]))
+        dw1, db1 = g.layer("conv1").weights[0, 0], g.layer("conv1").bias[0]
+        assert db1 != 0
+        # the whole tile gradient reached the top-left cell, whose window is x[0:5, 0:5];
+        # any other cell's window would put the ones at another offset
+        assert np.array_equal(dw1, db1 * x[0, 0, 0:5, 0:5])
 
 
 class TestSgd:
