@@ -30,10 +30,10 @@ def main():
     source = data.generate_synthetic(classes=10, per_class=120, seed=0)
     print(f"source set: {len(source)} examples, labels {source.label_counts()}")
 
-    iid = data.partition(source, data.PartitionPlan("iid", 100, 12, seed=1))
-    shards = data.partition(source, data.PartitionPlan("noniid_shards", 100, 12, seed=1))
+    iid = data.partition(source, "iid", num_clients=100, per_client=12, seed=1)
+    shards = data.partition(source, "noniid", num_clients=100, per_client=12, seed=1)
     describe(iid, "iid")
-    describe(shards, "noniid_shards")
+    describe(shards, "noniid")
 
     for pattern in clustering.PATTERNS:
         a = clustering.build_pattern(pattern, shards)

@@ -20,8 +20,7 @@ SEED = 0
 def main():
     source = data.generate_synthetic(classes=10, per_class=120, seed=SEED)
     test = data.generate_synthetic(classes=10, per_class=40, seed=SEED + 1)
-    clients = data.partition(source,
-                             data.PartitionPlan("noniid_shards", 100, 12, seed=SEED))
+    clients = data.partition(source, "noniid", num_clients=100, per_client=12, seed=SEED)
     assignment = clustering.build_pattern("c3", clients)
     model_bytes = len(checkpoint.checkpoint_bytes(nn.init_mlp(SEED)))
 

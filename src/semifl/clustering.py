@@ -36,9 +36,6 @@ class ClusterAssignment:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    def all_clients(self) -> tuple[int, ...]:
-        return tuple(cid for cluster in self.clusters for cid in cluster)
-
 
 def _clients_by_label(clients: list[ClientDataset]) -> dict[int, list[int]]:
     """Map label -> ascending client ids, for single-label clients only."""

@@ -48,11 +48,6 @@ class ExperimentConfig:
     partition_seed: int = -1        # -1 = reuse master_seed
 
     @property
-    def clusters(self) -> int:
-        """Cluster count implied by the patterns (groups of ten clients)."""
-        return self.clients // 10
-
-    @property
     def effective_partition_seed(self) -> int:
         return self.master_seed if self.partition_seed == -1 else self.partition_seed
 
@@ -64,7 +59,11 @@ class ExperimentConfig:
         if not m:
             raise ConfigError(f"dataset must be 'mnist' or 'synthetic:<classes>x<per_class>', "
                               f"got {self.dataset!r}")
-        return "synthetic", (int(m.group(1)), int(m.group(2)))
+        classes, per_class = int(m.group(1)), int(m.group(2))
+        if not (1 <= classes <= 10 and per_class >= 1):
+            raise ConfigError(f"dataset {self.dataset!r} needs 1 <= classes <= 10 "
+                              f"and per_class >= 1")
+        return "synthetic", (classes, per_class)
 
     def order_spec(self) -> tuple[str, int]:
         """Split cluster_order: ("fixed", 0) or ("shuffled", seed)."""

@@ -56,10 +56,6 @@ class ClientDataset:
         return len(self.examples)
 
     @property
-    def label_counts(self) -> Counter:
-        return self.examples.label_counts()
-
-    @property
     def distinct_labels(self) -> tuple[int, ...]:
         return tuple(sorted(set(int(v) for v in self.examples.labels)))
 
@@ -121,12 +117,9 @@ def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
 
     Class c's bump sits at a fixed angle on a circle around the image centre,
     jittered per example, plus pixel noise.  Same (classes, per_class, seed)
-    always yields the same set.
+    always yields the same set.  ``classes`` is in 1..10, one per anchor angle;
+    ``ExperimentConfig.dataset_kind`` checks a run's.
     """
-    if not 1 <= classes <= 10:
-        raise ValueError(f"classes must be in 1..10, got {classes}")
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:28, 0:28].astype(np.float64)
     images = np.empty((classes * per_class, 1, 28, 28), dtype=np.float32)
@@ -146,39 +139,23 @@ def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
     return LabeledSet(images, labels)
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """How to split a training set across clients."""
-
-    mode: str  # "iid" | "noniid_shards"
-    num_clients: int
-    per_client: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("iid", "noniid_shards"):
-            raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.num_clients < 1 or self.per_client < 1:
-            raise ValueError("num_clients and per_client must be >= 1")
-
-
-def partition_iid(source: LabeledSet, plan: PartitionPlan) -> list[ClientDataset]:
+def partition_iid(source: LabeledSet, num_clients: int, per_client: int,
+                  seed: int) -> list[ClientDataset]:
     """Shuffle the source once and deal equal consecutive slices to clients."""
-    if plan.mode != "iid":
-        raise ValueError(f"plan mode is {plan.mode!r}, not 'iid'")
-    need = plan.num_clients * plan.per_client
+    need = num_clients * per_client
     if len(source) < need:
-        raise DataError(f"need {need} examples for {plan.num_clients} clients x "
-                        f"{plan.per_client}, source has {len(source)}")
-    order = np.random.default_rng(plan.seed).permutation(len(source))
+        raise DataError(f"need {need} examples for {num_clients} clients x "
+                        f"{per_client}, source has {len(source)}")
+    order = np.random.default_rng(seed).permutation(len(source))
     clients = []
-    for cid in range(plan.num_clients):
-        take = order[cid * plan.per_client:(cid + 1) * plan.per_client]
+    for cid in range(num_clients):
+        take = order[cid * per_client:(cid + 1) * per_client]
         clients.append(ClientDataset(cid, source.take(take)))
     return clients
 
 
-def partition_noniid_shards(source: LabeledSet, plan: PartitionPlan) -> list[ClientDataset]:
+def partition_noniid_shards(source: LabeledSet, num_clients: int,
+                            per_client: int) -> list[ClientDataset]:
     """Give each client ``per_client`` examples of a single label.
 
     Examples are stably sorted by label, cut into single-label shards of
@@ -187,30 +164,28 @@ def partition_noniid_shards(source: LabeledSet, plan: PartitionPlan) -> list[Cli
     labels cycle 0,1,2,... as far as shard supply allows.  Raises
     :class:`DataError` listing the shortfall when the shards run out.
     """
-    if plan.mode != "noniid_shards":
-        raise ValueError(f"plan mode is {plan.mode!r}, not 'noniid_shards'")
     order = np.argsort(source.labels, kind="stable")
     sorted_labels = source.labels[order]
     shards: dict[int, list[np.ndarray]] = {}
     for label in np.unique(sorted_labels):
         run = order[sorted_labels == label]
-        whole = len(run) // plan.per_client
-        shards[int(label)] = [run[s * plan.per_client:(s + 1) * plan.per_client]
+        whole = len(run) // per_client
+        shards[int(label)] = [run[s * per_client:(s + 1) * per_client]
                               for s in range(whole)]
 
     total = sum(len(v) for v in shards.values())
-    if total < plan.num_clients:
+    if total < num_clients:
         supply = ", ".join(f"label {l}: {len(v)}" for l, v in sorted(shards.items()))
         raise DataError(
-            f"cannot build {plan.num_clients} single-label clients of "
-            f"{plan.per_client} examples: only {total} whole shards available "
+            f"cannot build {num_clients} single-label clients of "
+            f"{per_client} examples: only {total} whole shards available "
             f"({supply})")
 
     labels_cycle = sorted(shards)
     clients: list[ClientDataset] = []
-    while len(clients) < plan.num_clients:
+    while len(clients) < num_clients:
         for label in labels_cycle:
-            if len(clients) == plan.num_clients:
+            if len(clients) == num_clients:
                 break
             if shards[label]:
                 take = shards[label].pop(0)
@@ -218,8 +193,12 @@ def partition_noniid_shards(source: LabeledSet, plan: PartitionPlan) -> list[Cli
     return clients
 
 
-def partition(source: LabeledSet, plan: PartitionPlan) -> list[ClientDataset]:
-    """Dispatch on ``plan.mode``."""
-    if plan.mode == "iid":
-        return partition_iid(source, plan)
-    return partition_noniid_shards(source, plan)
+def partition(source: LabeledSet, mode: str, num_clients: int, per_client: int,
+              seed: int) -> list[ClientDataset]:
+    """Split ``source`` by the config's ``partition`` mode, ``iid`` or ``noniid``.
+
+    ``seed`` drives the iid shuffle; the noniid shards are dealt in label order.
+    """
+    if mode == "iid":
+        return partition_iid(source, num_clients, per_client, seed)
+    return partition_noniid_shards(source, num_clients, per_client)

@@ -31,8 +31,7 @@ import numpy as np
 from .clustering import ClusterAssignment
 from .config import ExperimentConfig
 from .data import ClientDataset, LabeledSet
-from .errors import ConfigError
-from .nn import LocalTrainConfig, ModelParams, LayerParams, train_local_with_loss
+from .nn import ModelParams, LayerParams, train_local_with_loss
 
 # stream purposes
 _KIND_TRAIN = 0   # per-client local training (shuffles)
@@ -71,7 +70,9 @@ class RoundPlan:
     pattern: str
     chains: tuple[Chain, ...]
     kind: int                # stream purpose of the chain links
-    local: LocalTrainConfig
+    epochs: int
+    batch_size: int
+    learning_rate: float
     sample: int              # chains drawn per round; 0 trains them all
     server: bool             # average the heads; without a server the one head is the model
     seed: int
@@ -84,29 +85,25 @@ def plan_rounds(cfg: ExperimentConfig, clients: list[ClientDataset],
     """The chains, streams and hyperparameters of ``cfg.mode``.
 
     ``assignment`` gives the semifl clusters and is ignored by the other modes.
+    Its clusters are taken as given: ``build_assignment`` checks an explicit
+    one with ``clustering.validate``, and the patterns are built from the clients.
     """
-    local = LocalTrainConfig(cfg.local_epochs, cfg.local_batch, cfg.learning_rate)
-    common = dict(mode=cfg.mode, seed=cfg.master_seed, model_bytes=model_bytes)
+    common = dict(mode=cfg.mode, learning_rate=cfg.learning_rate, seed=cfg.master_seed,
+                  model_bytes=model_bytes)
     if cfg.mode == "cl":
         return RoundPlan(pattern="-", chains=(((0, pool_clients(clients)),),), kind=_KIND_CL,
-                         local=LocalTrainConfig(1, cfg.cl_batch, cfg.learning_rate),
-                         sample=0, server=False, **common)
+                         epochs=1, batch_size=cfg.cl_batch, sample=0, server=False, **common)
+    common.update(epochs=cfg.local_epochs, batch_size=cfg.local_batch)
     shards = {c.client_id: c.examples for c in clients}
     if cfg.mode == "fl":
         m = max(1, round(cfg.client_fraction * len(shards)))
         singletons = tuple(((cid, shards[cid]),) for cid in sorted(shards))
-        return RoundPlan(pattern="-", chains=singletons, kind=_KIND_TRAIN, local=local,
+        return RoundPlan(pattern="-", chains=singletons, kind=_KIND_TRAIN,
                          sample=m if m < len(shards) else 0, server=True, **common)
-    for ci, cluster in enumerate(assignment.clusters):
-        if not cluster:
-            raise ConfigError(f"cluster {ci}: empty cluster")
-        unknown = [cid for cid in cluster if cid not in shards]
-        if unknown:
-            raise ConfigError(f"cluster {ci} references unknown client {unknown[0]}")
     chains = tuple(tuple((cid, shards[cid]) for cid in cluster)
                    for cluster in assignment.clusters)
     return RoundPlan(pattern=assignment.pattern, chains=chains, kind=_KIND_TRAIN,
-                     local=local, sample=0, server=True, **common)
+                     sample=0, server=True, **common)
 
 
 def run_round(model: ModelParams, plan: RoundPlan,
@@ -129,7 +126,8 @@ def run_round(model: ModelParams, plan: RoundPlan,
         head = model
         for ident, examples in chain:
             head, loss = train_local_with_loss(
-                head, examples.images, examples.labels, plan.local,
+                head, examples.images, examples.labels,
+                plan.epochs, plan.batch_size, plan.learning_rate,
                 stream(plan.seed, plan.kind, round_idx, ident))
             if not math.isfinite(loss):
                 who = f"client {ident}" if plan.server else "the pooled set"

@@ -69,23 +69,6 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class LocalTrainConfig:
-    """Hyperparameters for one client's local training pass."""
-
-    epochs: int = 5
-    batch_size: int = 20
-    learning_rate: float = 0.01
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-
-
 # ---------------------------------------------------------------------------
 # initialisation
 
@@ -366,27 +349,27 @@ def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
 
 
 def train_local_with_loss(model: ModelParams, images: np.ndarray, labels: np.ndarray,
-                          cfg: LocalTrainConfig,
+                          epochs: int, batch_size: int, learning_rate: float,
                           rng: np.random.Generator) -> tuple[ModelParams, float]:
-    """Minibatch SGD for ``cfg.epochs`` epochs; returns the model and its mean per-step loss.
+    """Minibatch SGD for ``epochs`` epochs; returns the model and its mean per-step loss.
 
     Each epoch reshuffles the example order; a trailing partial batch is kept.
     When the whole set fits in one batch the source order is used as-is, so a
-    full-batch epoch is exactly one plain gradient-descent step.
+    full-batch epoch is exactly one plain gradient-descent step.  The
+    hyperparameters are taken as given; ``validate_config`` checks a run's.
     """
     n = labels.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     x = _as_model_input(model, images)
-    bsz = cfg.batch_size
-    n_batches = -(-n // bsz)  # ceil
+    n_batches = -(-n // batch_size)  # ceil
     losses = []
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(n) if n_batches > 1 else np.arange(n)
         for s in range(n_batches):
-            take = order[s * bsz:(s + 1) * bsz]
+            take = order[s * batch_size:(s + 1) * batch_size]
             loss, grads = loss_and_grads(model, x[take], labels[take])
-            model = sgd_step(model, grads, cfg.learning_rate)
+            model = sgd_step(model, grads, learning_rate)
             losses.append(loss)
     return model, float(np.mean(losses))
 

@@ -36,8 +36,7 @@ def synth_10x12():
 def clients_100():
     """100 single-label synthetic clients (10 per label), 12 examples each."""
     source = data.generate_synthetic(10, 120, seed=7)
-    plan = data.PartitionPlan("noniid_shards", num_clients=100, per_client=12, seed=0)
-    return data.partition_noniid_shards(source, plan)
+    return data.partition_noniid_shards(source, num_clients=100, per_client=12)
 
 
 def _mnist_dir() -> str | None:

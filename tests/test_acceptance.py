@@ -46,12 +46,11 @@ def test_criterion_1_property_suite(clients_100):
 
     # partition disjointness + single-label purity
     src = data.generate_synthetic(10, 30, seed=3)
-    shards = data.partition_noniid_shards(
-        src, data.PartitionPlan("noniid_shards", 20, 10, seed=0))
+    shards = data.partition_noniid_shards(src, 20, 10)
     keys = [img.tobytes() for c in shards for img in c.examples.images]
     assert len(keys) == len(set(keys)) == 200
     assert all(len(c.distinct_labels) == 1 for c in shards)
-    iid = data.partition_iid(src, data.PartitionPlan("iid", 10, 25, seed=1))
+    iid = data.partition_iid(src, 10, 25, seed=1)
     ikeys = [img.tobytes() for c in iid for img in c.examples.images]
     assert len(ikeys) == len(set(ikeys)) == 250
 
@@ -59,7 +58,7 @@ def test_criterion_1_property_suite(clients_100):
     for pat in clustering.PATTERNS:
         a = clustering.build_pattern(pat, clients_100)
         assert clustering.validate(a, clients_100) == []
-        assert sorted(a.all_clients()) == list(range(100))
+        assert sorted(cid for cl in a.clusters for cid in cl) == list(range(100))
     c1 = clustering.build_pattern("c1", clients_100)
     assert all(len({clients_100[c].distinct_labels[0] for c in cl}) == 1
                for cl in c1.clusters)
@@ -185,8 +184,7 @@ def desk_results(mnist_sets):
     train, test = mnist_sets
     results = {}
     for seed in DESK_SEEDS:
-        clients = data.partition_noniid_shards(
-            train, data.PartitionPlan("noniid_shards", 100, 100, seed=seed))
+        clients = data.partition_noniid_shards(train, 100, 100)
         variants = {
             "c1": ("semifl", dict(assignment=clustering.build_pattern("c1", clients))),
             "c2": ("semifl", dict(assignment=clustering.build_pattern("c2", clients))),
@@ -256,9 +254,8 @@ def test_criterion_4_full_scale(mnist_sets):
     # 542/client is the largest single-label shard size that gives all ten
     # labels ten whole shards (the rarest label has 5421 training examples),
     # which the label patterns need; 600/client would leave only 94 shards.
-    noniid = data.partition_noniid_shards(
-        train, data.PartitionPlan("noniid_shards", 100, 542, seed=0))
-    iid = data.partition_iid(train, data.PartitionPlan("iid", 100, 600, seed=0))
+    noniid = data.partition_noniid_shards(train, 100, 542)
+    iid = data.partition_iid(train, 100, 600, seed=0)
 
     acc = {
         "c3": run("semifl", noniid,

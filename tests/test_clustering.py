@@ -42,8 +42,8 @@ class TestPatterns:
     def test_c4_consecutive_ids(self, clients_100):
         a = clustering.build_pattern("c4", clients_100)
         assert a.num_clusters == 10
-        flat = a.all_clients()
-        assert list(flat) == sorted(c.client_id for c in clients_100)
+        flat = [cid for cl in a.clusters for cid in cl]
+        assert flat == sorted(c.client_id for c in clients_100)
         assert all(len(cl) == 10 for cl in a.clusters)
         assert clustering.validate(a, clients_100) == []
 
@@ -51,7 +51,7 @@ class TestPatterns:
         ids = {c.client_id for c in clients_100}
         for pat in clustering.PATTERNS:
             a = clustering.build_pattern(pat, clients_100)
-            flat = a.all_clients()
+            flat = [cid for cl in a.clusters for cid in cl]
             assert len(flat) == len(ids)
             assert set(flat) == ids
 
@@ -79,8 +79,7 @@ class TestPatternErrors:
 
     def test_c2_needs_even_split(self):
         src = data.generate_synthetic(10, 12, seed=1)
-        plan = data.PartitionPlan("noniid_shards", num_clients=10, per_client=12, seed=0)
-        one_per_label = data.partition_noniid_shards(src, plan)
+        one_per_label = data.partition_noniid_shards(src, num_clients=10, per_client=12)
         with pytest.raises(DataError, match="odd"):
             clustering.build_pattern("c2", one_per_label)
 
@@ -112,8 +111,8 @@ class TestValidate:
         assert clustering.validate(good, clients_100) == []
 
     def test_empty_cluster_flagged(self, clients_100):
-        a = clustering.ClusterAssignment("explicit", (tuple(), tuple(range(100))))
-        assert any("empty" in p for p in clustering.validate(a, clients_100))
+        a = clustering.ClusterAssignment("explicit", (tuple(range(100)), tuple()))
+        assert "cluster 1 is empty" in clustering.validate(a, clients_100)
 
     def test_pattern_composition_checked(self, clients_100):
         c1 = clustering.build_pattern("c1", clients_100)

@@ -26,7 +26,6 @@ class TestDefaults:
         assert cfg.learning_rate == 0.01
         assert cfg.clients == 100
         assert cfg.per_client == 600
-        assert cfg.clusters == 10
         assert cfg.cl_batch == 200
         assert cfg.eval_every == 5
         assert cfg.client_fraction == 1.0
@@ -94,9 +93,18 @@ class TestValidation:
         ("learning_rate = nan", "learning_rate"),
         ("learning_rate = inf", "learning_rate"),
         ("rounds = 0", "rounds"),
+        ("local_epochs = 0", "local_epochs"),
+        ("local_batch = 0", "local_batch"),
+        ("cl_batch = 0", "cl_batch"),
+        ("partition = fancy", "partition must be one of"),
+        ("clients = 0", "clients"),
+        ("per_client = 0", "per_client"),
         ("master_seed = -1", "master_seed"),
         ("eval_every = 0", "eval_every"),
         ("dataset = synthetic:tenx5", "dataset"),
+        ("dataset = synthetic:0x5", "dataset"),
+        ("dataset = synthetic:11x5", "dataset"),
+        ("dataset = synthetic:10x0", "dataset"),
         ("cluster_order = sometimes", "cluster_order"),
         ("pattern = explicit", "assignment_file"),
     ])

@@ -117,18 +117,9 @@ class TestSynthetic:
         # regression bound: 5 epochs on 2 classes x 50 must clear 0.9 holdout accuracy
         train = data.generate_synthetic(2, 50, seed=7)
         test = data.generate_synthetic(2, 50, seed=8)
-        cfg = nn.LocalTrainConfig(epochs=5, batch_size=20, learning_rate=0.01)
         model, _ = nn.train_local_with_loss(nn.init_mlp(0), train.images, train.labels,
-                                            cfg, np.random.default_rng(1))
+                                            5, 20, 0.01, np.random.default_rng(1))
         assert evaluate_accuracy(model, test.images, test.labels) > 0.9
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            data.generate_synthetic(0, 5, seed=0)
-        with pytest.raises(ValueError):
-            data.generate_synthetic(11, 5, seed=0)
-        with pytest.raises(ValueError):
-            data.generate_synthetic(3, 0, seed=0)
 
 
 def _rows_key(ds):
@@ -139,8 +130,7 @@ def _rows_key(ds):
 class TestPartitionIid:
     def test_sizes_disjoint_and_sourced(self):
         src = data.generate_synthetic(5, 30, seed=2)  # 150 examples
-        plan = data.PartitionPlan("iid", num_clients=7, per_client=20, seed=5)
-        clients = data.partition_iid(src, plan)
+        clients = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
         assert [c.client_id for c in clients] == list(range(7))
         assert all(len(c) == 20 for c in clients)
         src_keys = set(_rows_key(src))
@@ -151,31 +141,24 @@ class TestPartitionIid:
 
     def test_deterministic_per_seed(self):
         src = data.generate_synthetic(5, 30, seed=2)
-        plan = data.PartitionPlan("iid", num_clients=7, per_client=20, seed=5)
-        a = data.partition_iid(src, plan)
-        b = data.partition_iid(src, plan)
+        a = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
+        b = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
         assert all(np.array_equal(x.examples.images, y.examples.images)
                    for x, y in zip(a, b))
-        other = data.partition_iid(src, data.PartitionPlan("iid", 7, 20, seed=6))
+        other = data.partition_iid(src, 7, 20, seed=6)
         assert any(not np.array_equal(x.examples.images, y.examples.images)
                    for x, y in zip(a, other))
 
     def test_insufficient_examples(self):
         src = data.generate_synthetic(2, 10, seed=0)
         with pytest.raises(DataError, match="need 100 examples"):
-            data.partition_iid(src, data.PartitionPlan("iid", 10, 10, seed=0))
-
-    def test_mode_guard(self):
-        src = data.generate_synthetic(2, 10, seed=0)
-        with pytest.raises(ValueError, match="mode"):
-            data.partition_iid(src, data.PartitionPlan("noniid_shards", 2, 10))
+            data.partition_iid(src, 10, 10, seed=0)
 
 
 class TestPartitionNoniid:
     def test_purity_sizes_and_label_cycle(self):
         src = data.generate_synthetic(10, 120, seed=7)
-        plan = data.PartitionPlan("noniid_shards", num_clients=100, per_client=12, seed=0)
-        clients = data.partition_noniid_shards(src, plan)
+        clients = data.partition_noniid_shards(src, num_clients=100, per_client=12)
         assert len(clients) == 100
         for c in clients:
             assert len(c) == 12
@@ -188,24 +171,21 @@ class TestPartitionNoniid:
 
     def test_disjoint(self):
         src = data.generate_synthetic(10, 30, seed=9)
-        plan = data.PartitionPlan("noniid_shards", num_clients=20, per_client=10, seed=0)
-        clients = data.partition_noniid_shards(src, plan)
+        clients = data.partition_noniid_shards(src, num_clients=20, per_client=10)
         keys = [k for c in clients for k in _rows_key(c.examples)]
         assert len(keys) == len(set(keys)) == 200
 
     def test_remainders_discarded(self):
         # 25 per label / shard 10 -> 2 whole shards per label, 5 spare each
         src = data.generate_synthetic(10, 25, seed=4)
-        plan = data.PartitionPlan("noniid_shards", num_clients=20, per_client=10, seed=0)
-        clients = data.partition_noniid_shards(src, plan)
+        clients = data.partition_noniid_shards(src, num_clients=20, per_client=10)
         assert len(clients) == 20
         assert all(len(c) == 10 for c in clients)
 
     def test_deficit_error_lists_supply(self):
         src = data.generate_synthetic(10, 25, seed=4)
-        plan = data.PartitionPlan("noniid_shards", num_clients=21, per_client=10, seed=0)
         with pytest.raises(DataError, match=r"only 20 whole shards.*label 0: 2"):
-            data.partition_noniid_shards(src, plan)
+            data.partition_noniid_shards(src, num_clients=21, per_client=10)
 
     def test_stable_order_within_label(self):
         # mark each example with a distinct leading pixel to track source order
@@ -214,23 +194,14 @@ class TestPartitionNoniid:
             images[i, 0, 0, 0] = (i + 1) / 10.0
         labels = np.array([1, 0, 1, 0, 1, 0], dtype=np.int64)
         src = data.LabeledSet(images, labels)
-        plan = data.PartitionPlan("noniid_shards", num_clients=2, per_client=3, seed=0)
-        c0, c1 = data.partition_noniid_shards(src, plan)
+        c0, c1 = data.partition_noniid_shards(src, num_clients=2, per_client=3)
         # label 0 examples in source order: rows 1, 3, 5 ; label 1: rows 0, 2, 4
         assert list(c0.examples.images[:, 0, 0, 0]) == pytest.approx([0.2, 0.4, 0.6])
         assert list(c1.examples.images[:, 0, 0, 0]) == pytest.approx([0.1, 0.3, 0.5])
 
     def test_dispatch(self):
         src = data.generate_synthetic(10, 12, seed=1)
-        plan = data.PartitionPlan("noniid_shards", num_clients=10, per_client=12, seed=0)
-        a = data.partition(src, plan)
+        a = data.partition(src, "noniid", num_clients=10, per_client=12, seed=0)
         assert all(len(c.distinct_labels) == 1 for c in a)
-        plan_iid = data.PartitionPlan("iid", num_clients=6, per_client=20, seed=0)
-        b = data.partition(src, plan_iid)
+        b = data.partition(src, "iid", num_clients=6, per_client=20, seed=0)
         assert len(b) == 6
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            data.PartitionPlan("fancy", 10, 10)
-        with pytest.raises(ValueError):
-            data.PartitionPlan("iid", 0, 10)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,13 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
         assert "rounds" in capsys.readouterr().err
 
+    def test_out_of_range_synthetic_spec_is_exit_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dataset="synthetic:11x5")
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "config error: " + str(cfg) + ":2: dataset 'synthetic:11x5'" \
+            in capsys.readouterr().err
+
     def test_missing_mnist_is_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SEMIFL_DATA_DIR", raising=False)
         cfg = write_cfg(tmp_path, dataset="mnist")
@@ -301,7 +309,8 @@ class TestCli:
                        "per_client = 20\nrounds = 3\neval_every = 1\nlocal_epochs = 1\n"
                        "learning_rate = 1e30\n")
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main(["train", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
         assert "round 2, chain 0, client 0: training loss is nan" in capsys.readouterr().err
@@ -316,7 +325,8 @@ class TestCli:
                        "per_client = 20\nrounds = 1\nlocal_batch = 20\nlocal_epochs = 1\n"
                        "learning_rate = 1e39\n")
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main(["train", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
         assert "round 1: layer fc1 has non-finite parameters" in capsys.readouterr().err

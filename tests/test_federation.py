@@ -5,14 +5,12 @@ import pytest
 
 from semifl import clustering, data, experiment, federation, nn
 from semifl.config import ExperimentConfig
-from semifl.errors import ConfigError
 from conftest import models_equal
 
 
 @pytest.fixture(scope="module")
 def ten_clients(synth_10x12):
-    plan = data.PartitionPlan("noniid_shards", num_clients=10, per_client=12, seed=0)
-    return data.partition_noniid_shards(synth_10x12, plan)
+    return data.partition_noniid_shards(synth_10x12, num_clients=10, per_client=12)
 
 
 def fed_cfg(**kw):
@@ -30,10 +28,10 @@ def plan(clients, clusters=None, model_bytes=1000, **kw):
 
 def chain_head(model, chain, cfg, round_idx):
     """Oracle: train the clients one after another from ``model``."""
-    local = nn.LocalTrainConfig(cfg.local_epochs, cfg.local_batch, cfg.learning_rate)
     for c in chain:
         model, _ = nn.train_local_with_loss(
-            model, c.examples.images, c.examples.labels, local,
+            model, c.examples.images, c.examples.labels,
+            cfg.local_epochs, cfg.local_batch, cfg.learning_rate,
             federation.stream(cfg.master_seed, 0, round_idx, c.client_id))
     return model
 
@@ -102,10 +100,6 @@ class TestClusterChain:
         rev, _ = federation.run_round(m0, plan(ten_clients, ((2, 1, 0),), **kw), 1)
         assert not models_equal(fwd, rev)
 
-    def test_empty_cluster_rejected(self, ten_clients):
-        with pytest.raises(ConfigError, match="empty cluster"):
-            plan(ten_clients, ((),))
-
 
 class TestSemiflRound:
     def test_snapshot_isolation(self, ten_clients):
@@ -133,14 +127,6 @@ class TestSemiflRound:
         c, _ = federation.run_round(m0, p, 2)
         assert not models_equal(a, c)  # round index feeds the streams
 
-    def test_unknown_client_in_assignment(self, ten_clients):
-        with pytest.raises(ConfigError, match="cluster 0 references unknown client 42"):
-            plan(ten_clients, ((0, 42),))
-
-    def test_error_carries_cluster_index(self, ten_clients):
-        with pytest.raises(ConfigError, match="cluster 1: empty cluster"):
-            plan(ten_clients, ((0, 1), ()))
-
 
 class TestFedavgRound:
     def test_full_participation_equals_primitive_mean(self, ten_clients):
@@ -164,9 +150,9 @@ class TestFedavgRound:
         trained = []
         original = federation.train_local_with_loss
 
-        def spy(model, images, labels, cfg, rng):
+        def spy(model, images, labels, *args):
             trained[-1].append(images[0].tobytes())
-            return original(model, images, labels, cfg, rng)
+            return original(model, images, labels, *args)
 
         monkeypatch.setattr(federation, "train_local_with_loss", spy)
         p = plan(ten_clients, mode="fl", client_fraction=0.2, local_epochs=1)

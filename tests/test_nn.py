@@ -278,9 +278,10 @@ class TestSgd:
             nn.sgd_step(nn.init_mlp(0), nn.init_cnn(0), 0.1)
 
 
-def train(model, images, labels, cfg, rng):
+def train(model, images, labels, epochs, batch_size, learning_rate, rng):
     """The model that ``train_local_with_loss`` returns, without its loss."""
-    return nn.train_local_with_loss(model, images, labels, cfg, rng)[0]
+    return nn.train_local_with_loss(model, images, labels, epochs, batch_size,
+                                    learning_rate, rng)[0]
 
 
 class TestTrainLocal:
@@ -292,19 +293,17 @@ class TestTrainLocal:
 
     def test_same_stream_same_result(self):
         x, y = self._toy()
-        cfg = nn.LocalTrainConfig(epochs=2, batch_size=10, learning_rate=0.05)
         m = nn.init_mlp(1)
-        a = train(m, x, y, cfg, np.random.default_rng(77))
-        b = train(m, x, y, cfg, np.random.default_rng(77))
+        a = train(m, x, y, 2, 10, 0.05, np.random.default_rng(77))
+        b = train(m, x, y, 2, 10, 0.05, np.random.default_rng(77))
         assert models_equal(a, b)
-        c = train(m, x, y, cfg, np.random.default_rng(78))
+        c = train(m, x, y, 2, 10, 0.05, np.random.default_rng(78))
         assert not models_equal(a, c)
 
     def test_full_batch_epochs_equal_gd_steps(self):
         x, y = self._toy(n=12)
         m = nn.init_mlp(2)
-        cfg = nn.LocalTrainConfig(epochs=3, batch_size=12, learning_rate=0.1)
-        trained = train(m, x, y, cfg, np.random.default_rng(0))
+        trained = train(m, x, y, 3, 12, 0.1, np.random.default_rng(0))
         ref = m
         for _ in range(3):
             _, g = nn.loss_and_grads(ref, x, y)
@@ -321,36 +320,24 @@ class TestTrainLocal:
             return original(model, inputs, labels)
 
         monkeypatch.setattr(nn, "loss_and_grads", spy)
-        cfg = nn.LocalTrainConfig(epochs=2, batch_size=20, learning_rate=0.01)
-        train(nn.init_mlp(3), x, y, cfg, np.random.default_rng(5))
+        train(nn.init_mlp(3), x, y, 2, 20, 0.01, np.random.default_rng(5))
         assert seen == [20, 5, 20, 5]
 
     def test_mean_loss_reported(self):
         x, y = self._toy(n=20)
-        cfg = nn.LocalTrainConfig(epochs=1, batch_size=20, learning_rate=0.01)
-        _, loss = nn.train_local_with_loss(nn.init_mlp(4), x, y, cfg,
+        _, loss = nn.train_local_with_loss(nn.init_mlp(4), x, y, 1, 20, 0.01,
                                            np.random.default_rng(0))
         want, _ = nn.loss_and_grads(nn.init_mlp(4), x, y)
         assert abs(loss - want) < 1e-6
 
     def test_empty_dataset_rejected(self):
-        cfg = nn.LocalTrainConfig()
         with pytest.raises(ValueError, match="empty"):
             train(nn.init_mlp(0), np.zeros((0, 784), dtype=np.float32),
-                           np.zeros(0, dtype=np.int64), cfg, np.random.default_rng(0))
+                  np.zeros(0, dtype=np.int64), 5, 20, 0.01, np.random.default_rng(0))
 
     def test_outputs_stay_finite(self):
         x, y = self._toy(n=40)
-        cfg = nn.LocalTrainConfig(epochs=5, batch_size=8, learning_rate=0.1)
-        m = train(nn.init_cnn(5), x, y, cfg, np.random.default_rng(6))
+        m = train(nn.init_cnn(5), x, y, 5, 8, 0.1, np.random.default_rng(6))
         for l in m.layers:
             assert np.all(np.isfinite(l.weights))
             assert np.all(np.isfinite(l.bias))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            nn.LocalTrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            nn.LocalTrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            nn.LocalTrainConfig(learning_rate=-0.1)
