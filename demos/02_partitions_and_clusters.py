@@ -22,7 +22,7 @@ def describe(clients, label):
                     for k, n in sorted(counts.items()))
     print(f"{label}: {len(clients)} clients; {mix}")
     first = clients[0]
-    print(f"  client 0 holds {len(first.examples)} examples, "
+    print(f"  client 0 holds {len(first)} examples, "
           f"labels {list(first.distinct_labels)}")
 
 
@@ -37,7 +37,7 @@ def main():
 
     for pattern in clustering.PATTERNS:
         a = clustering.build_pattern(pattern, shards)
-        problems = clustering.validate(a, shards)
+        problems = clustering.validate(a, len(shards))
         cluster0 = a.clusters[0]
         labels = sorted(shards[c].distinct_labels[0] for c in cluster0)
         print(f"{pattern}: {len(a.clusters)} clusters, first cluster labels {labels}, "
@@ -45,12 +45,13 @@ def main():
 
     # assignments are plain text: one cluster per line
     a = clustering.build_pattern("c3", shards)
-    path = os.path.join(tempfile.mkdtemp(), "c3.txt")
-    clustering.save_assignment(a, path)
-    back = clustering.load_assignment(path)
-    print(f"saved {path!r}; reload matches: {back.clusters == a.clusters}")
-    with open(path) as fh:
-        print("file starts:", fh.readline().strip(), "/", fh.readline().strip())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c3.txt")
+        clustering.save_assignment(a, path)
+        back = clustering.load_assignment(path)
+        print(f"saved {path!r}; reload matches: {back.clusters == a.clusters}")
+        with open(path) as fh:
+            print("file starts:", fh.readline().strip(), "/", fh.readline().strip())
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .clustering import (ClusterAssignment, build_pattern, load_assignment,
                          save_assignment, shuffle_within_clusters, validate)
 from .config import ExperimentConfig, parse_config, render_config, validate_config
-from .data import (ClientDataset, LabeledSet, generate_synthetic, load_idx, partition,
-                   partition_iid, partition_noniid_shards)
+from .data import (LabeledSet, generate_synthetic, load_idx, partition, partition_iid,
+                   partition_noniid_shards)
 from .errors import ConfigError, DataError, SemiFLError
 from .experiment import compare_checkpoints, run_experiment, summarize_run
 from .federation import (RoundRecord, aggregate_mean, plan_rounds, pool_clients,

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import clustering, experiment
-from .config import parse_config, validate_config
+from .config import parse_config
 from .errors import ConfigError, DataError
 
 
@@ -62,14 +62,12 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args):
-    cfg = parse_config(args.config)
+    overrides = {}
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        cfg.master_seed = args.seed
-    if getattr(args, "cluster_order", None):
-        cfg.cluster_order = args.cluster_order
-    return validate_config(cfg)
+        overrides["master_seed"] = ("--seed", args.seed)
+    if getattr(args, "cluster_order", None) is not None:
+        overrides["cluster_order"] = ("--cluster-order", args.cluster_order)
+    return parse_config(args.config, **overrides)
 
 
 def _cmd_partition(args) -> int:
@@ -82,9 +80,8 @@ def _cmd_partition(args) -> int:
     with open(out / "clients.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["client_id", "examples", "labels"])
-        for c in clients:
-            writer.writerow([c.client_id, len(c),
-                             "|".join(str(l) for l in c.distinct_labels)])
+        for cid, c in enumerate(clients):
+            writer.writerow([cid, len(c), "|".join(str(l) for l in c.distinct_labels)])
     print(f"wrote {out / 'clients.csv'} ({len(clients)} clients)")
 
     if cfg.mode == "semifl":
@@ -98,10 +95,8 @@ def _cmd_partition(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     records = experiment.run_experiment(cfg, args.out)
-    evaluated = [r for r in records if r.test_accuracy == r.test_accuracy]
-    final = evaluated[-1] if evaluated else records[-1]
     print(f"{cfg.mode} run finished: {len(records)} rounds, "
-          f"final accuracy {final.test_accuracy:.4f} "
+          f"final accuracy {records[-1].test_accuracy:.4f} "
           f"(artifacts in {args.out})")
     return 0
 

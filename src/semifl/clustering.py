@@ -8,8 +8,9 @@ Four built-in label patterns (all assume ten digit classes):
 * ``c3`` -- clusters of ten clients, one client per label, labels ascending.
 * ``c4`` -- label-agnostic: consecutive groups of ten clients by id.
 
-Explicit assignments can also be loaded from a text file with one cluster
-per line (space-separated client ids).
+A client's id is its index in the partition's client list.  Explicit
+assignments can also be loaded from a text file with one cluster per line
+(space-separated client ids).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientDataset
+from .data import LabeledSet
 from .errors import DataError
 
 PATTERNS = ("c1", "c2", "c3", "c4")
@@ -37,19 +38,19 @@ class ClusterAssignment:
         return len(self.clusters)
 
 
-def _clients_by_label(clients: list[ClientDataset]) -> dict[int, list[int]]:
+def _clients_by_label(clients: list[LabeledSet]) -> dict[int, list[int]]:
     """Map label -> ascending client ids, for single-label clients only."""
     by_label: dict[int, list[int]] = {}
-    for c in sorted(clients, key=lambda c: c.client_id):
+    for cid, c in enumerate(clients):
         distinct = c.distinct_labels
         if len(distinct) != 1:
-            raise DataError(f"client {c.client_id} holds labels {distinct}; "
+            raise DataError(f"client {cid} holds labels {distinct}; "
                             f"label patterns require single-label clients")
-        by_label.setdefault(distinct[0], []).append(c.client_id)
+        by_label.setdefault(distinct[0], []).append(cid)
     return by_label
 
 
-def build_pattern(pattern: str, clients: list[ClientDataset]) -> ClusterAssignment:
+def build_pattern(pattern: str, clients: list[LabeledSet]) -> ClusterAssignment:
     """Construct one of the built-in patterns over the given clients.
 
     Clients of equal label are consumed in ascending client-id order.  Raises
@@ -59,11 +60,10 @@ def build_pattern(pattern: str, clients: list[ClientDataset]) -> ClusterAssignme
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
 
     if pattern == "c4":
-        ids = sorted(c.client_id for c in clients)
-        if len(ids) % NUM_LABELS:
-            raise DataError(f"c4 needs a multiple of {NUM_LABELS} clients, got {len(ids)}")
-        size = NUM_LABELS
-        groups = tuple(tuple(ids[i:i + size]) for i in range(0, len(ids), size))
+        k = len(clients)
+        if k % NUM_LABELS:
+            raise DataError(f"c4 needs a multiple of {NUM_LABELS} clients, got {k}")
+        groups = tuple(tuple(range(i, i + NUM_LABELS)) for i in range(0, k, NUM_LABELS))
         return ClusterAssignment("c4", groups)
 
     by_label = _clients_by_label(clients)
@@ -100,14 +100,13 @@ def build_pattern(pattern: str, clients: list[ClientDataset]) -> ClusterAssignme
     return ClusterAssignment("c3", groups)
 
 
-def validate(assignment: ClusterAssignment, clients: list[ClientDataset]) -> list[str]:
+def validate(assignment: ClusterAssignment, num_clients: int) -> list[str]:
     """Return human-readable violations (empty list when the assignment is sound).
 
-    Checks that clusters are disjoint, cover exactly the given clients, and --
-    for c1/c2/c3 -- that each cluster's label composition matches the pattern.
+    Checks the structure only: no cluster is empty, and the clusters cover the
+    client ids 0..num_clients-1 exactly once.
     """
     problems: list[str] = []
-    known = {c.client_id: c for c in clients}
     seen: dict[int, int] = {}
     for ci, cluster in enumerate(assignment.clusters):
         if not cluster:
@@ -116,39 +115,11 @@ def validate(assignment: ClusterAssignment, clients: list[ClientDataset]) -> lis
             if cid in seen:
                 problems.append(f"client {cid} appears in clusters {seen[cid]} and {ci}")
             seen[cid] = ci
-            if cid not in known:
+            if not 0 <= cid < num_clients:
                 problems.append(f"cluster {ci} references unknown client {cid}")
-    uncovered = sorted(set(known) - set(seen))
+    uncovered = sorted(set(range(num_clients)) - set(seen))
     if uncovered:
         problems.append(f"clients not in any cluster: {uncovered}")
-    if problems:
-        return problems
-
-    def labels_of(cid: int) -> tuple[int, ...]:
-        return known[cid].distinct_labels
-
-    if assignment.pattern in ("c1", "c2", "c3"):
-        for ci, cluster in enumerate(assignment.clusters):
-            if any(len(labels_of(cid)) != 1 for cid in cluster):
-                problems.append(f"cluster {ci} contains a multi-label client")
-                continue
-            labels = [labels_of(cid)[0] for cid in cluster]
-            if assignment.pattern == "c1" and len(set(labels)) != 1:
-                problems.append(f"cluster {ci} mixes labels {sorted(set(labels))}, "
-                                f"c1 wants one label per cluster")
-            elif assignment.pattern == "c2":
-                uniq = sorted(set(labels))
-                adjacent = len(uniq) == 2 and \
-                    ((uniq[0] + 1) % NUM_LABELS == uniq[1] or uniq == [0, 9])
-                balanced = len(labels) % 2 == 0 and \
-                    labels.count(uniq[0]) == len(labels) // 2
-                if not (adjacent and balanced):
-                    problems.append(f"cluster {ci} labels {sorted(labels)} are not an "
-                                    f"even split of two adjacent labels")
-            elif assignment.pattern == "c3":
-                if sorted(labels) != list(range(NUM_LABELS)):
-                    problems.append(f"cluster {ci} labels {sorted(labels)} are not "
-                                    f"one of each digit")
     return problems
 
 

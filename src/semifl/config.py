@@ -152,8 +152,13 @@ def validate_config(cfg: ExperimentConfig, where: str = "config") -> ExperimentC
     return cfg
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse and validate a config file."""
+def parse_config(path, **overrides) -> ExperimentConfig:
+    """Parse and validate a config file.
+
+    ``overrides`` set keys after the file is read, each as a ``(source, value)``
+    pair such as ``master_seed=("--seed", 5)``; the one validation runs after
+    them, and an error in a value names its file line or its source.
+    """
     path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -177,13 +182,17 @@ def parse_config(path) -> ExperimentConfig:
                               f"(first set on line {seen[key]})")
         seen[key] = ln
         setattr(cfg, key, _convert(key, raw, f"{path}:{ln}"))
+    origin = {key: f"{path}:{ln}" for key, ln in seen.items()}
+    for key, (source, value) in overrides.items():
+        setattr(cfg, key, value)
+        origin[key] = source
     try:
         return validate_config(cfg, where=path)
     except ConfigError as exc:
         key = getattr(exc, "key", None)
-        if key in seen:  # point at the offending line
+        if key in origin:  # point at the offending line or flag
             msg = str(exc).split(": ", 1)[1] if ": " in str(exc) else str(exc)
-            raise ConfigError(f"{path}:{seen[key]}: {msg}") from None
+            raise ConfigError(f"{origin[key]}: {msg}") from None
         raise
 
 

@@ -44,20 +44,9 @@ class LabeledSet:
     def label_counts(self) -> Counter:
         return Counter(int(v) for v in self.labels)
 
-
-@dataclass(frozen=True, eq=False)
-class ClientDataset:
-    """One client's private shard of the training set."""
-
-    client_id: int
-    examples: LabeledSet
-
-    def __len__(self) -> int:
-        return len(self.examples)
-
     @property
     def distinct_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(set(int(v) for v in self.examples.labels)))
+        return tuple(sorted(set(int(v) for v in self.labels)))
 
 
 def _read_maybe_gzip(path) -> bytes:
@@ -140,22 +129,19 @@ def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
 
 
 def partition_iid(source: LabeledSet, num_clients: int, per_client: int,
-                  seed: int) -> list[ClientDataset]:
+                  seed: int) -> list[LabeledSet]:
     """Shuffle the source once and deal equal consecutive slices to clients."""
     need = num_clients * per_client
     if len(source) < need:
         raise DataError(f"need {need} examples for {num_clients} clients x "
                         f"{per_client}, source has {len(source)}")
     order = np.random.default_rng(seed).permutation(len(source))
-    clients = []
-    for cid in range(num_clients):
-        take = order[cid * per_client:(cid + 1) * per_client]
-        clients.append(ClientDataset(cid, source.take(take)))
-    return clients
+    return [source.take(order[cid * per_client:(cid + 1) * per_client])
+            for cid in range(num_clients)]
 
 
 def partition_noniid_shards(source: LabeledSet, num_clients: int,
-                            per_client: int) -> list[ClientDataset]:
+                            per_client: int) -> list[LabeledSet]:
     """Give each client ``per_client`` examples of a single label.
 
     Examples are stably sorted by label, cut into single-label shards of
@@ -182,22 +168,23 @@ def partition_noniid_shards(source: LabeledSet, num_clients: int,
             f"({supply})")
 
     labels_cycle = sorted(shards)
-    clients: list[ClientDataset] = []
+    clients: list[LabeledSet] = []
     while len(clients) < num_clients:
         for label in labels_cycle:
             if len(clients) == num_clients:
                 break
             if shards[label]:
-                take = shards[label].pop(0)
-                clients.append(ClientDataset(len(clients), source.take(take)))
+                clients.append(source.take(shards[label].pop(0)))
     return clients
 
 
 def partition(source: LabeledSet, mode: str, num_clients: int, per_client: int,
-              seed: int) -> list[ClientDataset]:
+              seed: int) -> list[LabeledSet]:
     """Split ``source`` by the config's ``partition`` mode, ``iid`` or ``noniid``.
 
-    ``seed`` drives the iid shuffle; the noniid shards are dealt in label order.
+    Client ``k`` holds the ``k``-th shard of the returned list: a client's id is
+    its index.  ``seed`` drives the iid shuffle; the noniid shards are dealt in
+    label order.
     """
     if mode == "iid":
         return partition_iid(source, num_clients, per_client, seed)

@@ -97,7 +97,7 @@ def build_assignment(cfg: ExperimentConfig, clients) -> clustering.ClusterAssign
     """Cluster assignment for a semifl run (pattern or explicit file + ordering)."""
     if cfg.pattern == "explicit":
         assignment = clustering.load_assignment(cfg.assignment_file)
-        problems = clustering.validate(assignment, clients)
+        problems = clustering.validate(assignment, len(clients))
         if problems:
             raise DataError(f"{cfg.assignment_file}: " + "; ".join(problems))
     else:

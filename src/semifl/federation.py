@@ -30,8 +30,8 @@ import numpy as np
 
 from .clustering import ClusterAssignment
 from .config import ExperimentConfig
-from .data import ClientDataset, LabeledSet
-from .nn import ModelParams, LayerParams, train_local_with_loss
+from .data import LabeledSet
+from .nn import ModelParams, LayerParams, check_aligned, train_local_with_loss
 
 # stream purposes
 _KIND_TRAIN = 0   # per-client local training (shuffles)
@@ -79,11 +79,12 @@ class RoundPlan:
     model_bytes: int
 
 
-def plan_rounds(cfg: ExperimentConfig, clients: list[ClientDataset],
+def plan_rounds(cfg: ExperimentConfig, clients: list[LabeledSet],
                 assignment: ClusterAssignment | None = None,
                 model_bytes: int = 0) -> RoundPlan:
     """The chains, streams and hyperparameters of ``cfg.mode``.
 
+    Client ``k`` is ``clients[k]`` and trains on stream id ``k``.
     ``assignment`` gives the semifl clusters and is ignored by the other modes.
     Its clusters are taken as given: ``build_assignment`` checks an explicit
     one with ``clustering.validate``, and the patterns are built from the clients.
@@ -94,13 +95,12 @@ def plan_rounds(cfg: ExperimentConfig, clients: list[ClientDataset],
         return RoundPlan(pattern="-", chains=(((0, pool_clients(clients)),),), kind=_KIND_CL,
                          epochs=1, batch_size=cfg.cl_batch, sample=0, server=False, **common)
     common.update(epochs=cfg.local_epochs, batch_size=cfg.local_batch)
-    shards = {c.client_id: c.examples for c in clients}
     if cfg.mode == "fl":
-        m = max(1, round(cfg.client_fraction * len(shards)))
-        singletons = tuple(((cid, shards[cid]),) for cid in sorted(shards))
+        m = max(1, round(cfg.client_fraction * len(clients)))
+        singletons = tuple(((cid, c),) for cid, c in enumerate(clients))
         return RoundPlan(pattern="-", chains=singletons, kind=_KIND_TRAIN,
-                         sample=m if m < len(shards) else 0, server=True, **common)
-    chains = tuple(tuple((cid, shards[cid]) for cid in cluster)
+                         sample=m if m < len(clients) else 0, server=True, **common)
+    chains = tuple(tuple((cid, clients[cid]) for cid in cluster)
                    for cluster in assignment.clusters)
     return RoundPlan(pattern=assignment.pattern, chains=chains, kind=_KIND_TRAIN,
                      sample=0, server=True, **common)
@@ -165,11 +165,8 @@ def aggregate_mean(models: list[ModelParams]) -> ModelParams:
     sums = [(np.zeros_like(lp.weights, dtype=np.float64),
              np.zeros_like(lp.bias, dtype=np.float64)) for lp in first.layers]
     for m in models:
-        if m.arch != first.arch or len(m.layers) != len(first.layers):
-            raise ValueError(f"cannot average {first.arch} with {m.arch}")
+        check_aligned(first, m)
         for (ws, bs), lp in zip(sums, m.layers):
-            if ws.shape != lp.weights.shape or bs.shape != lp.bias.shape:
-                raise ValueError(f"layer {lp.name}: shape mismatch in aggregation")
             ws += lp.weights
             bs += lp.bias
     n = len(models)
@@ -180,9 +177,8 @@ def aggregate_mean(models: list[ModelParams]) -> ModelParams:
     return ModelParams(first.arch, layers)
 
 
-def pool_clients(clients: list[ClientDataset]) -> LabeledSet:
+def pool_clients(clients: list[LabeledSet]) -> LabeledSet:
     """Union of all client shards, concatenated in ascending client-id order."""
-    ordered = sorted(clients, key=lambda c: c.client_id)
-    images = np.concatenate([c.examples.images for c in ordered], axis=0)
-    labels = np.concatenate([c.examples.labels for c in ordered], axis=0)
+    images = np.concatenate([c.images for c in clients], axis=0)
+    labels = np.concatenate([c.labels for c in clients], axis=0)
     return LabeledSet(images, labels)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ModelParams, forward
+from .nn import ModelParams, check_aligned, forward
 
 EPS = 1e-8
 
@@ -119,13 +119,9 @@ def layer_divergence(subject: ModelParams, reference: ModelParams,
                      subject_id: str = "subject",
                      reference_id: str = "reference") -> DivergenceReport:
     """ACS and RED for every weight layer of two same-architecture models."""
-    if subject.arch != reference.arch or len(subject.layers) != len(reference.layers):
-        raise ValueError(f"cannot compare {subject.arch} against {reference.arch}")
+    check_aligned(subject, reference)
     entries = []
     for ls, lr in zip(subject.layers, reference.layers):
-        if ls.weights.shape != lr.weights.shape:
-            raise ValueError(f"layer {ls.name}: shape mismatch "
-                             f"{ls.weights.shape} vs {lr.weights.shape}")
         entries.append(LayerDivergence(
             ls.name,
             acs(fiber_view(ls.weights), fiber_view(lr.weights)),

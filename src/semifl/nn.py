@@ -326,7 +326,8 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
 # updates
 
 
-def _check_aligned(a: ModelParams, b: ModelParams):
+def check_aligned(a: ModelParams, b: ModelParams):
+    """Raise ValueError unless ``a`` and ``b`` share arch, layer count and shapes."""
     if a.arch != b.arch or len(a.layers) != len(b.layers):
         raise ValueError(f"model mismatch: {a.arch}/{len(a.layers)} layers vs "
                          f"{b.arch}/{len(b.layers)}")
@@ -338,7 +339,7 @@ def _check_aligned(a: ModelParams, b: ModelParams):
 
 def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One vanilla SGD update, ``w - lr * g``.  lr == 0 returns the model unchanged."""
-    _check_aligned(model, grads)
+    check_aligned(model, grads)
     if lr == 0:
         return model
     layers = tuple(
@@ -382,13 +383,14 @@ def grad_check(model: ModelParams, inputs: np.ndarray, labels: np.ndarray,
                step: float = 1e-3) -> float:
     """Max relative error between analytic grads and a central-difference oracle.
 
-    The finite differences are evaluated on a float64 shadow copy of the
-    model; relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
+    Both sides are evaluated on a float64 shadow copy of the model, so float32
+    rounding does not swamp the comparison; relative error uses
+    max(|analytic|, |numeric|, 1e-8) as denominator.
     """
-    _, grads = loss_and_grads(model, inputs, labels)
     shadow = model.astype(np.float64)
     x64 = _as_model_input(shadow, np.asarray(inputs, dtype=np.float64))
     labels = np.asarray(labels)
+    _, grads = loss_and_grads(shadow, x64, labels)
 
     def loss_at(m: ModelParams) -> float:
         logits, _ = _forward_cached(m, x64)

@@ -47,17 +47,17 @@ def test_criterion_1_property_suite(clients_100):
     # partition disjointness + single-label purity
     src = data.generate_synthetic(10, 30, seed=3)
     shards = data.partition_noniid_shards(src, 20, 10)
-    keys = [img.tobytes() for c in shards for img in c.examples.images]
+    keys = [img.tobytes() for c in shards for img in c.images]
     assert len(keys) == len(set(keys)) == 200
     assert all(len(c.distinct_labels) == 1 for c in shards)
     iid = data.partition_iid(src, 10, 25, seed=1)
-    ikeys = [img.tobytes() for c in iid for img in c.examples.images]
+    ikeys = [img.tobytes() for c in iid for img in c.images]
     assert len(ikeys) == len(set(ikeys)) == 250
 
     # c1..c4 postconditions
     for pat in clustering.PATTERNS:
         a = clustering.build_pattern(pat, clients_100)
-        assert clustering.validate(a, clients_100) == []
+        assert clustering.validate(a, len(clients_100)) == []
         assert sorted(cid for cl in a.clusters for cid in cl) == list(range(100))
     c1 = clustering.build_pattern("c1", clients_100)
     assert all(len({clients_100[c].distinct_labels[0] for c in cl}) == 1
@@ -98,7 +98,7 @@ def test_criterion_1_property_suite(clients_100):
 
 def test_criterion_2a_singleton_clusters_match_fedavg(clients_100):
     singletons = clustering.ClusterAssignment(
-        "explicit", tuple((c.client_id,) for c in clients_100))
+        "explicit", tuple((cid,) for cid in range(len(clients_100))))
     local = dict(local_epochs=2, local_batch=6, learning_rate=0.05, master_seed=13)
     semi = federation.plan_rounds(ExperimentConfig(mode="semifl", **local), clients_100,
                                   singletons)
@@ -117,7 +117,7 @@ def test_criterion_2a_singleton_clusters_match_fedavg(clients_100):
 def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):
     k = 5
     shared = synth_10x12  # every client holds the identical dataset
-    cluster = [data.ClientDataset(i, shared) for i in range(k)]
+    cluster = [shared] * k
     cfg = ExperimentConfig(mode="semifl", local_epochs=1, local_batch=len(shared),
                            learning_rate=0.1, master_seed=21)
     chain = clustering.ClusterAssignment("explicit", (tuple(range(k)),))

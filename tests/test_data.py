@@ -131,10 +131,10 @@ class TestPartitionIid:
     def test_sizes_disjoint_and_sourced(self):
         src = data.generate_synthetic(5, 30, seed=2)  # 150 examples
         clients = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
-        assert [c.client_id for c in clients] == list(range(7))
+        assert len(clients) == 7
         assert all(len(c) == 20 for c in clients)
         src_keys = set(_rows_key(src))
-        all_keys = [k for c in clients for k in _rows_key(c.examples)]
+        all_keys = [k for c in clients for k in _rows_key(c)]
         assert len(all_keys) == 140
         assert len(set(all_keys)) == 140  # disjoint
         assert set(all_keys) <= src_keys  # drawn from the source
@@ -143,10 +143,10 @@ class TestPartitionIid:
         src = data.generate_synthetic(5, 30, seed=2)
         a = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
         b = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
-        assert all(np.array_equal(x.examples.images, y.examples.images)
+        assert all(np.array_equal(x.images, y.images)
                    for x, y in zip(a, b))
         other = data.partition_iid(src, 7, 20, seed=6)
-        assert any(not np.array_equal(x.examples.images, y.examples.images)
+        assert any(not np.array_equal(x.images, y.images)
                    for x, y in zip(a, other))
 
     def test_insufficient_examples(self):
@@ -160,10 +160,10 @@ class TestPartitionNoniid:
         src = data.generate_synthetic(10, 120, seed=7)
         clients = data.partition_noniid_shards(src, num_clients=100, per_client=12)
         assert len(clients) == 100
-        for c in clients:
+        for cid, c in enumerate(clients):
             assert len(c) == 12
             assert len(c.distinct_labels) == 1  # single-label purity
-            assert c.distinct_labels[0] == c.client_id % 10  # round-robin labels
+            assert c.distinct_labels[0] == cid % 10  # round-robin labels
         counts = {}
         for c in clients:
             counts[c.distinct_labels[0]] = counts.get(c.distinct_labels[0], 0) + 1
@@ -172,7 +172,7 @@ class TestPartitionNoniid:
     def test_disjoint(self):
         src = data.generate_synthetic(10, 30, seed=9)
         clients = data.partition_noniid_shards(src, num_clients=20, per_client=10)
-        keys = [k for c in clients for k in _rows_key(c.examples)]
+        keys = [k for c in clients for k in _rows_key(c)]
         assert len(keys) == len(set(keys)) == 200
 
     def test_remainders_discarded(self):
@@ -196,8 +196,8 @@ class TestPartitionNoniid:
         src = data.LabeledSet(images, labels)
         c0, c1 = data.partition_noniid_shards(src, num_clients=2, per_client=3)
         # label 0 examples in source order: rows 1, 3, 5 ; label 1: rows 0, 2, 4
-        assert list(c0.examples.images[:, 0, 0, 0]) == pytest.approx([0.2, 0.4, 0.6])
-        assert list(c1.examples.images[:, 0, 0, 0]) == pytest.approx([0.1, 0.3, 0.5])
+        assert list(c0.images[:, 0, 0, 0]) == pytest.approx([0.2, 0.4, 0.6])
+        assert list(c1.images[:, 0, 0, 0]) == pytest.approx([0.1, 0.3, 0.5])
 
     def test_dispatch(self):
         src = data.generate_synthetic(10, 12, seed=1)

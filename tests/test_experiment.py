@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from semifl import checkpoint, cli, clustering, experiment
-from semifl.config import ExperimentConfig, parse_config, render_config
+from semifl import checkpoint, cli, clustering, config, experiment
+from semifl.config import ExperimentConfig, parse_config, render_config, validate_config
 from semifl.errors import ConfigError, DataError
 
 TINY = dict(arch="mlp", dataset="synthetic:10x12", partition="noniid",
@@ -251,6 +251,34 @@ class TestCli:
                          "--cluster-order", "shuffled:5"]) == 0
         assert (a / "model_final.sfl1").read_bytes() != \
             (b / "model_final.sfl1").read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "master_seed must be >= 0, got -1"),
+        ("--cluster-order", "bogus", "cluster_order must be 'fixed' or "
+                                     "'shuffled:<seed>', got 'bogus'"),
+    ])
+    def test_bad_override_names_the_flag(self, tmp_path, capsys, flag, value, message):
+        cfg = write_cfg(tmp_path, pattern="c3")
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out),
+                         flag, value]) == 1
+        assert capsys.readouterr().err == f"config error: {flag}: {message}\n"
+        assert not out.exists()
+
+    def test_train_validates_config_once_per_entry(self, tmp_path, monkeypatch):
+        # parse_config checks the file plus flags, run_experiment the library entry
+        calls = []
+
+        def counting(cfg, *args, **kw):
+            calls.append(cfg)
+            return validate_config(cfg, *args, **kw)
+        for module in (config, cli, experiment):
+            monkeypatch.setattr(module, "validate_config", counting, raising=False)
+        cfg = write_cfg(tmp_path, pattern="c3")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--seed", "4", "--cluster-order", "shuffled:2"]) == 0
+        assert len(calls) == 2
+        assert calls[0].master_seed == 4 and calls[0].cluster_order == "shuffled:2"
 
     def test_partition_writes_clients_and_clusters(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c1")

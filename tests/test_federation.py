@@ -26,13 +26,13 @@ def plan(clients, clusters=None, model_bytes=1000, **kw):
     return federation.plan_rounds(fed_cfg(**kw), clients, assignment, model_bytes)
 
 
-def chain_head(model, chain, cfg, round_idx):
-    """Oracle: train the clients one after another from ``model``."""
-    for c in chain:
+def chain_head(model, clients, chain, cfg, round_idx):
+    """Oracle: train the clients of ``chain`` (ids) one after another from ``model``."""
+    for cid in chain:
         model, _ = nn.train_local_with_loss(
-            model, c.examples.images, c.examples.labels,
+            model, clients[cid].images, clients[cid].labels,
             cfg.local_epochs, cfg.local_batch, cfg.learning_rate,
-            federation.stream(cfg.master_seed, 0, round_idx, c.client_id))
+            federation.stream(cfg.master_seed, 0, round_idx, cid))
     return model
 
 
@@ -74,7 +74,7 @@ class TestAggregateMean:
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
             federation.aggregate_mean([])
-        with pytest.raises(ValueError, match="average"):
+        with pytest.raises(ValueError, match="model mismatch: mlp/2 layers vs cnn/4"):
             federation.aggregate_mean([nn.init_mlp(0), nn.init_cnn(0)])
         with pytest.raises(ValueError, match="mismatch"):
             federation.aggregate_mean([nn.init_mlp(0), nn.init_mlp(0, hidden=32)])
@@ -89,7 +89,7 @@ class TestClusterChain:
                      learning_rate=0.1), 1)
         ref = m0
         for c in ten_clients[:3]:
-            _, g = nn.loss_and_grads(ref, c.examples.images, c.examples.labels)
+            _, g = nn.loss_and_grads(ref, c.images, c.labels)
             ref = nn.sgd_step(ref, g, 0.1)
         assert models_equal(head, ref)
 
@@ -109,8 +109,7 @@ class TestSemiflRound:
         cfg = fed_cfg()
         m0 = nn.init_mlp(1)
         new, rec = federation.run_round(m0, plan(ten_clients, clusters), 2)
-        heads = [chain_head(m0, [ten_clients[cid] for cid in cl], cfg, 2)
-                 for cl in clusters]
+        heads = [chain_head(m0, ten_clients, cl, cfg, 2) for cl in clusters]
         assert models_equal(new, federation.aggregate_mean(heads))
         assert rec.uplink_models == 3
         assert rec.uplink_bytes == 3 * 1000
@@ -133,7 +132,7 @@ class TestFedavgRound:
         cfg = fed_cfg(mode="fl")
         m0 = nn.init_mlp(3)
         new, rec = federation.run_round(m0, plan(ten_clients, mode="fl"), 1)
-        updates = [chain_head(m0, [c], cfg, 1) for c in ten_clients]
+        updates = [chain_head(m0, ten_clients, [cid], cfg, 1) for cid in range(10)]
         assert models_equal(new, federation.aggregate_mean(updates))
         assert rec.uplink_models == 10
         assert rec.pattern == "-"
@@ -255,7 +254,9 @@ class TestDivergence:
 
 class TestPool:
     def test_pool_concatenates_ascending(self, ten_clients):
-        pool = federation.pool_clients(ten_clients[::-1])
+        pool = federation.pool_clients(ten_clients)
         assert len(pool) == 120
-        assert np.array_equal(pool.images[:12], ten_clients[0].examples.images)
-        assert np.array_equal(pool.labels[-12:], ten_clients[9].examples.labels)
+        for cid in range(10):
+            rows = slice(12 * cid, 12 * (cid + 1))
+            assert np.array_equal(pool.images[rows], ten_clients[cid].images)
+            assert np.array_equal(pool.labels[rows], ten_clients[cid].labels)

@@ -172,8 +172,10 @@ class TestLayerDivergence:
         assert report.entry("conv1").red == pytest.approx(want_red)
 
     def test_arch_mismatch(self):
-        with pytest.raises(ValueError, match="compare"):
+        with pytest.raises(ValueError, match="model mismatch: mlp/2 layers vs cnn/4"):
             metrics.layer_divergence(nn.init_mlp(0), nn.init_cnn(0))
+        with pytest.raises(ValueError, match="layer fc1: shape mismatch"):
+            metrics.layer_divergence(nn.init_mlp(0), nn.init_mlp(0, hidden=32))
 
     def test_csv_format(self):
         report = metrics.layer_divergence(nn.init_mlp(4), nn.init_mlp(5),

@@ -193,6 +193,15 @@ class TestGradCheck:
         x = np.random.default_rng(98).random((3, 1, 20, 20))
         assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-6) < 1e-4
 
+    @pytest.mark.parametrize("seed", range(12, 20))
+    def test_cnn_float32_20x20(self, seed):
+        # a float32 model is checked on its float64 shadow on both sides; at
+        # step 1e-5 seeds 12-19 stay below 5e-6 (1e-4 crosses a max-pool kink)
+        m = nn.init_cnn(seed, conv1=2, conv2=4, hidden=5, image_size=20)
+        assert m.dtype == np.float32
+        x = np.random.default_rng(seed + 100).random((3, 1, 20, 20)).astype(np.float32)
+        assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-5) < 1e-4
+
     def test_identity_activation_hook(self, monkeypatch):
         # with ReLU swapped for identity the net is linear; grads must still match
         monkeypatch.setattr(nn, "_relu", lambda z: (z, np.ones(z.shape, dtype=bool)))
