@@ -106,49 +106,49 @@ def _convert(key: str, raw: str, where: str):
     return raw
 
 
-def _bad(where: str, key: str, msg: str):
-    exc = ConfigError(f"{where}: {msg}")
-    exc.key = key  # lets parse_config upgrade `where` to file:line
-    raise exc
+def validate_config(cfg: ExperimentConfig, origin=None) -> ExperimentConfig:
+    """Cross-field checks; raises :class:`ConfigError` naming the offender.
 
+    ``origin`` maps a key to where its value came from, such as ``run.cfg:3``
+    or ``--seed``; an error is prefixed with its key's origin, or ``config``.
+    """
+    origin = origin or {}
 
-def validate_config(cfg: ExperimentConfig, where: str = "config") -> ExperimentConfig:
-    """Cross-field checks; raises :class:`ConfigError` naming the offender."""
+    def bad(key: str, msg: str):
+        raise ConfigError(f"{origin.get(key, 'config')}: {msg}")
+
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
-            _bad(where, key, f"{key} must be one of {', '.join(allowed)}, "
-                             f"got {getattr(cfg, key)!r}")
+            bad(key, f"{key} must be one of {', '.join(allowed)}, got {getattr(cfg, key)!r}")
     for key in _POSITIVE:
         if getattr(cfg, key) < 1:
-            _bad(where, key, f"{key} must be >= 1, got {getattr(cfg, key)}")
+            bad(key, f"{key} must be >= 1, got {getattr(cfg, key)}")
     for key in _NON_NEGATIVE:
         if getattr(cfg, key) < 0:
-            _bad(where, key, f"{key} must be >= 0, got {getattr(cfg, key)}")
+            bad(key, f"{key} must be >= 0, got {getattr(cfg, key)}")
     for key in _STRINGS:
         value = getattr(cfg, key)
         if any(ch in value for ch in "#\n\r") or value != value.strip():
-            _bad(where, key, f"{key} cannot hold '#', a line break or surrounding "
-                             f"blanks (config.resolved would not read back), got {value!r}")
+            bad(key, f"{key} cannot hold '#', a line break or surrounding "
+                     f"blanks (config.resolved would not read back), got {value!r}")
     if cfg.partition_seed < -1:
-        _bad(where, "partition_seed",
-             f"partition_seed must be -1 (reuse master_seed) or >= 0, "
-             f"got {cfg.partition_seed}")
+        bad("partition_seed", f"partition_seed must be -1 (reuse master_seed) or >= 0, "
+                              f"got {cfg.partition_seed}")
     if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate >= 0):
-        _bad(where, "learning_rate",
-             f"learning_rate must be a finite number >= 0, got {cfg.learning_rate}")
+        bad("learning_rate",
+            f"learning_rate must be a finite number >= 0, got {cfg.learning_rate}")
     if not 0.0 < cfg.client_fraction <= 1.0:
-        _bad(where, "client_fraction",
-             f"client_fraction must be in (0, 1], got {cfg.client_fraction}")
+        bad("client_fraction", f"client_fraction must be in (0, 1], got {cfg.client_fraction}")
     if cfg.pattern == "explicit" and not cfg.assignment_file:
-        _bad(where, "assignment_file", "pattern=explicit requires assignment_file")
+        bad("assignment_file", "pattern=explicit requires assignment_file")
     try:
         cfg.dataset_kind()
     except ConfigError as exc:
-        _bad(where, "dataset", str(exc))
+        bad("dataset", str(exc))
     try:
         cfg.order_spec()
     except ConfigError as exc:
-        _bad(where, "cluster_order", str(exc))
+        bad("cluster_order", str(exc))
     return cfg
 
 
@@ -167,6 +167,7 @@ def parse_config(path, **overrides) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     cfg = ExperimentConfig()
+    origin = dict.fromkeys(_FIELD_TYPES, path)  # a key left at its default
     seen: dict[str, int] = {}
     for ln, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
@@ -181,19 +182,12 @@ def parse_config(path, **overrides) -> ExperimentConfig:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r} "
                               f"(first set on line {seen[key]})")
         seen[key] = ln
-        setattr(cfg, key, _convert(key, raw, f"{path}:{ln}"))
-    origin = {key: f"{path}:{ln}" for key, ln in seen.items()}
+        origin[key] = f"{path}:{ln}"
+        setattr(cfg, key, _convert(key, raw, origin[key]))
     for key, (source, value) in overrides.items():
         setattr(cfg, key, value)
         origin[key] = source
-    try:
-        return validate_config(cfg, where=path)
-    except ConfigError as exc:
-        key = getattr(exc, "key", None)
-        if key in origin:  # point at the offending line or flag
-            msg = str(exc).split(": ", 1)[1] if ": " in str(exc) else str(exc)
-            raise ConfigError(f"{origin[key]}: {msg}") from None
-        raise
+    return validate_config(cfg, origin)
 
 
 def render_config(cfg: ExperimentConfig) -> str:

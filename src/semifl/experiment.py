@@ -7,7 +7,7 @@ directory and produces:
 * ``env.json``        -- Python, numpy and BLAS versions and the BLAS thread
   variables (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``)
 * ``metrics.csv``     -- one row per evaluation round
-* ``ledger.csv``      -- per-round communication accounting
+* ``ledger.csv``      -- per-round communication accounting, appended per round
 * ``model_final.sfl1`` (and optional periodic checkpoints)
 
 Two runs with the same configuration produce identical outputs apart from
@@ -68,12 +68,19 @@ def _find_idx_file(role: str, cfg: ExperimentConfig) -> str:
 
 
 def load_mnist(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
-    """Locate and read the train/test IDX pairs for an mnist-mode run."""
-    train = load_idx(_find_idx_file("train_images", cfg),
-                     _find_idx_file("train_labels", cfg))
-    test = load_idx(_find_idx_file("test_images", cfg),
-                    _find_idx_file("test_labels", cfg))
-    return train, test
+    """Locate and read the train/test IDX pairs for an mnist-mode run.
+
+    Both models are sized for 28x28 images, so other sizes stop here.
+    """
+    def read(split: str) -> LabeledSet:
+        images = _find_idx_file(f"{split}_images", cfg)
+        ds = load_idx(images, _find_idx_file(f"{split}_labels", cfg))
+        rows, cols = ds.images.shape[2:]
+        if (rows, cols) != (28, 28):
+            raise DataError(f"{images}: images are {rows}x{cols}, the models need 28x28")
+        return ds
+
+    return read("train"), read("test")
 
 
 def load_datasets(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
@@ -153,18 +160,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     plan = federation.plan_rounds(cfg, clients, assignment, len(checkpoint_bytes(model)))
 
     records: list[RoundRecord] = []
-    ledger = []
     # run_round's finiteness checks report a diverging run; numpy's overflow
     # warnings on the way there would only repeat it
     with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh, \
+            open(out / "ledger.csv", "w", newline="", encoding="utf-8") as lfh, \
             np.errstate(over="ignore", invalid="ignore"):
         writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
         writer.writeheader()
+        ledger = csv.writer(lfh)
+        ledger.writerow(["round", "uplink_models", "uplink_bytes", "downlink_models"])
         for t in range(1, cfg.rounds + 1):
             model, rec = federation.run_round(model, plan, t)
             # each uploaded head came from a chain that downloaded the snapshot;
             # cl has no server and moves no model
-            ledger.append((t, rec.uplink_models, rec.uplink_bytes, rec.uplink_models))
+            ledger.writerow([t, rec.uplink_models, rec.uplink_bytes, rec.uplink_models])
+            lfh.flush()
             if t % cfg.eval_every == 0 or t == cfg.rounds:
                 rec.test_accuracy = evaluate_accuracy(model, test.images, test.labels)
                 writer.writerow(_format_row(rec))
@@ -172,11 +182,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
             if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
                 save_checkpoint(model, out / f"checkpoint_r{t:04d}.sfl1")
             records.append(rec)
-
-    with open(out / "ledger.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "uplink_models", "uplink_bytes", "downlink_models"])
-        writer.writerows(ledger)
 
     save_checkpoint(model, out / "model_final.sfl1")
     return records

@@ -10,6 +10,11 @@ Parameters are float32; training is plain minibatch SGD on softmax
 cross-entropy.  All randomness comes from generators passed in by the
 caller, so every function here is a pure function of its inputs.
 
+Both networks end in one shared fc / ReLU / fc head, which checks its input
+width.  The mlp feeds it its input; the cnn feeds it the output of the conv
+stack, which has its own forward and backward.  Layer names are set only in
+:func:`init_mlp` and :func:`init_cnn`; gradients take theirs from the model.
+
 Inside the cnn, activations are channels-last, (B, H, W, C), from the input
 to the fc3 flatten: the im2col GEMM output is then already in that layout and
 the 2x2 max-pool compares four strided views of it.  Only the 320-wide fc3
@@ -217,31 +222,19 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def _as_model_input(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Check/adapt a batch for the model.  The mlp accepts (B, D) or image
-    batches (B, 1, H, W), which it flattens; the cnn requires (B, 1, H, W)."""
+    """Adapt a batch for the model.  The mlp accepts (B, D) or image batches
+    (B, 1, H, W), which it flattens; the cnn requires (B, 1, H, W).  The
+    feature width is checked where the head reads it."""
     if model.arch == "mlp":
-        if inputs.ndim == 4:
-            inputs = inputs.reshape(inputs.shape[0], -1)
-        if inputs.ndim != 2 or inputs.shape[1] != model.layer("fc1").weights.shape[1]:
-            raise ValueError(
-                f"mlp expects (B, {model.layer('fc1').weights.shape[1]}) inputs, "
-                f"got shape {inputs.shape}")
-        return inputs
-    if inputs.ndim != 4 or inputs.shape[1] != model.layer("conv1").weights.shape[1]:
+        return inputs.reshape(inputs.shape[0], -1) if inputs.ndim == 4 else inputs
+    if inputs.ndim != 4 or inputs.shape[1] != model.layers[0].weights.shape[1]:
         raise ValueError(f"cnn expects (B, 1, H, W) inputs, got shape {inputs.shape}")
     return inputs
 
 
-def _forward_cached(model: ModelParams, x: np.ndarray):
-    """Forward pass returning (logits, cache-for-backward)."""
-    if model.arch == "mlp":
-        (w1, b1), (w2, b2) = [(l.weights, l.bias) for l in model.layers]
-        z1 = x @ w1.T + b1
-        a1, m1 = _relu(z1)
-        logits = a1 @ w2.T + b2
-        return logits, (x, a1, m1)
-
-    (w1, b1), (w2, b2), (w3, b3), (w4, b4) = [(l.weights, l.bias) for l in model.layers]
+def _conv_forward(model: ModelParams, x: np.ndarray):
+    """The cnn's conv stack: images to the flat fc3 input, plus its cache."""
+    (w1, b1), (w2, b2) = [(l.weights, l.bias) for l in model.layers[:2]]
     # C=1 at the input, so the channels-last transpose is a free view
     z1, cols1 = _conv2d(x.transpose(0, 2, 3, 1), w1, b1)
     q1 = _maxpool2(z1)
@@ -250,14 +243,38 @@ def _forward_cached(model: ModelParams, x: np.ndarray):
     q2 = _maxpool2(z2)
     a2, m2 = _relu(q2)
     flat = a2.transpose(0, 3, 1, 2).reshape(a2.shape[0], -1)  # fc3 reads (C,H,W) order
-    if flat.shape[1] != w3.shape[1]:
-        raise ValueError(
-            f"input spatial size yields {flat.shape[1]} features, fc3 expects {w3.shape[1]}")
-    z3 = flat @ w3.T + b3
-    a3, m3 = _relu(z3)
-    logits = a3 @ w4.T + b4
-    cache = (cols1, z1, q1, m1, cols2, z2, q2, m2, flat, a3, m3)
-    return logits, cache
+    return flat, (cols1, z1, q1, m1, cols2, z2, q2, m2)
+
+
+def _conv_backward(model: ModelParams, dflat: np.ndarray, cache) -> list:
+    """Backward through the conv stack: the conv1 and conv2 (dw, db) pairs."""
+    cols1, z1, q1, m1, cols2, z2, q2, m2 = cache
+    w1, w2 = model.layers[0].weights, model.layers[1].weights
+    bsz, side, _, ch = q2.shape
+    dq2 = dflat.reshape(bsz, ch, side, side).transpose(0, 2, 3, 1) * m2
+    dz2 = _maxpool2_backward(dq2, z2, q2)
+    dw2, db2, da1 = _conv2d_backward(dz2, cols2, w2, q1.shape)
+    dz1 = _maxpool2_backward(da1 * m1, z1, q1)
+    dw1, db1, _ = _conv2d_backward(dz1, cols1, w1)
+    return [(dw1, db1), (dw2, db2)]
+
+
+def _forward_cached(model: ModelParams, x: np.ndarray):
+    """Forward pass returning (logits, cache-for-backward).
+
+    The cnn runs its conv stack first; both architectures then share the
+    fc / ReLU / fc head, which reads the last two layers.
+    """
+    conv_cache = None
+    if model.arch == "cnn":
+        x, conv_cache = _conv_forward(model, x)
+    hidden, out = model.layers[-2:]
+    if x.ndim != 2 or x.shape[1] != hidden.weights.shape[1]:
+        raise ValueError(f"{model.arch} expects {hidden.weights.shape[1]} features at "
+                         f"{hidden.name}, got shape {x.shape}")
+    a, m = _relu(x @ hidden.weights.T + hidden.bias)
+    logits = a @ out.weights.T + out.bias
+    return logits, (conv_cache, x, a, m)
 
 
 def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -282,44 +299,16 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         i = int(np.flatnonzero((labels < 0) | (labels >= n_classes))[0])
         raise ValueError(f"label {labels[i]} at batch index {i} is outside 0..{n_classes - 1}")
-    logits, cache = _forward_cached(model, x)
+    logits, (conv_cache, feats, a, m) = _forward_cached(model, x)
     loss, dlogits = _softmax_cross_entropy(logits, labels)
 
-    if model.arch == "mlp":
-        xin, a1, m1 = cache
-        w2 = model.layer("fc2").weights
-        dw2 = dlogits.T @ a1
-        db2 = dlogits.sum(axis=0)
-        dz1 = (dlogits @ w2) * m1
-        dw1 = dz1.T @ xin
-        db1 = dz1.sum(axis=0)
-        grads = (LayerParams("fc1", dw1, db1), LayerParams("fc2", dw2, db2))
-        return loss, ModelParams("mlp", grads)
-
-    cols1, z1, q1, m1, cols2, z2, q2, m2, flat, a3, m3 = cache
-    w1 = model.layer("conv1").weights
-    w2 = model.layer("conv2").weights
-    w3 = model.layer("fc3").weights
-    w4 = model.layer("fc4").weights
-
-    dw4 = dlogits.T @ a3
-    db4 = dlogits.sum(axis=0)
-    dz3 = (dlogits @ w4) * m3
-    dw3 = dz3.T @ flat
-    db3 = dz3.sum(axis=0)
-    bsz, side, _, ch = q2.shape
-    dq2 = (dz3 @ w3).reshape(bsz, ch, side, side).transpose(0, 2, 3, 1) * m2
-    dz2 = _maxpool2_backward(dq2, z2, q2)
-    dw2, db2, da1 = _conv2d_backward(dz2, cols2, w2, q1.shape)
-    dz1 = _maxpool2_backward(da1 * m1, z1, q1)
-    dw1, db1, _ = _conv2d_backward(dz1, cols1, w1)
-    grads = (
-        LayerParams("conv1", dw1, db1),
-        LayerParams("conv2", dw2, db2),
-        LayerParams("fc3", dw3, db3),
-        LayerParams("fc4", dw4, db4),
-    )
-    return loss, ModelParams("cnn", grads)
+    hidden, out = model.layers[-2:]
+    dz = (dlogits @ out.weights) * m
+    grads = [(dz.T @ feats, dz.sum(axis=0)), (dlogits.T @ a, dlogits.sum(axis=0))]
+    if conv_cache is not None:
+        grads = _conv_backward(model, dz @ hidden.weights, conv_cache) + grads
+    return loss, ModelParams(model.arch, tuple(
+        LayerParams(lp.name, dw, db) for lp, (dw, db) in zip(model.layers, grads)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def report(name, ok, detail=""):
 # criterion 1: fast synthetic property suite
 
 
-def test_criterion_1_property_suite(clients_100):
+def test_criterion_1_property_suite(clients_100, tmp_path):
     t0 = time.time()
 
     # gradient checks <= 1e-3 relative
@@ -76,7 +76,7 @@ def test_criterion_1_property_suite(clients_100):
     # checkpoint round-trip, bit exact
     for arch in ("mlp", "cnn"):
         model = nn.init_model(arch, 8)
-        path = f"/tmp/acceptance_{arch}.sfl1"
+        path = tmp_path / f"acceptance_{arch}.sfl1"
         checkpoint.save_checkpoint(model, path)
         assert models_equal(checkpoint.load_checkpoint(path), model)
 

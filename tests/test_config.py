@@ -112,6 +112,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=fragment):
             config.parse_config(write(tmp_path, line + "\n"))
 
+    def test_error_names_line_under_a_path_holding_colon_space(self, tmp_path):
+        folder = tmp_path / "cfg: dir"
+        folder.mkdir()
+        path = write(folder, "rounds = 0\n")
+        with pytest.raises(ConfigError) as info:
+            config.parse_config(path)
+        assert str(info.value) == f"{path}:1: rounds must be >= 1, got 0"
+
     @pytest.mark.parametrize("value", ["/tmp/a#b", "/tmp/a\nb", " /tmp/a"])
     def test_unreadable_string_rejected(self, value):
         # render_config writes it out, parse_config would read back something else

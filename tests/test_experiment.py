@@ -2,12 +2,13 @@
 
 import csv
 import json
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from semifl import checkpoint, cli, clustering, config, experiment
+from semifl import checkpoint, cli, clustering, config, experiment, federation
 from semifl.config import ExperimentConfig, parse_config, render_config, validate_config
 from semifl.errors import ConfigError, DataError
 
@@ -73,6 +74,21 @@ class TestRunExperiment:
         assert [e["round"] for e in entries] == ["1", "2", "3"]
         assert all(e["uplink_models"] == "10" for e in entries)  # C=1.0, K=10
         assert all(e["downlink_models"] == "10" for e in entries)
+
+    def test_ledger_keeps_the_rounds_before_an_interrupted_one(self, tmp_path, monkeypatch):
+        real = federation.run_round
+
+        def run_round(model, plan, t):
+            if t == 3:
+                raise RuntimeError("interrupted")
+            return real(model, plan, t)
+
+        monkeypatch.setattr(federation, "run_round", run_round)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            experiment.run_experiment(tiny_cfg(mode="fl", rounds=4), out)
+        with open(out / "ledger.csv", newline="") as fh:
+            assert [e["round"] for e in csv.DictReader(fh)] == ["1", "2"]
 
     def test_cl_mode_has_no_uplink(self, tmp_path):
         out = tmp_path / "run"
@@ -226,6 +242,24 @@ class TestCli:
         rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arch", ["mlp", "cnn"])
+    def test_wrong_size_idx_images_are_exit_2_before_metrics(self, tmp_path, capsys, arch):
+        paths = {}
+        for split, n in (("train", 20), ("test", 10)):
+            paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
+            paths[f"{split}_images"].write_bytes(
+                struct.pack(">IIII", 0x803, n, 32, 32) + bytes(n * 32 * 32))
+            paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
+            paths[f"{split}_labels"].write_bytes(
+                struct.pack(">II", 0x801, n) + bytes(i % 10 for i in range(n)))
+        cfg = write_cfg(tmp_path, mode="fl", arch=arch, dataset="mnist", partition="iid",
+                        clients=10, per_client=2, local_batch=2, **paths)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"data error: {paths['train_images']}: images are 32x32, the models "
+                f"need 28x28") in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_train_success(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c3")

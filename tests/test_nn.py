@@ -116,6 +116,11 @@ class TestForward:
         with pytest.raises(ValueError, match="cnn expects"):
             nn.forward(nn.init_cnn(0), np.zeros((2, 784), dtype=np.float32))
 
+    def test_cnn_image_size_checked_at_the_head(self):
+        with pytest.raises(ValueError,
+                           match=r"cnn expects 320 features at fc3, got shape \(2, 500\)"):
+            nn.forward(nn.init_cnn(0), np.zeros((2, 1, 32, 32), dtype=np.float32))
+
 
 class TestLoss:
     def test_uniform_logits_loss_is_log_k(self):
