@@ -38,9 +38,9 @@ def main():
     for pattern in clustering.PATTERNS:
         a = clustering.build_pattern(pattern, shards)
         problems = clustering.validate(a, len(shards))
-        cluster0 = a.clusters[0]
+        cluster0 = a[0]
         labels = sorted(shards[c].distinct_labels[0] for c in cluster0)
-        print(f"{pattern}: {len(a.clusters)} clusters, first cluster labels {labels}, "
+        print(f"{pattern}: {len(a)} clusters, first cluster labels {labels}, "
               f"validate -> {problems or 'ok'}")
 
     # assignments are plain text: one cluster per line
@@ -49,7 +49,7 @@ def main():
         path = os.path.join(tmp, "c3.txt")
         clustering.save_assignment(a, path)
         back = clustering.load_assignment(path)
-        print(f"saved {path!r}; reload matches: {back.clusters == a.clusters}")
+        print(f"saved {path!r}; reload matches: {back == a}")
         with open(path) as fh:
             print("file starts:", fh.readline().strip(), "/", fh.readline().strip())
 

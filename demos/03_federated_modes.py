@@ -21,7 +21,7 @@ def main():
     source = data.generate_synthetic(classes=10, per_class=120, seed=SEED)
     test = data.generate_synthetic(classes=10, per_class=40, seed=SEED + 1)
     clients = data.partition(source, "noniid", num_clients=100, per_client=12, seed=SEED)
-    assignment = clustering.build_pattern("c3", clients)
+    clusters = clustering.build_pattern("c3", clients)
     model_bytes = len(checkpoint.checkpoint_bytes(nn.init_mlp(SEED)))
 
     runs = {
@@ -35,7 +35,7 @@ def main():
         name: federation.plan_rounds(
             ExperimentConfig(arch="mlp", local_epochs=1, local_batch=12,
                              learning_rate=0.05, cl_batch=120, master_seed=SEED, **kw),
-            clients, assignment, model_bytes)
+            clients, clusters)
         for name, kw in runs.items()
     }
     models = {name: nn.init_mlp(SEED) for name in runs}
@@ -46,15 +46,15 @@ def main():
         row = []
         for name, plan in plans.items():
             models[name], rec = federation.run_round(models[name], plan, t)
-            uploads[name].append((rec.uplink_models, rec.uplink_bytes))
+            uploads[name].append(rec.uplink_models)
             acc = metrics.evaluate_accuracy(models[name], test.images, test.labels)
             row.append(f"{acc:>12.3f}")
         print(f"{t:>5}  " + "".join(row))
 
     print("\nuplink over the whole run:")
     for name, rounds in uploads.items():
-        print(f"  {name:>10}: {sum(m for m, _ in rounds):>4} model uploads, "
-              f"{sum(b for _, b in rounds) / 1e6:.1f} MB")
+        print(f"  {name:>10}: {sum(rounds):>4} model uploads, "
+              f"{sum(rounds) * model_bytes / 1e6:.1f} MB")
 
 
 if __name__ == "__main__":

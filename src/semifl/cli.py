@@ -85,10 +85,10 @@ def _cmd_partition(args) -> int:
     print(f"wrote {out / 'clients.csv'} ({len(clients)} clients)")
 
     if cfg.mode == "semifl":
-        assignment = experiment.build_assignment(cfg, clients)
-        clustering.save_assignment(assignment, out / "clusters.txt")
-        print(f"wrote {out / 'clusters.txt'} ({assignment.num_clusters} clusters, "
-              f"pattern {assignment.pattern})")
+        clusters = experiment.build_assignment(cfg, clients)
+        clustering.save_assignment(clusters, out / "clusters.txt")
+        print(f"wrote {out / 'clusters.txt'} ({len(clusters)} clusters, "
+              f"pattern {cfg.pattern})")
     return 0
 
 

@@ -8,14 +8,13 @@ Four built-in label patterns (all assume ten digit classes):
 * ``c3`` -- clusters of ten clients, one client per label, labels ascending.
 * ``c4`` -- label-agnostic: consecutive groups of ten clients by id.
 
-A client's id is its index in the partition's client list.  Explicit
-assignments can also be loaded from a text file with one cluster per line
-(space-separated client ids).
+A client's id is its index in the partition's client list, and an
+assignment is a tuple of clusters, each a tuple of client ids in training
+order.  Explicit assignments can also be loaded from a text file with one
+cluster per line (space-separated client ids).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +24,7 @@ from .errors import DataError
 PATTERNS = ("c1", "c2", "c3", "c4")
 NUM_LABELS = 10
 
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """An ordered grouping of client ids into clusters."""
-
-    pattern: str
-    clusters: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
+Clusters = tuple[tuple[int, ...], ...]  # client ids per cluster, in training order
 
 
 def _clients_by_label(clients: list[LabeledSet]) -> dict[int, list[int]]:
@@ -50,7 +39,7 @@ def _clients_by_label(clients: list[LabeledSet]) -> dict[int, list[int]]:
     return by_label
 
 
-def build_pattern(pattern: str, clients: list[LabeledSet]) -> ClusterAssignment:
+def build_pattern(pattern: str, clients: list[LabeledSet]) -> Clusters:
     """Construct one of the built-in patterns over the given clients.
 
     Clients of equal label are consumed in ascending client-id order.  Raises
@@ -63,8 +52,7 @@ def build_pattern(pattern: str, clients: list[LabeledSet]) -> ClusterAssignment:
         k = len(clients)
         if k % NUM_LABELS:
             raise DataError(f"c4 needs a multiple of {NUM_LABELS} clients, got {k}")
-        groups = tuple(tuple(range(i, i + NUM_LABELS)) for i in range(0, k, NUM_LABELS))
-        return ClusterAssignment("c4", groups)
+        return tuple(tuple(range(i, i + NUM_LABELS)) for i in range(0, k, NUM_LABELS))
 
     by_label = _clients_by_label(clients)
     missing = sorted(set(range(NUM_LABELS)) - set(by_label))
@@ -78,8 +66,7 @@ def build_pattern(pattern: str, clients: list[LabeledSet]) -> ClusterAssignment:
     per_label = counts[0]
 
     if pattern == "c1":
-        groups = tuple(tuple(by_label[l]) for l in range(NUM_LABELS))
-        return ClusterAssignment("c1", groups)
+        return tuple(tuple(by_label[l]) for l in range(NUM_LABELS))
 
     if pattern == "c2":
         if per_label % 2:
@@ -91,16 +78,15 @@ def build_pattern(pattern: str, clients: list[LabeledSet]) -> ClusterAssignment:
             own = by_label[n][:half]
             borrowed = by_label[(n + 1) % NUM_LABELS][half:]
             groups.append(tuple(own + borrowed))
-        return ClusterAssignment("c2", tuple(groups))
+        return tuple(groups)
 
     # c3: the k-th client of each label forms cluster k
-    groups = tuple(
+    return tuple(
         tuple(by_label[l][k] for l in range(NUM_LABELS)) for k in range(per_label)
     )
-    return ClusterAssignment("c3", groups)
 
 
-def validate(assignment: ClusterAssignment, num_clients: int) -> list[str]:
+def validate(clusters: Clusters, num_clients: int) -> list[str]:
     """Return human-readable violations (empty list when the assignment is sound).
 
     Checks the structure only: no cluster is empty, and the clusters cover the
@@ -108,7 +94,7 @@ def validate(assignment: ClusterAssignment, num_clients: int) -> list[str]:
     """
     problems: list[str] = []
     seen: dict[int, int] = {}
-    for ci, cluster in enumerate(assignment.clusters):
+    for ci, cluster in enumerate(clusters):
         if not cluster:
             problems.append(f"cluster {ci} is empty")
         for cid in cluster:
@@ -123,17 +109,16 @@ def validate(assignment: ClusterAssignment, num_clients: int) -> list[str]:
     return problems
 
 
-def shuffle_within_clusters(assignment: ClusterAssignment, seed: int) -> ClusterAssignment:
+def shuffle_within_clusters(clusters: Clusters, seed: int) -> Clusters:
     """Permute the training order inside each cluster (cluster list order kept)."""
     rng = np.random.default_rng(seed)
-    shuffled = tuple(
+    return tuple(
         tuple(np.asarray(cluster)[rng.permutation(len(cluster))].tolist())
-        for cluster in assignment.clusters
+        for cluster in clusters
     )
-    return ClusterAssignment(assignment.pattern, shuffled)
 
 
-def load_assignment(path) -> ClusterAssignment:
+def load_assignment(path) -> Clusters:
     """Read an explicit assignment file: one cluster per line, ids space-separated."""
     clusters = []
     try:
@@ -150,11 +135,11 @@ def load_assignment(path) -> ClusterAssignment:
         raise DataError(f"cannot read assignment file {path}: {exc}") from exc
     if not clusters:
         raise DataError(f"assignment file {path} defines no clusters")
-    return ClusterAssignment("explicit", tuple(clusters))
+    return tuple(clusters)
 
 
-def save_assignment(assignment: ClusterAssignment, path) -> None:
+def save_assignment(clusters: Clusters, path) -> None:
     """Write the explicit one-line-per-cluster format that load_assignment reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        for cluster in assignment.clusters:
+        for cluster in clusters:
             fh.write(" ".join(str(cid) for cid in cluster) + "\n")

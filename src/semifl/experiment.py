@@ -100,19 +100,19 @@ def build_clients(cfg: ExperimentConfig, train: LabeledSet):
                      cfg.effective_partition_seed)
 
 
-def build_assignment(cfg: ExperimentConfig, clients) -> clustering.ClusterAssignment:
-    """Cluster assignment for a semifl run (pattern or explicit file + ordering)."""
+def build_assignment(cfg: ExperimentConfig, clients) -> clustering.Clusters:
+    """Clusters of a semifl run (pattern or explicit file + ordering)."""
     if cfg.pattern == "explicit":
-        assignment = clustering.load_assignment(cfg.assignment_file)
-        problems = clustering.validate(assignment, len(clients))
+        clusters = clustering.load_assignment(cfg.assignment_file)
+        problems = clustering.validate(clusters, len(clients))
         if problems:
             raise DataError(f"{cfg.assignment_file}: " + "; ".join(problems))
     else:
-        assignment = clustering.build_pattern(cfg.pattern, clients)
+        clusters = clustering.build_pattern(cfg.pattern, clients)
     kind, seed = cfg.order_spec()
     if kind == "shuffled":
-        assignment = clustering.shuffle_within_clusters(assignment, seed)
-    return assignment
+        clusters = clustering.shuffle_within_clusters(clusters, seed)
+    return clusters
 
 
 def _environment() -> dict:
@@ -130,19 +130,6 @@ def _environment() -> dict:
     }
 
 
-def _format_row(rec: RoundRecord) -> dict:
-    return {
-        "round": rec.round,
-        "mode": rec.mode,
-        "pattern": rec.pattern,
-        "test_accuracy": f"{rec.test_accuracy:.10g}",
-        "train_loss": f"{rec.train_loss:.10g}",
-        "uplink_models": rec.uplink_models,
-        "uplink_bytes": rec.uplink_bytes,
-        "elapsed_ms": rec.elapsed_ms,
-    }
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     """Execute one full run and write its artifacts into ``out_dir``."""
     validate_config(cfg)
@@ -155,9 +142,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
 
     train, test = load_datasets(cfg)
     clients = build_clients(cfg, train)
-    assignment = build_assignment(cfg, clients) if cfg.mode == "semifl" else None
+    clusters = build_assignment(cfg, clients) if cfg.mode == "semifl" else None
     model = init_model(cfg.arch, cfg.master_seed)
-    plan = federation.plan_rounds(cfg, clients, assignment, len(checkpoint_bytes(model)))
+    model_bytes = len(checkpoint_bytes(model))
+    plan = federation.plan_rounds(cfg, clients, clusters)
+    pattern = cfg.pattern if cfg.mode == "semifl" else "-"
 
     records: list[RoundRecord] = []
     # run_round's finiteness checks report a diverging run; numpy's overflow
@@ -171,13 +160,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
         ledger.writerow(["round", "uplink_models", "uplink_bytes", "downlink_models"])
         for t in range(1, cfg.rounds + 1):
             model, rec = federation.run_round(model, plan, t)
+            uplink_bytes = rec.uplink_models * model_bytes
             # each uploaded head came from a chain that downloaded the snapshot;
             # cl has no server and moves no model
-            ledger.writerow([t, rec.uplink_models, rec.uplink_bytes, rec.uplink_models])
+            ledger.writerow([t, rec.uplink_models, uplink_bytes, rec.uplink_models])
             lfh.flush()
             if t % cfg.eval_every == 0 or t == cfg.rounds:
                 rec.test_accuracy = evaluate_accuracy(model, test.images, test.labels)
-                writer.writerow(_format_row(rec))
+                writer.writerow({
+                    "round": t, "mode": cfg.mode, "pattern": pattern,
+                    "test_accuracy": f"{rec.test_accuracy:.10g}",
+                    "train_loss": f"{rec.train_loss:.10g}",
+                    "uplink_models": rec.uplink_models, "uplink_bytes": uplink_bytes,
+                    "elapsed_ms": rec.elapsed_ms})
                 fh.flush()
             if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
                 save_checkpoint(model, out / f"checkpoint_r{t:04d}.sfl1")
@@ -188,12 +183,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
 
 
 def compare_checkpoints(subject_path, reference_path) -> DivergenceReport:
-    """Per-layer ACS/RED of one checkpoint against another (the reference)."""
+    """Per-layer ACS/RED of one checkpoint against another (the reference).
+
+    Checkpoints that cannot be compared (other architectures or shapes, or a
+    reference layer of zero norm) raise :class:`DataError`.
+    """
     subject = load_checkpoint(subject_path)
     reference = load_checkpoint(reference_path)
-    return layer_divergence(subject, reference,
-                            subject_id=str(subject_path),
-                            reference_id=str(reference_path))
+    try:
+        return layer_divergence(subject, reference,
+                                subject_id=str(subject_path),
+                                reference_id=str(reference_path))
+    except ValueError as exc:
+        raise DataError(f"cannot compare {subject_path} with {reference_path}: "
+                        f"{exc}") from exc
+
+
+def _read_columns(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """The rows of a CSV file whose header must name every one of ``columns``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+        return list(reader)
 
 
 def summarize_run(run_dir) -> dict:
@@ -202,10 +215,7 @@ def summarize_run(run_dir) -> dict:
     metrics_path = run / "metrics.csv" if run.is_dir() else run
     if not metrics_path.exists():
         raise DataError(f"no metrics.csv under {run_dir}")
-    rows = []
-    with open(metrics_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
+    rows = _read_columns(metrics_path, ("round", "mode", "pattern", "test_accuracy"))
     if not rows:
         raise DataError(f"{metrics_path}: no evaluation rows")
     last = rows[-1]
@@ -220,8 +230,7 @@ def summarize_run(run_dir) -> dict:
     }
     ledger_path = metrics_path.parent / "ledger.csv"
     if ledger_path.exists():
-        with open(ledger_path, newline="", encoding="utf-8") as fh:
-            entries = list(csv.DictReader(fh))
+        entries = _read_columns(ledger_path, ("uplink_models", "uplink_bytes"))
         summary["total_uplink_models"] = sum(int(e["uplink_models"]) for e in entries)
         summary["total_uplink_bytes"] = sum(int(e["uplink_bytes"]) for e in entries)
     return summary

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterAssignment
+from .clustering import Clusters
 from .config import ExperimentConfig
 from .data import LabeledSet
 from .nn import ModelParams, LayerParams, check_aligned, train_local_with_loss
@@ -50,12 +50,9 @@ class RoundRecord:
     """Per-round facts destined for the metrics CSV."""
 
     round: int
-    mode: str
-    pattern: str
     test_accuracy: float = float("nan")
     train_loss: float = float("nan")
     uplink_models: int = 0
-    uplink_bytes: int = 0
     elapsed_ms: int = 0
 
 
@@ -66,8 +63,6 @@ Chain = tuple[tuple[int, LabeledSet], ...]  # (stream id, examples) in training 
 class RoundPlan:
     """What one mode trains in every round of a run."""
 
-    mode: str
-    pattern: str
     chains: tuple[Chain, ...]
     kind: int                # stream purpose of the chain links
     epochs: int
@@ -76,34 +71,30 @@ class RoundPlan:
     sample: int              # chains drawn per round; 0 trains them all
     server: bool             # average the heads; without a server the one head is the model
     seed: int
-    model_bytes: int
 
 
 def plan_rounds(cfg: ExperimentConfig, clients: list[LabeledSet],
-                assignment: ClusterAssignment | None = None,
-                model_bytes: int = 0) -> RoundPlan:
+                clusters: Clusters | None = None) -> RoundPlan:
     """The chains, streams and hyperparameters of ``cfg.mode``.
 
     Client ``k`` is ``clients[k]`` and trains on stream id ``k``.
-    ``assignment`` gives the semifl clusters and is ignored by the other modes.
-    Its clusters are taken as given: ``build_assignment`` checks an explicit
-    one with ``clustering.validate``, and the patterns are built from the clients.
+    ``clusters`` are the semifl clusters and are ignored by the other modes.
+    They are taken as given: ``build_assignment`` checks an explicit
+    assignment with ``clustering.validate``, and the patterns are built from
+    the clients.
     """
-    common = dict(mode=cfg.mode, learning_rate=cfg.learning_rate, seed=cfg.master_seed,
-                  model_bytes=model_bytes)
+    common = dict(learning_rate=cfg.learning_rate, seed=cfg.master_seed)
     if cfg.mode == "cl":
-        return RoundPlan(pattern="-", chains=(((0, pool_clients(clients)),),), kind=_KIND_CL,
+        return RoundPlan(chains=(((0, pool_clients(clients)),),), kind=_KIND_CL,
                          epochs=1, batch_size=cfg.cl_batch, sample=0, server=False, **common)
     common.update(epochs=cfg.local_epochs, batch_size=cfg.local_batch)
     if cfg.mode == "fl":
         m = max(1, round(cfg.client_fraction * len(clients)))
         singletons = tuple(((cid, c),) for cid, c in enumerate(clients))
-        return RoundPlan(pattern="-", chains=singletons, kind=_KIND_TRAIN,
+        return RoundPlan(chains=singletons, kind=_KIND_TRAIN,
                          sample=m if m < len(clients) else 0, server=True, **common)
-    chains = tuple(tuple((cid, clients[cid]) for cid in cluster)
-                   for cluster in assignment.clusters)
-    return RoundPlan(pattern=assignment.pattern, chains=chains, kind=_KIND_TRAIN,
-                     sample=0, server=True, **common)
+    chains = tuple(tuple((cid, clients[cid]) for cid in cluster) for cluster in clusters)
+    return RoundPlan(chains=chains, kind=_KIND_TRAIN, sample=0, server=True, **common)
 
 
 def run_round(model: ModelParams, plan: RoundPlan,
@@ -137,7 +128,6 @@ def run_round(model: ModelParams, plan: RoundPlan,
             losses.append(loss)
         heads.append(head)
 
-    uplink = len(heads) if plan.server else 0
     new_model = aggregate_mean(heads) if plan.server else heads[0]
     for lp in new_model.layers:
         if not (np.isfinite(lp.weights).all() and np.isfinite(lp.bias).all()):
@@ -145,9 +135,8 @@ def run_round(model: ModelParams, plan: RoundPlan,
                 f"round {round_idx}: layer {lp.name} has non-finite parameters; "
                 f"training diverged (try a lower learning_rate)")
     rec = RoundRecord(
-        round=round_idx, mode=plan.mode, pattern=plan.pattern,
-        train_loss=float(np.mean(losses)),
-        uplink_models=uplink, uplink_bytes=uplink * plan.model_bytes,
+        round=round_idx, train_loss=float(np.mean(losses)),
+        uplink_models=len(heads) if plan.server else 0,
         elapsed_ms=int((time.perf_counter() - t0) * 1000))
     return new_model, rec
 

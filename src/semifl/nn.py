@@ -51,12 +51,6 @@ class ModelParams:
     arch: str
     layers: tuple[LayerParams, ...]
 
-    def layer(self, name: str) -> LayerParams:
-        for lp in self.layers:
-            if lp.name == name:
-                return lp
-        raise KeyError(name)
-
     @property
     def dtype(self) -> np.dtype:
         return self.layers[0].weights.dtype

@@ -58,13 +58,13 @@ def test_criterion_1_property_suite(clients_100, tmp_path):
     for pat in clustering.PATTERNS:
         a = clustering.build_pattern(pat, clients_100)
         assert clustering.validate(a, len(clients_100)) == []
-        assert sorted(cid for cl in a.clusters for cid in cl) == list(range(100))
+        assert sorted(cid for cl in a for cid in cl) == list(range(100))
     c1 = clustering.build_pattern("c1", clients_100)
     assert all(len({clients_100[c].distinct_labels[0] for c in cl}) == 1
-               for cl in c1.clusters)
+               for cl in c1)
     c3 = clustering.build_pattern("c3", clients_100)
     assert all(sorted(clients_100[c].distinct_labels[0] for c in cl) == list(range(10))
-               for cl in c3.clusters)
+               for cl in c3)
 
     # acs / red identities
     w = np.random.default_rng(4).normal(size=(3, 2, 25))
@@ -84,9 +84,9 @@ def test_criterion_1_property_suite(clients_100, tmp_path):
     m = nn.init_mlp(1)
     assert models_equal(federation.aggregate_mean([m, m, m]), m)
     two = federation.aggregate_mean([nn.init_mlp(1), nn.init_mlp(2)])
-    want = 0.5 * (nn.init_mlp(1).layer("fc1").weights.astype(np.float64)
-                  + nn.init_mlp(2).layer("fc1").weights.astype(np.float64))
-    assert np.allclose(two.layer("fc1").weights, want, atol=1e-7)
+    want = 0.5 * (nn.init_mlp(1).layers[0].weights.astype(np.float64)
+                  + nn.init_mlp(2).layers[0].weights.astype(np.float64))
+    assert np.allclose(two.layers[0].weights, want, atol=1e-7)
 
     report("criterion 1: synthetic property suite",
            True, f"grad mlp {gc_mlp:.1e}, cnn {gc_cnn:.1e}; {time.time() - t0:.1f}s")
@@ -97,8 +97,7 @@ def test_criterion_1_property_suite(clients_100, tmp_path):
 
 
 def test_criterion_2a_singleton_clusters_match_fedavg(clients_100):
-    singletons = clustering.ClusterAssignment(
-        "explicit", tuple((cid,) for cid in range(len(clients_100))))
+    singletons = tuple((cid,) for cid in range(len(clients_100)))
     local = dict(local_epochs=2, local_batch=6, learning_rate=0.05, master_seed=13)
     semi = federation.plan_rounds(ExperimentConfig(mode="semifl", **local), clients_100,
                                   singletons)
@@ -120,7 +119,7 @@ def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):
     cluster = [shared] * k
     cfg = ExperimentConfig(mode="semifl", local_epochs=1, local_batch=len(shared),
                            learning_rate=0.1, master_seed=21)
-    chain = clustering.ClusterAssignment("explicit", (tuple(range(k)),))
+    chain = (tuple(range(k)),)
     model64 = nn.init_mlp(21).astype(np.float64)
     x64 = shared.images.astype(np.float64)
 
@@ -222,11 +221,11 @@ def test_criterion_5_divergence_ordering(desk_results):
     rank = ("fl10", "fl100", "c1", "c2", "c3")
     red_flags, acs_flags, details = [], [], []
     for s in DESK_SEEDS:
-        ref = desk_results[(s, "cl")][0].layer("fc1").weights
-        reds = {n: metrics.red(desk_results[(s, n)][0].layer("fc1").weights, ref)
+        ref = desk_results[(s, "cl")][0].layers[0].weights
+        reds = {n: metrics.red(desk_results[(s, n)][0].layers[0].weights, ref)
                 for n in rank}
         acss = {n: metrics.acs(
-                    metrics.fiber_view(desk_results[(s, n)][0].layer("fc1").weights),
+                    metrics.fiber_view(desk_results[(s, n)][0].layers[0].weights),
                     metrics.fiber_view(ref))
                 for n in rank}
         red_flags.append(all(reds[rank[i]] > reds[rank[i + 1]]

@@ -14,17 +14,16 @@ def label_of(clients, cid):
 class TestPatterns:
     def test_c1_one_label_per_cluster(self, clients_100):
         a = clustering.build_pattern("c1", clients_100)
-        assert a.pattern == "c1"
-        assert a.num_clusters == 10
-        for n, cluster in enumerate(a.clusters):
+        assert len(a) == 10
+        for n, cluster in enumerate(a):
             assert len(cluster) == 10
             assert {label_of(clients_100, cid) for cid in cluster} == {n}
         assert clustering.validate(a, len(clients_100)) == []
 
     def test_c2_two_adjacent_labels_split_evenly(self, clients_100):
         a = clustering.build_pattern("c2", clients_100)
-        assert a.num_clusters == 10
-        for n, cluster in enumerate(a.clusters):
+        assert len(a) == 10
+        for n, cluster in enumerate(a):
             assert len(cluster) == 10
             labels = [label_of(clients_100, cid) for cid in cluster]
             assert labels[:5] == [n] * 5          # own label first
@@ -33,32 +32,32 @@ class TestPatterns:
 
     def test_c3_all_labels_once(self, clients_100):
         a = clustering.build_pattern("c3", clients_100)
-        assert a.num_clusters == 10
-        for cluster in a.clusters:
+        assert len(a) == 10
+        for cluster in a:
             labels = [label_of(clients_100, cid) for cid in cluster]
             assert labels == list(range(10))  # ascending, one of each
         assert clustering.validate(a, len(clients_100)) == []
 
     def test_c4_consecutive_ids(self, clients_100):
         a = clustering.build_pattern("c4", clients_100)
-        assert a.num_clusters == 10
-        flat = [cid for cl in a.clusters for cid in cl]
+        assert len(a) == 10
+        flat = [cid for cl in a for cid in cl]
         assert flat == list(range(len(clients_100)))
-        assert all(len(cl) == 10 for cl in a.clusters)
+        assert all(len(cl) == 10 for cl in a)
         assert clustering.validate(a, len(clients_100)) == []
 
     def test_patterns_cover_disjointly(self, clients_100):
         ids = set(range(len(clients_100)))
         for pat in clustering.PATTERNS:
             a = clustering.build_pattern(pat, clients_100)
-            flat = [cid for cl in a.clusters for cid in cl]
+            flat = [cid for cl in a for cid in cl]
             assert len(flat) == len(ids)
             assert set(flat) == ids
 
     def test_ascending_id_consumption(self, clients_100):
         # within each label, lower client ids come before higher ones (c1 clusters)
         a = clustering.build_pattern("c1", clients_100)
-        for cluster in a.clusters:
+        for cluster in a:
             assert list(cluster) == sorted(cluster)
 
     def test_unknown_pattern(self, clients_100):
@@ -98,23 +97,23 @@ class TestPatternErrors:
 class TestValidate:
     def test_duplicate_and_unknown_and_uncovered(self, clients_100):
         good = clustering.build_pattern("c4", clients_100)
-        dup = clustering.ClusterAssignment("explicit", ((0, 1), (1, 2)))
+        dup = ((0, 1), (1, 2))
         problems = clustering.validate(dup, 3)
         assert any("appears in clusters 0 and 1" in p for p in problems)
-        unknown = clustering.ClusterAssignment("explicit", ((0, 999),))
+        unknown = ((0, 999),)
         assert any("unknown client 999" in p
                    for p in clustering.validate(unknown, 1))
-        partial = clustering.ClusterAssignment("explicit", ((0,),))
+        partial = ((0,),)
         assert any("not in any cluster" in p
                    for p in clustering.validate(partial, 2))
         assert clustering.validate(good, 100) == []
 
     def test_empty_cluster_flagged(self, clients_100):
-        a = clustering.ClusterAssignment("explicit", (tuple(range(100)), tuple()))
+        a = (tuple(range(100)), tuple())
         assert "cluster 1 is empty" in clustering.validate(a, 100)
 
     def test_negative_id_is_unknown(self):
-        a = clustering.ClusterAssignment("explicit", ((0, -1), (1,)))
+        a = ((0, -1), (1,))
         assert clustering.validate(a, 2) == ["cluster 0 references unknown client -1"]
 
     def test_shuffled_c2_still_validates(self, clients_100):
@@ -129,11 +128,11 @@ class TestShuffle:
         s1 = clustering.shuffle_within_clusters(a, seed=5)
         s2 = clustering.shuffle_within_clusters(a, seed=5)
         s3 = clustering.shuffle_within_clusters(a, seed=6)
-        assert s1.clusters == s2.clusters
-        assert s1.clusters != s3.clusters
-        for before, after in zip(a.clusters, s1.clusters):
+        assert s1 == s2
+        assert s1 != s3
+        for before, after in zip(a, s1):
             assert sorted(before) == sorted(after)
-        assert any(before != after for before, after in zip(a.clusters, s1.clusters))
+        assert any(before != after for before, after in zip(a, s1))
 
 
 class TestAssignmentFiles:
@@ -142,14 +141,13 @@ class TestAssignmentFiles:
         path = tmp_path / "clusters.txt"
         clustering.save_assignment(a, path)
         loaded = clustering.load_assignment(path)
-        assert loaded.pattern == "explicit"
-        assert loaded.clusters == a.clusters
+        assert loaded == a
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# heads\n\n0 1 2\n3 4 5  # tail comment\n")
         loaded = clustering.load_assignment(path)
-        assert loaded.clusters == ((0, 1, 2), (3, 4, 5))
+        assert loaded == ((0, 1, 2), (3, 4, 5))
 
     def test_bad_token_names_line(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from semifl import checkpoint, cli, clustering, config, experiment, federation
+from semifl import checkpoint, cli, clustering, config, experiment, federation, nn
 from semifl.config import ExperimentConfig, parse_config, render_config, validate_config
 from semifl.errors import ConfigError, DataError
 
@@ -323,7 +323,7 @@ class TestCli:
         assert len(rows) == 10
         assert rows[3] == {"client_id": "3", "examples": "12", "labels": "3"}
         loaded = clustering.load_assignment(out / "clusters.txt")
-        assert loaded.num_clusters == 10  # c1 with one client per label
+        assert len(loaded) == 10  # c1 with one client per label
 
     def test_partition_fl_mode_skips_clusters(self, tmp_path):
         cfg = write_cfg(tmp_path, mode="fl")
@@ -355,6 +355,40 @@ class TestCli:
         bad.write_bytes(b"XXXX not a checkpoint")
         rc = cli.main(["compare", "--subject", str(bad), "--reference", str(bad)])
         assert rc == 2
+
+    def test_compare_other_architecture_is_exit_2(self, tmp_path, capsys):
+        mlp, cnn = tmp_path / "mlp.sfl1", tmp_path / "cnn.sfl1"
+        checkpoint.save_checkpoint(nn.init_mlp(0), mlp)
+        checkpoint.save_checkpoint(nn.init_cnn(0), cnn)
+        assert cli.main(["compare", "--subject", str(mlp), "--reference", str(cnn)]) == 2
+        assert capsys.readouterr().err == (f"data error: cannot compare {mlp} with {cnn}: "
+                                           f"model mismatch: mlp/2 layers vs cnn/4\n")
+
+    def test_compare_zero_norm_reference_is_exit_2(self, tmp_path, capsys):
+        subject, reference = tmp_path / "subject.sfl1", tmp_path / "zero.sfl1"
+        zero = nn.init_mlp(1)
+        zero.layers[0].weights[:] = 0.0
+        checkpoint.save_checkpoint(nn.init_mlp(0), subject)
+        checkpoint.save_checkpoint(zero, reference)
+        assert cli.main(["compare", "--subject", str(subject),
+                         "--reference", str(reference)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot compare {subject} with {reference}: "
+            f"reference weights have zero norm\n")
+
+    @pytest.mark.parametrize("name, header, missing", [
+        ("metrics.csv", "round,foo", "mode, pattern, test_accuracy"),
+        ("ledger.csv", "round,uplink_models", "uplink_bytes"),
+    ], ids=["metrics", "ledger"])
+    def test_report_missing_column_is_exit_2(self, tmp_path, capsys, name, header, missing):
+        cfg = write_cfg(tmp_path, pattern="c3")
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / name).write_text(f"{header}\n1,2\n")
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: {out / name}: missing column(s) {missing}\n"
 
     def test_report(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c3")

@@ -1,5 +1,7 @@
 """Round-engine tests: aggregation, sequential chains, sampling, baselines."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,8 @@ def fed_cfg(**kw):
     return ExperimentConfig(**base)
 
 
-def plan(clients, clusters=None, model_bytes=1000, **kw):
-    assignment = None if clusters is None else clustering.ClusterAssignment("explicit",
-                                                                          clusters)
-    return federation.plan_rounds(fed_cfg(**kw), clients, assignment, model_bytes)
+def plan(clients, clusters=None, **kw):
+    return federation.plan_rounds(fed_cfg(**kw), clients, clusters)
 
 
 def chain_head(model, clients, chain, cfg, round_idx):
@@ -60,16 +60,16 @@ class TestAggregateMean:
                 nn.LayerParams("fc1", np.full((2, 3), v, np.float32),
                                np.full(2, v, np.float32)),))
         got = federation.aggregate_mean([const(1.0), const(2.0), const(6.0)])
-        assert np.allclose(got.layer("fc1").weights, 3.0)
-        assert np.allclose(got.layer("fc1").bias, 3.0)
+        assert np.allclose(got.layers[0].weights, 3.0)
+        assert np.allclose(got.layers[0].bias, 3.0)
         assert got.dtype == np.float32
 
     def test_matches_plain_mean(self):
         models = [nn.init_mlp(s) for s in range(4)]
         got = federation.aggregate_mean(models)
-        want = np.mean([m.layer("fc1").weights.astype(np.float64) for m in models],
+        want = np.mean([m.layers[0].weights.astype(np.float64) for m in models],
                        axis=0)
-        assert np.allclose(got.layer("fc1").weights, want, atol=1e-7)
+        assert np.allclose(got.layers[0].weights, want, atol=1e-7)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -112,9 +112,6 @@ class TestSemiflRound:
         heads = [chain_head(m0, ten_clients, cl, cfg, 2) for cl in clusters]
         assert models_equal(new, federation.aggregate_mean(heads))
         assert rec.uplink_models == 3
-        assert rec.uplink_bytes == 3 * 1000
-        assert rec.mode == "semifl"
-        assert rec.pattern == "explicit"
         assert np.isfinite(rec.train_loss)
 
     def test_deterministic_across_calls(self, ten_clients):
@@ -135,7 +132,6 @@ class TestFedavgRound:
         updates = [chain_head(m0, ten_clients, [cid], cfg, 1) for cid in range(10)]
         assert models_equal(new, federation.aggregate_mean(updates))
         assert rec.uplink_models == 10
-        assert rec.pattern == "-"
 
     def test_sampling_count_and_determinism(self, ten_clients):
         p = plan(ten_clients, mode="fl", client_fraction=0.3)
@@ -176,7 +172,6 @@ class TestCentralized:
         _, g = nn.loss_and_grads(m0, pool.images, pool.labels)
         assert models_equal(new, nn.sgd_step(m0, g, 0.05))
         assert rec.uplink_models == 0
-        assert rec.uplink_bytes == 0
 
     def test_round_is_one_epoch(self, ten_clients, monkeypatch):
         calls = []
@@ -214,14 +209,25 @@ class TestUplinkAccounting:
         assert (len(fl100.chains), fl100.sample, fl100.server) == (100, 0, True)
         assert (len(cl.chains), cl.server) == (1, False)
 
-    def test_bytes_scale_with_model(self, ten_clients):
-        m0 = nn.init_mlp(0)
-        for kw, models in ((dict(mode="fl", client_fraction=0.3), 3),
-                           (dict(clusters=((0, 1), (2, 3))), 2),
-                           (dict(mode="cl"), 0)):
-            _, rec = federation.run_round(
-                m0, plan(ten_clients, model_bytes=87472, local_epochs=1, **kw), 1)
-            assert (rec.uplink_models, rec.uplink_bytes) == (models, models * 87472)
+    def test_bytes_scale_with_model(self, tmp_path):
+        # a run writes uplink_models x the checkpoint's size in both of its CSVs
+        base = dict(arch="mlp", dataset="synthetic:10x12", clients=10, per_client=12,
+                    rounds=2, eval_every=1, local_epochs=1, cl_batch=60)
+        for kw, models, pattern in ((dict(mode="fl", client_fraction=0.3), 3, "-"),
+                                    (dict(mode="semifl", pattern="c1"), 10, "c1"),
+                                    (dict(mode="cl"), 0, "-")):
+            out = tmp_path / kw["mode"]
+            experiment.run_experiment(ExperimentConfig(**base, **kw), out)
+            size = (out / "model_final.sfl1").stat().st_size
+            for name in ("metrics.csv", "ledger.csv"):
+                with open(out / name, newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert [r["round"] for r in rows] == ["1", "2"]
+                for r in rows:
+                    assert (int(r["uplink_models"]), int(r["uplink_bytes"])) == \
+                        (models, models * size)
+                    if name == "metrics.csv":
+                        assert (r["mode"], r["pattern"]) == (kw["mode"], pattern)
 
 
 class TestDivergence:

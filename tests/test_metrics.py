@@ -32,7 +32,7 @@ class TestEvaluateAccuracy:
         rng = np.random.default_rng(1)
         images = rng.random((10, 1, 28, 28)).astype(np.float32)
         model = constant_predictor(0)
-        model.layer("fc2").bias[:] = 0.0  # all logits equal -> argmax picks class 0
+        model.layers[1].bias[:] = 0.0  # all logits equal -> argmax picks class 0
         assert metrics.evaluate_accuracy(model, images, np.zeros(10, np.int64)) == 1.0
         assert metrics.evaluate_accuracy(model, images, np.ones(10, np.int64)) == 0.0
 
@@ -165,9 +165,9 @@ class TestLayerDivergence:
     def test_entries_match_direct_computation(self):
         a, b = nn.init_cnn(2), nn.init_cnn(3)
         report = metrics.layer_divergence(a, b)
-        want_acs = metrics.acs(metrics.fiber_view(a.layer("conv1").weights),
-                               metrics.fiber_view(b.layer("conv1").weights))
-        want_red = metrics.red(a.layer("conv1").weights, b.layer("conv1").weights)
+        want_acs = metrics.acs(metrics.fiber_view(a.layers[0].weights),
+                               metrics.fiber_view(b.layers[0].weights))
+        want_red = metrics.red(a.layers[0].weights, b.layers[0].weights)
         assert report.entry("conv1").acs == pytest.approx(want_acs)
         assert report.entry("conv1").red == pytest.approx(want_red)
 

@@ -63,9 +63,9 @@ class TestInit:
 
     def test_fan_in_bounds(self):
         m = nn.init_mlp(1)
-        w1 = m.layer("fc1").weights
+        w1 = m.layers[0].weights
         assert np.all(np.abs(w1) <= 1.0 / np.sqrt(784))
-        w2 = m.layer("fc2").weights
+        w2 = m.layers[1].weights
         assert np.all(np.abs(w2) <= 1.0 / np.sqrt(64))
 
     def test_init_model_dispatch(self):
@@ -93,8 +93,8 @@ class TestForward:
     def test_mlp_matches_inline_formula(self):
         m = nn.init_mlp(9)
         x = np.random.default_rng(2).random((4, 784)).astype(np.float32)
-        w1, b1 = m.layer("fc1").weights, m.layer("fc1").bias
-        w2, b2 = m.layer("fc2").weights, m.layer("fc2").bias
+        w1, b1 = m.layers[0].weights, m.layers[0].bias
+        w2, b2 = m.layers[1].weights, m.layers[1].bias
         want = np.maximum(x @ w1.T + b1, 0) @ w2.T + b2
         assert np.allclose(nn.forward(m, x), want, atol=1e-6)
 
@@ -194,7 +194,7 @@ class TestGradCheck:
         # channels-last <-> (C,H,W) order at fc3 shows up as a gradient mismatch.
         # float64 analytic grads and a small step keep clear of max-pool kinks.
         m = nn.init_cnn(12, conv1=2, conv2=4, hidden=5, image_size=20).astype(np.float64)
-        assert m.layer("fc3").weights.shape[1] == 4 * 2 * 2
+        assert m.layers[2].weights.shape[1] == 4 * 2 * 2
         x = np.random.default_rng(98).random((3, 1, 20, 20))
         assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-6) < 1e-4
 
@@ -246,7 +246,7 @@ class TestMaxPool:
         x = np.zeros((1, 1, 16, 16), dtype=np.float32)
         x[0, 0, 2:4, 2:4] = 1.0
         _, g = nn.loss_and_grads(m, x, np.array([3]))
-        dw1, db1 = g.layer("conv1").weights[0, 0], g.layer("conv1").bias[0]
+        dw1, db1 = g.layers[0].weights[0, 0], g.layers[0].bias[0]
         assert db1 != 0
         # the whole tile gradient reached the top-left cell, whose window is x[0:5, 0:5];
         # any other cell's window would put the ones at another offset
