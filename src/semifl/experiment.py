@@ -199,14 +199,35 @@ def compare_checkpoints(subject_path, reference_path) -> DivergenceReport:
                         f"{exc}") from exc
 
 
-def _read_columns(path: Path, columns: tuple[str, ...]) -> list[dict]:
-    """The rows of a CSV file whose header must name every one of ``columns``."""
+_VALUE_KINDS = {int: "an integer", float: "a number"}
+
+
+def _read_columns(path: Path, columns: dict[str, type]) -> list[dict]:
+    """The rows of a CSV file whose header must name every key of ``columns``.
+
+    Each row holds those columns only, every value parsed by its column's type
+    (``str``, ``int`` or ``float``).  A short row or a value that does not
+    parse is a DataError naming the file and the line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            parsed = {}
+            for column, kind in columns.items():
+                value = row[column]
+                if value is None:
+                    raise DataError(f"{path}: line {reader.line_num}: no {column} value")
+                try:
+                    parsed[column] = kind(value)
+                except ValueError:
+                    raise DataError(f"{path}: line {reader.line_num}: {column} is not "
+                                    f"{_VALUE_KINDS[kind]}: {value!r}") from None
+            rows.append(parsed)
+        return rows
 
 
 def summarize_run(run_dir) -> dict:
@@ -215,22 +236,22 @@ def summarize_run(run_dir) -> dict:
     metrics_path = run / "metrics.csv" if run.is_dir() else run
     if not metrics_path.exists():
         raise DataError(f"no metrics.csv under {run_dir}")
-    rows = _read_columns(metrics_path, ("round", "mode", "pattern", "test_accuracy"))
+    rows = _read_columns(metrics_path, {"round": int, "mode": str, "pattern": str,
+                                        "test_accuracy": float})
     if not rows:
         raise DataError(f"{metrics_path}: no evaluation rows")
     last = rows[-1]
-    best = max(float(r["test_accuracy"]) for r in rows)
     summary = {
         "run": str(run_dir),
         "mode": last["mode"],
         "pattern": last["pattern"],
-        "rounds": int(last["round"]),
-        "final_accuracy": float(last["test_accuracy"]),
-        "best_accuracy": best,
+        "rounds": last["round"],
+        "final_accuracy": last["test_accuracy"],
+        "best_accuracy": max(r["test_accuracy"] for r in rows),
     }
     ledger_path = metrics_path.parent / "ledger.csv"
     if ledger_path.exists():
-        entries = _read_columns(ledger_path, ("uplink_models", "uplink_bytes"))
-        summary["total_uplink_models"] = sum(int(e["uplink_models"]) for e in entries)
-        summary["total_uplink_bytes"] = sum(int(e["uplink_bytes"]) for e in entries)
+        entries = _read_columns(ledger_path, {"uplink_models": int, "uplink_bytes": int})
+        summary["total_uplink_models"] = sum(e["uplink_models"] for e in entries)
+        summary["total_uplink_bytes"] = sum(e["uplink_bytes"] for e in entries)
     return summary

@@ -22,6 +22,14 @@ input is put back in (C, H, W) order, so parameter shapes and the checkpoint
 layout stay channels-first.  Max-pool runs before ReLU, with which it
 commutes.  When cells of a pooling tile tie, the first in row-major order
 takes the whole gradient.
+
+The im2col patch matrix ``cols`` is the transpose view of a tap-major buffer,
+(Cin, KH, KW, B, OH, OW), filled with one slice copy per kernel tap, each
+moving whole output rows.  Its columns stay in ``w``'s (Cin, KH, KW) order:
+a GEMM's rounding depends on the order in which it sums, and in this order
+every GEMM gives the same bits as over a row-major patch matrix, so the
+pinned digests hold.  The input gradient needs no patch-sized matrix: it is
+one small GEMM per tap, added in (i, j) order.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 ARCHITECTURES = ("cnn", "mlp")
 
@@ -133,15 +140,25 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Valid convolution via im2col on a channels-last batch.
 
     x: (B,H,W,Cin), w: (Cout,Cin,KH,KW).  Returns (out, cols): out is
-    (B,OH,OW,Cout), and cols, the (B*OH*OW, Cin*KH*KW) patch matrix with its
-    columns in ``w``'s (Cin,KH,KW) order, is kept for the backward pass.  The
-    GEMM output rows are already channels-last, so nothing is transposed.
+    (B,OH,OW,Cout), and cols, the (B*OH*OW, Cin*KH*KW) patch matrix kept for
+    the backward pass, is the transpose view of a tap-major (Cin,KH,KW,B,OH,OW)
+    buffer.  Its columns keep ``w``'s (Cin,KH,KW) order, so the GEMM sums in
+    the order of a row-major patch matrix.  The GEMM output rows are already
+    channels-last, so nothing is transposed.
     """
     bsz, h, wid, cin = x.shape
     cout, _, kh, kw = w.shape
     oh, ow = h - kh + 1, wid - kw + 1
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B,OH,OW,Cin,KH,KW)
-    cols = windows.reshape(bsz * oh * ow, cin * kh * kw)
+    m = bsz * oh * ow
+    # rows padded by 16 floats: when a row of m floats is a multiple of 4 KiB
+    # (batch 512, for one), the GEMM's reads down the rows alias in cache
+    taps = np.empty((cin * kh * kw, m + 16), dtype=x.dtype)[:, :m]
+    taps6 = taps.reshape(cin, kh, kw, bsz, oh, ow)
+    x_cf = x.transpose(3, 0, 1, 2)  # (Cin,B,H,W) view
+    for i in range(kh):
+        for j in range(kw):
+            taps6[:, i, j] = x_cf[:, :, i:i + oh, j:j + ow]
+    cols = taps.T
     out = cols @ w.reshape(cout, -1).T + b
     return out.reshape(bsz, oh, ow, cout), cols
 
@@ -150,6 +167,9 @@ def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=
     """Gradients (dw, db, dx) of :func:`_conv2d`; dout and dx are channels-last.
 
     dx, the input gradient of shape ``x_shape``, is None without ``x_shape``.
+    It is built from one (B*OH*OW, Cout) x (Cout, Cin) GEMM per kernel tap,
+    ``dmat @ w[:, :, i, j]``, each added into its shifted window of dx in
+    (i, j) order.
     """
     bsz, oh, ow, cout = dout.shape
     _, cin, kh, kw = w.shape
@@ -158,11 +178,10 @@ def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=
     db = dmat.sum(axis=0)
     dx = None
     if x_shape is not None:
-        dcols = (dmat @ w.reshape(cout, -1)).reshape(bsz, oh, ow, cin, kh, kw)
         dx = np.zeros(x_shape, dtype=dout.dtype)
         for i in range(kh):
             for j in range(kw):
-                dx[:, i:i + oh, j:j + ow] += dcols[..., i, j]
+                dx[:, i:i + oh, j:j + ow] += (dmat @ w[:, :, i, j]).reshape(bsz, oh, ow, cin)
     return dw, db, dx
 
 

@@ -390,6 +390,21 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"data error: {out / name}: missing column(s) {missing}\n"
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("metrics.csv", "1,fl,-,abc", "test_accuracy is not a number: 'abc'"),
+        ("metrics.csv", "1,fl", "no pattern value"),
+        ("ledger.csv", "round,uplink_models,uplink_bytes\n1,10,abc",
+         "uplink_bytes is not an integer: 'abc'"),
+    ], ids=["metrics-not-a-number", "metrics-short-row", "ledger-not-an-integer"])
+    def test_report_malformed_row_is_exit_2(self, tmp_path, capsys, name, text, message):
+        metrics = "round,mode,pattern,test_accuracy\n1,fl,-,0.5\n"
+        (tmp_path / "metrics.csv").write_text(metrics + (text if name == "metrics.csv" else ""))
+        if name == "ledger.csv":
+            (tmp_path / name).write_text(f"{text}\n")
+        assert cli.main(["report", str(tmp_path)]) == 2
+        line = 3 if name == "metrics.csv" else 2
+        assert capsys.readouterr().err == f"data error: {tmp_path / name}: line {line}: {message}\n"
+
     def test_report(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c3")
         out = tmp_path / "out"

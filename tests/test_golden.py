@@ -5,6 +5,11 @@ single-label clients of 20 examples.  The pinned values are blake2b digests
 of ``model_final.sfl1``, of ``metrics.csv`` without its wall-clock
 ``elapsed_ms`` column, and of ``ledger.csv``.
 
+The runs reach CNN batches 10 and 50 only, so the CNN kernels are also pinned
+at the batch sizes perfbench runs: the loss and every gradient of one
+``loss_and_grads`` step at batch 1, 20 and 200, and the logits of one
+batch-512 ``forward``, on fixed-seed images.
+
 The runs happen in one child process with the BLAS thread variables set to 1
 before numpy is imported: OpenBLAS splits a GEMM differently at another
 thread count, and the rounding then differs (``cl-mlp`` changes with two
@@ -68,6 +73,14 @@ GOLDEN = {
                             "c1dc0bf0b2fa476a25939a133896e989"),
 }
 
+# CNN kernel case -> digest of the loss and gradients, or of the logits
+KERNEL_GOLDEN = {
+    "cnn-loss_and_grads-b1": "c646002ebc62a86e8f44c0be6ec0cd52",
+    "cnn-loss_and_grads-b20": "f0ab22ab58f5f4857950ca4d79d3b541",
+    "cnn-loss_and_grads-b200": "aae3959e4a90981d416cc08b6fcee2f9",
+    "cnn-forward-b512": "72d832c14d4643a88c3958aa9efc467e",
+}
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,6 +107,20 @@ def run_digests(case: str, out: Path) -> list[str]:
             _digest((out / "ledger.csv").read_bytes())]
 
 
+def kernel_digest(case: str) -> str:
+    import numpy as np
+    from semifl import nn
+    kind, batch = case.rsplit("-b", 1)
+    rng = np.random.default_rng(int(batch))
+    images = rng.random((int(batch), 1, 28, 28), dtype=np.float32)
+    model = nn.init_cnn(3)
+    if kind == "cnn-forward":
+        return _digest(nn.forward(model, images).tobytes())
+    loss, grads = nn.loss_and_grads(model, images, rng.integers(0, 10, int(batch)))
+    return _digest(b"".join([np.float64(loss).tobytes()] + [
+        a.tobytes() for lp in grads.layers for a in (lp.weights, lp.bias)]))
+
+
 @pytest.fixture(scope="module")
 def digests():
     env = {**os.environ, **{v: "1" for v in THREAD_VARS},
@@ -110,6 +137,12 @@ def test_golden_digests(case, digests):
     assert tuple(digests[case]) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(KERNEL_GOLDEN))
+def test_kernel_digests(case, digests):
+    assert digests[case] == KERNEL_GOLDEN[case]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps({name: run_digests(name, Path(tmp) / name) for name in CASES}))
+        print(json.dumps({**{name: run_digests(name, Path(tmp) / name) for name in CASES},
+                          **{case: kernel_digest(case) for case in KERNEL_GOLDEN}}))

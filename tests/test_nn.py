@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from semifl import nn
 from conftest import models_equal
@@ -215,6 +216,45 @@ class TestGradCheck:
         x = rng.random((6, 12)).astype(np.float32)
         y = rng.integers(0, 10, 6)
         assert nn.grad_check(m, x, y) < 1e-4
+
+
+def reference_im2col(x, kh, kw):
+    """Row-major patch matrix of a channels-last batch, columns in (Cin,KH,KW) order."""
+    bsz, h, wid, cin = x.shape
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B,OH,OW,Cin,KH,KW)
+    return windows.reshape(bsz * (h - kh + 1) * (wid - kw + 1), cin * kh * kw)
+
+
+def reference_col2im_dx(dout, w, x_shape):
+    """Input gradient via one (B*OH*OW, Cin*KH*KW) GEMM and a shifted add per tap."""
+    bsz, oh, ow, cout = dout.shape
+    _, cin, kh, kw = w.shape
+    dcols = (dout.reshape(-1, cout) @ w.reshape(cout, -1)).reshape(bsz, oh, ow, cin, kh, kw)
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, i:i + oh, j:j + ow] += dcols[..., i, j]
+    return dx
+
+
+class TestConvKernels:
+    """The tap-major im2col and the per-tap dx against the row-major reference, bit for bit."""
+
+    @pytest.mark.parametrize("bsz", [3, 200])
+    def test_cols_and_dx_equal_the_reference(self, bsz):
+        rng = np.random.default_rng(bsz)
+        x = rng.standard_normal((bsz, 12, 12, 10)).astype(np.float32)
+        w = rng.standard_normal((20, 10, 5, 5)).astype(np.float32)
+        b = rng.standard_normal(20).astype(np.float32)
+        out, cols = nn._conv2d(x, w, b)
+        ref_cols = reference_im2col(x, 5, 5)
+        assert np.array_equal(cols, ref_cols)
+        assert np.array_equal(out.reshape(-1, 20), ref_cols @ w.reshape(20, -1).T + b)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dw, db, dx = nn._conv2d_backward(dout, cols, w, x.shape)
+        assert np.array_equal(dx, reference_col2im_dx(dout, w, x.shape))
+        assert np.array_equal(dw.reshape(20, -1), dout.reshape(-1, 20).T @ ref_cols)
+        assert np.array_equal(db, dout.reshape(-1, 20).sum(axis=0))
 
 
 class TestMaxPool:
