@@ -20,6 +20,7 @@ from .errors import DataError
 IDX_IMAGES_MAGIC = 0x803
 IDX_LABELS_MAGIC = 0x801
 NUM_CLASSES = 10  # the models' output width
+_SYNTH_CHUNK = 64  # synthetic examples generated per batch of draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,19 +113,20 @@ def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:28, 0:28].astype(np.float64)
     images = np.empty((classes * per_class, 1, 28, 28), dtype=np.float32)
-    labels = np.empty(classes * per_class, dtype=np.int64)
-    k = 0
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     for c in range(classes):
         angle = 2.0 * np.pi * c / 10.0  # ten fixed anchor angles
         cy, cx = 14.0 + 8.0 * np.sin(angle), 14.0 + 8.0 * np.cos(angle)
-        for _ in range(per_class):
-            jy, jx = rng.normal(0.0, 0.8, size=2)
+        for k in range(c * per_class, (c + 1) * per_class, _SYNTH_CHUNK):
+            n = min(_SYNTH_CHUNK, (c + 1) * per_class - k)
+            # normal(0, s) is s times a standard normal draw, so row i holds example
+            # i's 2 jitter and 784 noise draws in the stream order of one call each
+            z = rng.normal(0.0, 1.0, size=(n, 2 + 28 * 28))
+            jy, jx = (0.8 * z[:, :2]).T[:, :, None, None]
             d2 = (yy - cy - jy) ** 2 + (xx - cx - jx) ** 2
             img = 0.9 * np.exp(-d2 / (2.0 * 2.2 ** 2))
-            img += rng.normal(0.0, 0.05, size=(28, 28))
-            images[k, 0] = np.clip(img, 0.0, 1.0)
-            labels[k] = c
-            k += 1
+            img += 0.05 * z[:, 2:].reshape(n, 28, 28)
+            images[k:k + n, 0] = np.clip(img, 0.0, 1.0)
     return LabeledSet(images, labels)
 
 

@@ -30,16 +30,31 @@ a GEMM's rounding depends on the order in which it sums, and in this order
 every GEMM gives the same bits as over a row-major patch matrix, so the
 pinned digests hold.  The input gradient needs no patch-sized matrix: it is
 one small GEMM per tap, added in (i, j) order.
+
+Each conv layer fills one tap-major buffer per thread, kept between calls
+and replaced only when the batch shape or dtype changes: with a fresh
+MB-sized buffer per call, glibc can hand it back to the OS and fault it in
+again on every step.  The slice copies write every element of the buffer
+before the GEMM reads it, so no value carries over from one call to the next.
+
+:func:`forward`, which keeps no backward cache, runs the conv stack over
+chunks of :data:`CONV_CHUNK` images and the head once over the whole batch,
+so a 512-image evaluation batch holds only chunk-sized patch buffers and
+activations.  This gives the same bits as one pass because, on the pinned
+numpy/OpenBLAS build, both conv GEMMs give a row the same bits whatever the
+number of rows.  The fc GEMMs do not, so the head is never chunked.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 ARCHITECTURES = ("cnn", "mlp")
+CONV_CHUNK = 64  # images per conv-stack pass in forward-only evaluation
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +151,24 @@ def _relu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z * mask, mask
 
 
+# Per-thread im2col buffers, keyed by their row count Cin*KH*KW (one per conv
+# layer).  Each thread gets its own, so concurrent callers never share one.
+_scratch = threading.local()
+
+
+def _taps_buffer(rows: int, m: int, dtype) -> np.ndarray:
+    """This thread's (rows, m) tap-major buffer, reused while its shape and dtype hold.
+
+    Its rows are padded by 16 floats: when a row of m floats is a multiple of
+    4 KiB (batch 512, for one), the GEMM's reads down the rows alias in cache.
+    """
+    slots = _scratch.__dict__.setdefault("taps", {})
+    buf = slots.get(rows)
+    if buf is None or buf.shape[1] != m + 16 or buf.dtype != dtype:
+        buf = slots[rows] = np.empty((rows, m + 16), dtype=dtype)
+    return buf[:, :m]
+
+
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Valid convolution via im2col on a channels-last batch.
 
@@ -144,22 +177,22 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     the backward pass, is the transpose view of a tap-major (Cin,KH,KW,B,OH,OW)
     buffer.  Its columns keep ``w``'s (Cin,KH,KW) order, so the GEMM sums in
     the order of a row-major patch matrix.  The GEMM output rows are already
-    channels-last, so nothing is transposed.
+    channels-last, so nothing is transposed.  The buffer is this thread's
+    :func:`_taps_buffer`: cols is valid until the next same-layer call.
     """
     bsz, h, wid, cin = x.shape
     cout, _, kh, kw = w.shape
     oh, ow = h - kh + 1, wid - kw + 1
     m = bsz * oh * ow
-    # rows padded by 16 floats: when a row of m floats is a multiple of 4 KiB
-    # (batch 512, for one), the GEMM's reads down the rows alias in cache
-    taps = np.empty((cin * kh * kw, m + 16), dtype=x.dtype)[:, :m]
+    taps = _taps_buffer(cin * kh * kw, m, x.dtype)
     taps6 = taps.reshape(cin, kh, kw, bsz, oh, ow)
     x_cf = x.transpose(3, 0, 1, 2)  # (Cin,B,H,W) view
     for i in range(kh):
         for j in range(kw):
             taps6[:, i, j] = x_cf[:, :, i:i + oh, j:j + ow]
     cols = taps.T
-    out = cols @ w.reshape(cout, -1).T + b
+    out = cols @ w.reshape(cout, -1).T
+    out += b
     return out.reshape(bsz, oh, ow, cout), cols
 
 
@@ -272,6 +305,16 @@ def _conv_backward(model: ModelParams, dflat: np.ndarray, cache) -> list:
     return [(dw1, db1), (dw2, db2)]
 
 
+def _head(model: ModelParams, x: np.ndarray):
+    """The shared fc / ReLU / fc head on features x: (logits, hidden activations, ReLU mask)."""
+    hidden, out = model.layers[-2:]
+    if x.ndim != 2 or x.shape[1] != hidden.weights.shape[1]:
+        raise ValueError(f"{model.arch} expects {hidden.weights.shape[1]} features at "
+                         f"{hidden.name}, got shape {x.shape}")
+    a, m = _relu(x @ hidden.weights.T + hidden.bias)
+    return a @ out.weights.T + out.bias, a, m
+
+
 def _forward_cached(model: ModelParams, x: np.ndarray):
     """Forward pass returning (logits, cache-for-backward).
 
@@ -281,20 +324,24 @@ def _forward_cached(model: ModelParams, x: np.ndarray):
     conv_cache = None
     if model.arch == "cnn":
         x, conv_cache = _conv_forward(model, x)
-    hidden, out = model.layers[-2:]
-    if x.ndim != 2 or x.shape[1] != hidden.weights.shape[1]:
-        raise ValueError(f"{model.arch} expects {hidden.weights.shape[1]} features at "
-                         f"{hidden.name}, got shape {x.shape}")
-    a, m = _relu(x @ hidden.weights.T + hidden.bias)
-    logits = a @ out.weights.T + out.bias
+    logits, a, m = _head(model, x)
     return logits, (conv_cache, x, a, m)
 
 
 def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Compute class logits, shape (B, 10)."""
+    """Compute class logits, shape (B, 10).
+
+    With no backward to feed, the cnn's conv stack runs over chunks of
+    :data:`CONV_CHUNK` images, dropping each chunk's cache, so its patch
+    buffers are chunk-sized; the head then runs once over all the features.
+    The logits equal :func:`_forward_cached`'s bit for bit: a conv GEMM row's
+    bits do not depend on the row count, but an fc GEMM row's can.
+    """
     x = _as_model_input(model, inputs)
-    logits, _ = _forward_cached(model, x)
-    return logits
+    if model.arch == "cnn":
+        x = np.concatenate([_conv_forward(model, x[s:s + CONV_CHUNK])[0]
+                            for s in range(0, x.shape[0], CONV_CHUNK)])
+    return _head(model, x)[0]
 
 
 def loss_and_grads(model: ModelParams, inputs: np.ndarray,
@@ -344,8 +391,13 @@ def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     check_aligned(model, grads)
     if lr == 0:
         return model
+
+    def step(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        t = lr * g  # numpy's own order for w - lr * g, one temporary fewer
+        return np.subtract(w, t, out=t)
+
     layers = tuple(
-        LayerParams(lp.name, lp.weights - lr * gp.weights, lp.bias - lr * gp.bias)
+        LayerParams(lp.name, step(lp.weights, gp.weights), step(lp.bias, gp.bias))
         for lp, gp in zip(model.layers, grads.layers)
     )
     return ModelParams(model.arch, layers)

@@ -96,7 +96,37 @@ class TestLoadIdx:
             data.load_idx("/nonexistent/images.idx", idx_pair[1])
 
 
+def reference_synthetic(classes, per_class, seed):
+    """The generator as one loop per example: two jitter draws, then the noise."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:28, 0:28].astype(np.float64)
+    images = np.empty((classes * per_class, 1, 28, 28), dtype=np.float32)
+    labels = np.empty(classes * per_class, dtype=np.int64)
+    k = 0
+    for c in range(classes):
+        angle = 2.0 * np.pi * c / 10.0
+        cy, cx = 14.0 + 8.0 * np.sin(angle), 14.0 + 8.0 * np.cos(angle)
+        for _ in range(per_class):
+            jy, jx = rng.normal(0.0, 0.8, size=2)
+            d2 = (yy - cy - jy) ** 2 + (xx - cx - jx) ** 2
+            img = 0.9 * np.exp(-d2 / (2.0 * 2.2 ** 2))
+            img += rng.normal(0.0, 0.05, size=(28, 28))
+            images[k, 0] = np.clip(img, 0.0, 1.0)
+            labels[k] = c
+            k += 1
+    return images, labels
+
+
 class TestSynthetic:
+    # per_class 1, below, at and above the 64-example chunk, and 3 or 7 classes
+    @pytest.mark.parametrize("classes, per_class, seed", [
+        (10, 1, 0), (3, 63, 2), (10, 64, 3), (7, 65, 4), (4, 200, 5), (10, 130, 6)])
+    def test_equals_the_per_example_loop_byte_for_byte(self, classes, per_class, seed):
+        ds = data.generate_synthetic(classes, per_class, seed)
+        images, labels = reference_synthetic(classes, per_class, seed)
+        assert ds.images.dtype == images.dtype and ds.images.tobytes() == images.tobytes()
+        assert ds.labels.dtype == labels.dtype and ds.labels.tobytes() == labels.tobytes()
+
     def test_deterministic(self):
         a = data.generate_synthetic(4, 6, seed=3)
         b = data.generate_synthetic(4, 6, seed=3)

@@ -1,5 +1,8 @@
 """Engine tests: init, forward (against a naive reference), backprop, SGD."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -255,6 +258,74 @@ class TestConvKernels:
         assert np.array_equal(dx, reference_col2im_dx(dout, w, x.shape))
         assert np.array_equal(dw.reshape(20, -1), dout.reshape(-1, 20).T @ ref_cols)
         assert np.array_equal(db, dout.reshape(-1, 20).sum(axis=0))
+
+
+def run_in_thread(fn):
+    """fn() in a new thread, which starts with no conv buffers; returns its result."""
+    result = []
+    t = threading.Thread(target=lambda: result.append(fn()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and result, "worker thread did not finish"
+    return result[0]
+
+
+def traced_peak_mb(fn, warm_up=False):
+    """Peak traced allocation of fn(), in MB, measured in a new thread.
+
+    With ``warm_up`` fn runs once before tracing starts, so buffers it keeps
+    between calls are not counted.
+    """
+    def measure():
+        if warm_up:
+            fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    return run_in_thread(measure)
+
+
+class TestConvMemory:
+    """Chunked forward-only evaluation and reused im2col buffers, at the same bits."""
+
+    @pytest.mark.parametrize("bsz", [1, nn.CONV_CHUNK - 1, nn.CONV_CHUNK,
+                                     nn.CONV_CHUNK + 1, 200, 512, 800])
+    def test_chunked_forward_equals_one_pass(self, bsz):
+        # holds because a conv GEMM row's bits do not depend on the row count
+        m = nn.init_cnn(bsz)
+        x = np.random.default_rng(bsz).random((bsz, 1, 28, 28), dtype=np.float32)
+        assert nn.forward(m, x).tobytes() == nn._forward_cached(m, x)[0].tobytes()
+
+    def test_forward_512_peak(self):
+        # one pass over 512 images peaked at 82 MB; a new thread allocates its buffers
+        m = nn.init_cnn(0)
+        x = np.random.default_rng(0).random((512, 1, 28, 28), dtype=np.float32)
+        assert traced_peak_mb(lambda: nn.forward(m, x)) < 16
+
+    def test_repeated_batch_200_step_peak(self):
+        # fresh im2col buffers in every step peaked at 39.6 MB
+        m = nn.init_cnn(1)
+        rng = np.random.default_rng(1)
+        x = rng.random((200, 1, 28, 28), dtype=np.float32)
+        y = rng.integers(0, 10, 200)
+        assert traced_peak_mb(lambda: nn.loss_and_grads(m, x, y), warm_up=True) < 20
+
+    def test_buffers_are_reused_per_thread(self):
+        rng = np.random.default_rng(2)
+        x1, x2 = rng.standard_normal((2, 3, 12, 12, 10)).astype(np.float32)
+        w = rng.standard_normal((20, 10, 5, 5)).astype(np.float32)
+        b = np.zeros(20, dtype=np.float32)
+        cols1 = nn._conv2d(x1, w, b)[1]
+        kept = cols1.copy()
+        other = run_in_thread(lambda: nn._conv2d(x2, w, b)[1])
+        assert not np.shares_memory(cols1, other)
+        assert np.array_equal(cols1, kept)  # the other thread wrote its own buffer
+        cols2 = nn._conv2d(x2, w, b)[1]
+        assert np.shares_memory(cols1, cols2)  # this thread's buffer, refilled
+        assert np.array_equal(cols2, other)
 
 
 class TestMaxPool:
