@@ -4,16 +4,19 @@
 directory and produces:
 
 * ``config.resolved`` -- the full configuration echoed back (re-parseable)
-* ``env.json``        -- Python, numpy and BLAS versions and the BLAS thread
-  variables (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``)
+* ``env.json``        -- Python, numpy and BLAS versions, the OpenBLAS kernel
+  (``blas_core``) and ``OPENBLAS_CORETYPE``, and the BLAS thread variables
+  (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``)
 * ``metrics.csv``     -- one row per evaluation round
 * ``ledger.csv``      -- per-round communication accounting, appended per round
 * ``model_final.sfl1`` (and optional periodic checkpoints)
 
 Two runs with the same configuration produce identical outputs apart from
-the ``elapsed_ms`` column, provided they use the same numpy and BLAS build at
-the same BLAS thread count (all recorded in ``env.json``): BLAS splits a GEMM
-differently at another thread count, and the rounding then differs.
+the ``elapsed_ms`` column, provided they use the same numpy and BLAS build,
+the same BLAS kernel and the same BLAS thread count (all recorded in
+``env.json``): BLAS splits a GEMM differently at another thread count, and
+each kernel rounds its own way.  The pinned digests and the "same bits"
+claims of :mod:`semifl.nn` hold on the SkylakeX kernel.
 """
 
 from __future__ import annotations
@@ -116,16 +119,34 @@ def build_assignment(cfg: ExperimentConfig, clients) -> clustering.Clusters:
 
 
 def _environment() -> dict:
-    """The software a run's bits depend on: versions, BLAS build and thread variables."""
+    """The software a run's bits depend on: versions, BLAS build and kernel,
+    and the BLAS thread variables.
+
+    A ``DYNAMIC_ARCH`` OpenBLAS picks its kernel (``blas_core``) from the CPU
+    at run time, so it can differ from the build string;
+    ``OPENBLAS_CORETYPE`` overrides the choice.
+    """
+    import ctypes  # here, not at module level, as json is in run_experiment
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 prints instead of returning
         blas = {}
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__) \
+            .scipy_openblas_get_corename64_
+    except (AttributeError, OSError):  # numpy < 2, or a BLAS other than scipy-openblas
+        core = None
+    else:
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "blas_core": core,
+        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
         "threads": {v: os.environ.get(v) for v in _THREAD_VARS},
     }
 

@@ -15,15 +15,17 @@ chains they train and in what happens to the heads:
 :func:`plan_rounds` holds that per-mode knowledge; :func:`run_round` is the
 engine.  Every random draw is keyed by (master_seed, purpose, round, id)
 through ``SeedSequence``, so a client's training stream depends only on who
-it is and which round it is -- not on scheduling order.  Aggregation folds
-models in ascending index order and accumulates in float64, so averaging N
-copies of the same model reproduces it bit for bit.
+it is and which round it is -- not on scheduling order.  The server folds
+each upload into float64 layer sums as it arrives, in ascending chain order,
+so a round holds one head at a time, and averaging N copies of the same model
+reproduces it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +99,22 @@ def plan_rounds(cfg: ExperimentConfig, clients: list[LabeledSet],
     return RoundPlan(chains=chains, kind=_KIND_TRAIN, sample=0, server=True, **common)
 
 
+class _Uploads:
+    """The heads of a round's chains in chain order, each trained only when
+    iteration reaches it.  It has a length, so the server knows how many
+    uploads to expect; iterating it again trains the chains again."""
+
+    def __init__(self, chains: Sequence[Chain], train: Callable[[int, Chain], ModelParams]):
+        self.chains, self.train = chains, train
+
+    def __len__(self) -> int:
+        return len(self.chains)
+
+    def __iter__(self) -> Iterator[ModelParams]:
+        for ci, chain in enumerate(self.chains):
+            yield self.train(ci, chain)
+
+
 def run_round(model: ModelParams, plan: RoundPlan,
               round_idx: int) -> tuple[ModelParams, RoundRecord]:
     """Train every chain of the round from ``model`` and combine the heads.
@@ -112,8 +130,9 @@ def run_round(model: ModelParams, plan: RoundPlan,
         picks = np.sort(sampler.choice(len(chains), size=plan.sample, replace=False))
         chains = [chains[i] for i in picks]
 
-    heads, losses = [], []
-    for ci, chain in enumerate(chains):
+    losses = []
+
+    def train_chain(ci: int, chain: Chain) -> ModelParams:
         head = model
         for ident, examples in chain:
             head, loss = train_local_with_loss(
@@ -126,9 +145,11 @@ def run_round(model: ModelParams, plan: RoundPlan,
                     f"round {round_idx}, chain {ci}, {who}: training loss is {loss}; "
                     f"training diverged (try a lower learning_rate)")
             losses.append(loss)
-        heads.append(head)
+        return head
 
-    new_model = aggregate_mean(heads) if plan.server else heads[0]
+    # the server folds each head in as it is uploaded; cl's one head is the model
+    new_model = (aggregate_mean(_Uploads(chains, train_chain)) if plan.server
+                 else train_chain(0, chains[0]))
     for lp in new_model.layers:
         if not (np.isfinite(lp.weights).all() and np.isfinite(lp.bias).all()):
             raise FloatingPointError(
@@ -136,34 +157,37 @@ def run_round(model: ModelParams, plan: RoundPlan,
                 f"training diverged (try a lower learning_rate)")
     rec = RoundRecord(
         round=round_idx, train_loss=float(np.mean(losses)),
-        uplink_models=len(heads) if plan.server else 0,
+        uplink_models=len(chains) if plan.server else 0,
         elapsed_ms=int((time.perf_counter() - t0) * 1000))
     return new_model, rec
 
 
-def aggregate_mean(models: list[ModelParams]) -> ModelParams:
-    """Unweighted layer-wise mean, folding in ascending list order.
+def aggregate_mean(models: Iterable[ModelParams]) -> ModelParams:
+    """Unweighted layer-wise mean, folding the models in iteration order.
 
-    Sums are accumulated in float64 and cast back to the input dtype, so the
-    mean of N identical models is bit-identical to the input.
+    Each model is added into float64 layer sums as it is drawn, so a lazy
+    iterable is never held whole.  The sums are cast back to the first
+    model's dtype, so the mean of N identical models is bit-identical to the
+    input.
     """
-    if not models:
-        raise ValueError("cannot aggregate an empty model list")
-    first = models[0]
-    out_dtype = first.dtype
-    sums = [(np.zeros_like(lp.weights, dtype=np.float64),
-             np.zeros_like(lp.bias, dtype=np.float64)) for lp in first.layers]
+    sums, n = None, 0
     for m in models:
-        check_aligned(first, m)
-        for (ws, bs), lp in zip(sums, m.layers):
-            ws += lp.weights
-            bs += lp.bias
-    n = len(models)
-    layers = tuple(
-        LayerParams(lp.name, (ws / n).astype(out_dtype), (bs / n).astype(out_dtype))
-        for (ws, bs), lp in zip(sums, first.layers)
-    )
-    return ModelParams(first.arch, layers)
+        if sums is None:
+            out_dtype = m.dtype
+            sums = ModelParams(m.arch, tuple(
+                LayerParams(lp.name, np.zeros_like(lp.weights, dtype=np.float64),
+                            np.zeros_like(lp.bias, dtype=np.float64))
+                for lp in m.layers))
+        check_aligned(sums, m)
+        for s, lp in zip(sums.layers, m.layers):
+            np.add(s.weights, lp.weights, out=s.weights)
+            np.add(s.bias, lp.bias, out=s.bias)
+        n += 1
+    if sums is None:
+        raise ValueError("cannot aggregate an empty model list")
+    return ModelParams(sums.arch, tuple(
+        LayerParams(s.name, (s.weights / n).astype(out_dtype), (s.bias / n).astype(out_dtype))
+        for s in sums.layers))
 
 
 def pool_clients(clients: list[LabeledSet]) -> LabeledSet:

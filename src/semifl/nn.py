@@ -26,10 +26,10 @@ takes the whole gradient.
 The im2col patch matrix ``cols`` is the transpose view of a tap-major buffer,
 (Cin, KH, KW, B, OH, OW), filled with one slice copy per kernel tap, each
 moving whole output rows.  Its columns stay in ``w``'s (Cin, KH, KW) order:
-a GEMM's rounding depends on the order in which it sums, and in this order
-every GEMM gives the same bits as over a row-major patch matrix, so the
-pinned digests hold.  The input gradient needs no patch-sized matrix: it is
-one small GEMM per tap, added in (i, j) order.
+a GEMM's rounding depends on the order in which it sums, and in this order,
+on the SkylakeX kernel, every GEMM gives the same bits as over a row-major
+patch matrix, so the pinned digests hold.  The input gradient needs no
+patch-sized matrix: it is one small GEMM per tap, added in (i, j) order.
 
 Each conv layer fills one tap-major buffer per thread, kept between calls
 and replaced only when the batch shape or dtype changes: with a fresh
@@ -40,9 +40,10 @@ before the GEMM reads it, so no value carries over from one call to the next.
 :func:`forward`, which keeps no backward cache, runs the conv stack over
 chunks of :data:`CONV_CHUNK` images and the head once over the whole batch,
 so a 512-image evaluation batch holds only chunk-sized patch buffers and
-activations.  This gives the same bits as one pass because, on the pinned
-numpy/OpenBLAS build, both conv GEMMs give a row the same bits whatever the
-number of rows.  The fc GEMMs do not, so the head is never chunked.
+activations.  This gives the same bits as one pass on the SkylakeX kernel
+of the pinned numpy/OpenBLAS build, where both conv GEMMs give a row the same
+bits whatever the number of rows; the AVX2 kernels (Haswell, Zen) do not.
+The fc GEMMs do not, so the head is never chunked.
 """
 
 from __future__ import annotations
@@ -334,8 +335,9 @@ def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     With no backward to feed, the cnn's conv stack runs over chunks of
     :data:`CONV_CHUNK` images, dropping each chunk's cache, so its patch
     buffers are chunk-sized; the head then runs once over all the features.
-    The logits equal :func:`_forward_cached`'s bit for bit: a conv GEMM row's
-    bits do not depend on the row count, but an fc GEMM row's can.
+    On the SkylakeX kernel the logits equal :func:`_forward_cached`'s bit for
+    bit: there a conv GEMM row's bits do not depend on the row count, but an
+    fc GEMM row's can.
     """
     x = _as_model_input(model, inputs)
     if model.arch == "cnn":

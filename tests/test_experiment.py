@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,24 @@ class TestRunExperiment:
         assert env["threads"]["MKL_NUM_THREADS"] is None
         assert set(env["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                        "MKL_NUM_THREADS"}
+        assert {"blas_core", "OPENBLAS_CORETYPE"} <= set(env)
+
+    def test_env_json_records_the_blas_kernel(self, tmp_path):
+        # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so only a new process
+        # shows the override
+        experiment.run_experiment(tiny_cfg(rounds=1), tmp_path / "here")
+        if json.loads((tmp_path / "here" / "env.json").read_text())["blas_core"] is None:
+            pytest.skip("numpy's BLAS has no scipy-openblas core name")
+        cfg = write_cfg(tmp_path, rounds=1)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "semifl.cli", "train",
+                               "--config", str(cfg), "--out", str(tmp_path / "child")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads((tmp_path / "child" / "env.json").read_text())
+        assert (child["blas_core"], child["OPENBLAS_CORETYPE"]) == ("Haswell", "Haswell")
 
     def test_ledger_rows_every_round(self, tmp_path):
         out = tmp_path / "run"

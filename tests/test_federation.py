@@ -1,6 +1,7 @@
 """Round-engine tests: aggregation, sequential chains, sampling, baselines."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ class TestAggregateMean:
         with pytest.raises(ValueError, match="mismatch"):
             federation.aggregate_mean([nn.init_mlp(0), nn.init_mlp(0, hidden=32)])
 
+    def test_iterator_folds_to_the_same_bits(self):
+        models = [nn.init_mlp(s) for s in range(5)]
+        assert models_equal(federation.aggregate_mean(iter(models)),
+                            federation.aggregate_mean(models))
+
+    def test_empty_iterator(self):
+        with pytest.raises(ValueError, match="cannot aggregate an empty model list"):
+            federation.aggregate_mean(iter([]))
+
 
 class TestClusterChain:
     def test_chain_equals_primitive_composition(self, ten_clients):
@@ -156,6 +166,26 @@ class TestFedavgRound:
             federation.run_round(nn.init_mlp(0), p, t)
         assert all(len(picks) == 2 for picks in trained)
         assert len({tuple(picks) for picks in trained}) > 1
+
+    def test_round_holds_one_head_at_a_time(self, clients_100):
+        # the server folds each upload as it arrives: 100 MLP heads held at once
+        # would be ~20 MB; one head at a time, the round peaks near 1.2 MB
+        p = federation.plan_rounds(fed_cfg(mode="fl", local_epochs=1, local_batch=12),
+                                   clients_100)
+        m0 = nn.init_mlp(0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, rec = federation.run_round(m0, p, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert rec.uplink_models == 100
+        assert peak < 4_000_000, f"round peak {peak / 1e6:.1f} MB"
 
     def test_fraction_floor_one(self, ten_clients):
         p = plan(ten_clients, mode="fl", client_fraction=0.01)

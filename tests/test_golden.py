@@ -14,9 +14,12 @@ The runs happen in one child process with the BLAS thread variables set to 1
 before numpy is imported: OpenBLAS splits a GEMM differently at another
 thread count, and the rounding then differs (``cl-mlp`` changes with two
 threads).  The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
-(scipy-openblas, Haswell kernels) on CPython 3.11; another BLAS build may
-round differently.  A change that alters a digest on purpose must say why in
-CHANGES.md.
+(scipy-openblas) on its SkylakeX kernels, on CPython 3.11.  The build string
+says "Haswell", but this ``DYNAMIC_ARCH`` build picks its kernels from the
+CPU at run time (``blas_core`` in ``env.json``): on an AVX2-only CPU, or
+under ``OPENBLAS_CORETYPE=Haswell``, the digests differ.  Another BLAS build
+may round differently too.  A change that alters a digest on purpose must
+say why in CHANGES.md.
 
 Print the digests of the current code:
 ``PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tests/test_golden.py``
