@@ -101,8 +101,10 @@ def plan_rounds(cfg: ExperimentConfig, clients: list[LabeledSet],
 
 class _Uploads:
     """The heads of a round's chains in chain order, each trained only when
-    iteration reaches it.  It has a length, so the server knows how many
-    uploads to expect; iterating it again trains the chains again."""
+    iteration reaches it; iterating it again trains the chains again.
+    ``aggregate_mean`` counts the uploads itself as it folds them; only
+    perfbench's tracer reads the length (``_model_count``, the models per
+    aggregation)."""
 
     def __init__(self, chains: Sequence[Chain], train: Callable[[int, Chain], ModelParams]):
         self.chains, self.train = chains, train

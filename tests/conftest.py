@@ -53,14 +53,14 @@ def _mnist_dir() -> str | None:
 
 
 @pytest.fixture(scope="session")
-def mnist_sets():
-    """(train, test) LabeledSets, or skip when the IDX files are not available."""
+def mnist_dir():
+    """The MNIST IDX directory; skip when its files are missing or do not read."""
     root = _mnist_dir()
     if root is None:
         pytest.skip("MNIST IDX files not found; place them under ./data or "
                     "set SEMIFL_DATA_DIR")
-    cfg = ExperimentConfig(data_dir=root)
     try:
-        return experiment.load_mnist(cfg)
+        experiment.load_mnist(ExperimentConfig(data_dir=root))
     except DataError as exc:
         pytest.skip(f"MNIST unreadable: {exc}")
+    return root

@@ -6,6 +6,10 @@ Criteria 1, 2, and 6 run on synthetic data and always execute.  Criteria 3,
 files are not present; place them under ``./data`` or point SEMIFL_DATA_DIR
 at them.  Criterion 4 is additionally marked ``slow`` (hours of compute):
 ``pytest -m slow tests/test_acceptance.py`` opts in.
+
+Criteria 3, 4 and 5 train each run with ``run_experiment``, the driver behind
+``semifl train``, into a run directory under pytest's temporary directory
+(criterion 4 prints where).  The desk runs also go on a synthetic stand-in.
 """
 
 import time
@@ -15,9 +19,9 @@ import pytest
 
 from semifl import checkpoint, clustering, data, federation, metrics, nn
 from semifl.config import ExperimentConfig
+from semifl.experiment import run_experiment, summarize_run
 from conftest import models_equal, max_param_diff
 
-EPOCHS_DESK = 5
 DESK_SEEDS = (0, 1, 2)
 
 
@@ -160,42 +164,46 @@ def test_criterion_6_uplink_counts(clients_100):
 # ---------------------------------------------------------------------------
 # criteria 3 and 5: desk-scale MNIST runs (skipped when MNIST is absent)
 
+LOCAL = dict(local_epochs=5, local_batch=20, learning_rate=0.01, cl_batch=200)
+DESK_VARIANTS = {
+    "c1": dict(mode="semifl", pattern="c1"),
+    "c2": dict(mode="semifl", pattern="c2"),
+    "c3": dict(mode="semifl", pattern="c3"),
+    "fl100": dict(mode="fl", client_fraction=1.0),
+    "fl10": dict(mode="fl", client_fraction=0.1),
+    "cl": dict(mode="cl"),
+}
 
-def _train(arch, mode, seed, rounds, epochs, clients, assignment=None, fraction=1.0):
-    cfg = ExperimentConfig(mode=mode, arch=arch, local_epochs=epochs, local_batch=20,
-                           learning_rate=0.01, client_fraction=fraction, cl_batch=200,
-                           master_seed=seed)
-    plan = federation.plan_rounds(cfg, clients, assignment)
-    model = nn.init_model(arch, seed)
-    for t in range(1, rounds + 1):
-        model, _ = federation.run_round(model, plan, t)
-    return model
 
-
-def _desk_train(mode, seed, test, clients, assignment=None, fraction=1.0, rounds=30):
-    model = _train("mlp", mode, seed, rounds, EPOCHS_DESK, clients, assignment, fraction)
-    return model, metrics.evaluate_accuracy(model, test.images, test.labels)
+def desk_runs(dataset, data_dir, clients, per_client, rounds, out_root):
+    """{(seed, variant): (records, run dir)} of an MLP over the noniid partition,
+    per desk seed and variant, each run into ``out_root/seed<s>_<variant>``."""
+    results = {}
+    for seed in DESK_SEEDS:
+        for name, fields in DESK_VARIANTS.items():
+            cfg = ExperimentConfig(arch="mlp", dataset=dataset, data_dir=data_dir,
+                                   partition="noniid", clients=clients,
+                                   per_client=per_client, rounds=rounds, eval_every=rounds,
+                                   master_seed=seed, **LOCAL, **fields)
+            out = out_root / f"seed{seed}_{name}"
+            results[(seed, name)] = (run_experiment(cfg, out), out)
+    return results
 
 
 @pytest.fixture(scope="module")
-def desk_results(mnist_sets):
-    """Final model + accuracy for every desk-scale variant, per seed."""
-    train, test = mnist_sets
-    results = {}
-    for seed in DESK_SEEDS:
-        clients = data.partition_noniid_shards(train, 100, 100)
-        variants = {
-            "c1": ("semifl", dict(assignment=clustering.build_pattern("c1", clients))),
-            "c2": ("semifl", dict(assignment=clustering.build_pattern("c2", clients))),
-            "c3": ("semifl", dict(assignment=clustering.build_pattern("c3", clients))),
-            "fl100": ("fl", dict(fraction=1.0)),
-            "fl10": ("fl", dict(fraction=0.1)),
-            "cl": ("cl", {}),
-        }
-        for name, (mode, kw) in variants.items():
-            model, acc = _desk_train(mode, seed, test, clients, **kw)
-            results[(seed, name)] = (model, acc)
-    return results
+def desk_results(mnist_dir, tmp_path_factory):
+    return desk_runs("mnist", mnist_dir, 100, 100, 30, tmp_path_factory.mktemp("desk"))
+
+
+def test_desk_runs_on_synthetic_stand_in(tmp_path):
+    # structure only: the orderings of criteria 3 and 5 do not hold on this data
+    results = desk_runs("synthetic:10x20", "", 20, 10, 2, tmp_path)
+    assert sorted(results) == sorted((s, n) for s in DESK_SEEDS for n in DESK_VARIANTS)
+    uplinks = {"c1": 10, "c2": 10, "c3": 2, "fl100": 20, "fl10": 2, "cl": 0}
+    for (_, name), (records, out) in results.items():
+        assert [r.uplink_models for r in records] == [uplinks[name]] * 2
+        assert 0.0 <= summarize_run(out)["final_accuracy"] <= 1.0  # reads metrics.csv
+        checkpoint.load_checkpoint(out / "model_final.sfl1")
 
 
 def _majority(flags):
@@ -204,7 +212,7 @@ def _majority(flags):
 
 def test_criterion_3_desk_scale_ordering(desk_results):
     margin = 0.02
-    acc = {k: v[1] for k, v in desk_results.items()}
+    acc = {k: records[-1].test_accuracy for k, (records, _) in desk_results.items()}
     p1 = [acc[(s, "c3")] > acc[(s, "c2")] - margin for s in DESK_SEEDS]
     p2 = [acc[(s, "c2")] > acc[(s, "c1")] - margin for s in DESK_SEEDS]
     p3 = [acc[(s, "c3")] >= acc[(s, "fl100")] + 0.05 - margin for s in DESK_SEEDS]
@@ -219,14 +227,13 @@ def test_criterion_3_desk_scale_ordering(desk_results):
 
 def test_criterion_5_divergence_ordering(desk_results):
     rank = ("fl10", "fl100", "c1", "c2", "c3")
+    first = {k: checkpoint.load_checkpoint(out / "model_final.sfl1").layers[0].weights
+             for k, (_, out) in desk_results.items()}
     red_flags, acs_flags, details = [], [], []
     for s in DESK_SEEDS:
-        ref = desk_results[(s, "cl")][0].layers[0].weights
-        reds = {n: metrics.red(desk_results[(s, n)][0].layers[0].weights, ref)
-                for n in rank}
-        acss = {n: metrics.acs(
-                    metrics.fiber_view(desk_results[(s, n)][0].layers[0].weights),
-                    metrics.fiber_view(ref))
+        ref = first[(s, "cl")]
+        reds = {n: metrics.red(first[(s, n)], ref) for n in rank}
+        acss = {n: metrics.acs(metrics.fiber_view(first[(s, n)]), metrics.fiber_view(ref))
                 for n in rank}
         red_flags.append(all(reds[rank[i]] > reds[rank[i + 1]]
                              for i in range(len(rank) - 1)))
@@ -243,31 +250,29 @@ def test_criterion_5_divergence_ordering(desk_results):
 
 
 @pytest.mark.slow
-def test_criterion_4_full_scale(mnist_sets):
-    train, test = mnist_sets
-
-    def run(mode, clients, assignment=None, fraction=1.0):
-        model = _train("cnn", mode, 0, 200, 5, clients, assignment, fraction)
-        return metrics.evaluate_accuracy(model, test.images, test.labels)
-
+def test_criterion_4_full_scale(mnist_dir, tmp_path_factory):
+    out_root = tmp_path_factory.mktemp("criterion4")
     # 542/client is the largest single-label shard size that gives all ten
     # labels ten whole shards (the rarest label has 5421 training examples),
     # which the label patterns need; 600/client would leave only 94 shards.
-    noniid = data.partition_noniid_shards(train, 100, 542)
-    iid = data.partition_iid(train, 100, 600, seed=0)
-
-    acc = {
-        "c3": run("semifl", noniid,
-                  assignment=clustering.build_pattern("c3", noniid)),
-        "fl100": run("fl", noniid, fraction=1.0),
-        "fl10": run("fl", noniid, fraction=0.1),
-        "iid_fl100": run("fl", iid, fraction=1.0),
-        "iid_semifl": run("semifl", iid,
-                          assignment=clustering.build_pattern("c4", iid)),
+    noniid = dict(partition="noniid", per_client=542)
+    iid = dict(partition="iid", per_client=600)
+    variants = {
+        "c3": dict(mode="semifl", pattern="c3", **noniid),
+        "fl100": dict(mode="fl", client_fraction=1.0, **noniid),
+        "fl10": dict(mode="fl", client_fraction=0.1, **noniid),
+        "iid_fl100": dict(mode="fl", client_fraction=1.0, **iid),
+        "iid_semifl": dict(mode="semifl", pattern="c4", **iid),
     }
+    acc = {}
+    for name, fields in variants.items():
+        cfg = ExperimentConfig(arch="cnn", dataset="mnist", data_dir=mnist_dir, clients=100,
+                               rounds=200, master_seed=0, **LOCAL, **fields)
+        acc[name] = run_experiment(cfg, out_root / name)[-1].test_accuracy
     bands = {"c3": (0.98, 0.01), "fl100": (0.88, 0.03), "fl10": (0.80, 0.05),
              "iid_fl100": (0.94, 0.02), "iid_semifl": (0.98, 0.01)}
     checks = {name: abs(acc[name] - mid) <= tol for name, (mid, tol) in bands.items()}
     detail = ", ".join(f"{n}={acc[n]:.3f} (want {m}±{t})"
                        for n, (m, t) in bands.items())
-    report("criterion 4: full-scale accuracy bands", all(checks.values()), detail)
+    report("criterion 4: full-scale accuracy bands", all(checks.values()),
+           f"{detail}; runs in {out_root}")
