@@ -24,18 +24,30 @@ commutes.  When cells of a pooling tile tie, the first in row-major order
 takes the whole gradient.
 
 The im2col patch matrix ``cols`` is the transpose view of a tap-major buffer,
-(Cin, KH, KW, B, OH, OW), filled with one slice copy per kernel tap, each
-moving whole output rows.  Its columns stay in ``w``'s (Cin, KH, KW) order:
-a GEMM's rounding depends on the order in which it sums, and in this order,
-on the SkylakeX kernel, every GEMM gives the same bits as over a row-major
-patch matrix, so the pinned digests hold.  The input gradient needs no
-patch-sized matrix: it is one small GEMM per tap, added in (i, j) order.
+(Cin, KH, KW, B, OH, OW).  It is filled in two stages: for each kernel column
+j, one copy of the input's columns j..j+OW-1 into a (Cin, B, H, OW) shift
+buffer, then one copy per kernel row i of contiguous OH*OW blocks of it.  Its
+columns stay in ``w``'s (Cin, KH, KW) order: a GEMM's rounding depends on the
+order in which it sums, and in this order, on the SkylakeX kernel, the
+forward GEMM gives the same bits as over a row-major patch matrix.
 
-Each conv layer fills one tap-major buffer per thread, kept between calls
-and replaced only when the batch shape or dtype changes: with a fresh
-MB-sized buffer per call, glibc can hand it back to the OS and fault it in
-again on every step.  The slice copies write every element of the buffer
-before the GEMM reads it, so no value carries over from one call to the next.
+The backward reads the buffer along its rows: the weight gradient is the
+GEMM ``cols.T @ dmat`` over the row-major tap-major buffer, transposed to
+``w``'s shape, and the bias gradient the BLAS column sum ``ones @ dmat``.
+Both sum in another order than the earlier ``dmat.T @ cols`` and
+``dmat.sum(axis=0)`` (about twice and six times as fast), so the conv
+gradients, and the trained CNN parameters with them, changed bits on
+purpose; the forward bits did not.  The input gradient needs no patch-sized
+matrix: it is one small GEMM per tap, added in (i, j) order.
+
+Each conv layer keeps one tap-major and one shift buffer per thread, kept
+between calls and replaced only when the batch shape or dtype changes: with
+a fresh MB-sized buffer per call, glibc can hand it back to the OS and fault
+it in again on every step.  A replaced buffer is dropped before its successor
+is allocated, so the successor can take its place in the heap instead of
+leaving a hole beside it that later allocations grow the heap around.  The
+slice copies write every element of a buffer before anything reads it, so no
+value carries over from one call to the next.
 
 :func:`forward`, which keeps no backward cache, runs the conv stack over
 chunks of :data:`CONV_CHUNK` images and the head once over the whole batch,
@@ -152,9 +164,25 @@ def _relu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z * mask, mask
 
 
-# Per-thread im2col buffers, keyed by their row count Cin*KH*KW (one per conv
-# layer).  Each thread gets its own, so concurrent callers never share one.
+# Per-thread conv buffers: for each kind ("taps", "shift"), one per conv layer,
+# keyed by its row count Cin*KH*KW.  Each thread gets its own, so concurrent
+# callers never share one.
 _scratch = threading.local()
+
+
+def _thread_buffer(kind: str, rows: int, shape: tuple, dtype) -> np.ndarray:
+    """This thread's ``kind`` buffer for one conv layer, reused while its shape and dtype hold.
+
+    A buffer of another shape is dropped before its successor is allocated:
+    once the caller holds no view of it, the two never coexist and the
+    successor can take the freed space.
+    """
+    slots = _scratch.__dict__.setdefault(kind, {})
+    if rows in slots and (slots[rows].shape != shape or slots[rows].dtype != dtype):
+        del slots[rows]
+    if rows not in slots:
+        slots[rows] = np.empty(shape, dtype=dtype)
+    return slots[rows]
 
 
 def _taps_buffer(rows: int, m: int, dtype) -> np.ndarray:
@@ -163,11 +191,7 @@ def _taps_buffer(rows: int, m: int, dtype) -> np.ndarray:
     Its rows are padded by 16 floats: when a row of m floats is a multiple of
     4 KiB (batch 512, for one), the GEMM's reads down the rows alias in cache.
     """
-    slots = _scratch.__dict__.setdefault("taps", {})
-    buf = slots.get(rows)
-    if buf is None or buf.shape[1] != m + 16 or buf.dtype != dtype:
-        buf = slots[rows] = np.empty((rows, m + 16), dtype=dtype)
-    return buf[:, :m]
+    return _thread_buffer("taps", rows, (rows, m + 16), dtype)[:, :m]
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -180,17 +204,26 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     the order of a row-major patch matrix.  The GEMM output rows are already
     channels-last, so nothing is transposed.  The buffer is this thread's
     :func:`_taps_buffer`: cols is valid until the next same-layer call.
+
+    The fill runs in two stages.  For each kernel column j, the input columns
+    j..j+OW-1 are copied once into a (Cin,B,H,OW) shift buffer, which is
+    again one per layer and thread; each tap (i, j) then copies a contiguous
+    OH*OW block of every (Cin, B) plane of it.  The copies move the same
+    values as one slice copy per tap, so out and cols keep their bits.
     """
     bsz, h, wid, cin = x.shape
     cout, _, kh, kw = w.shape
     oh, ow = h - kh + 1, wid - kw + 1
     m = bsz * oh * ow
-    taps = _taps_buffer(cin * kh * kw, m, x.dtype)
+    rows = cin * kh * kw
+    taps = _taps_buffer(rows, m, x.dtype)
     taps6 = taps.reshape(cin, kh, kw, bsz, oh, ow)
+    shift = _thread_buffer("shift", rows, (cin, bsz, h, ow), x.dtype)
     x_cf = x.transpose(3, 0, 1, 2)  # (Cin,B,H,W) view
-    for i in range(kh):
-        for j in range(kw):
-            taps6[:, i, j] = x_cf[:, :, i:i + oh, j:j + ow]
+    for j in range(kw):
+        shift[...] = x_cf[:, :, :, j:j + ow]
+        for i in range(kh):
+            taps6[:, i, j] = shift[:, :, i:i + oh]
     cols = taps.T
     out = cols @ w.reshape(cout, -1).T
     out += b
@@ -200,6 +233,11 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=None):
     """Gradients (dw, db, dx) of :func:`_conv2d`; dout and dx are channels-last.
 
+    dw is one GEMM over the row-major tap-major buffer, ``cols.T @ dmat``,
+    transposed to ``w``'s shape, and db is the BLAS column sum
+    ``ones @ dmat``: both read their operands along rows.  They sum in
+    another order than ``dmat.T @ cols`` and ``dmat.sum(axis=0)`` would, so
+    their bits differ from those (and from the digests pinned before them).
     dx, the input gradient of shape ``x_shape``, is None without ``x_shape``.
     It is built from one (B*OH*OW, Cout) x (Cout, Cin) GEMM per kernel tap,
     ``dmat @ w[:, :, i, j]``, each added into its shifted window of dx in
@@ -208,8 +246,8 @@ def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=
     bsz, oh, ow, cout = dout.shape
     _, cin, kh, kw = w.shape
     dmat = dout.reshape(bsz * oh * ow, cout)
-    dw = (dmat.T @ cols).reshape(w.shape)
-    db = dmat.sum(axis=0)
+    dw = (cols.T @ dmat).T.reshape(w.shape)
+    db = np.ones(dmat.shape[0], dtype=dmat.dtype) @ dmat
     dx = None
     if x_shape is not None:
         dx = np.zeros(x_shape, dtype=dout.dtype)

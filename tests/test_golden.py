@@ -53,34 +53,34 @@ GOLDEN = {
     "semifl-mlp": ("0a9b65615e8c5557043d49df89d1bbc7",
                    "d1177b413df6526b15a331a87f3c311e",
                    "778df4f13b518118887eea8a79a4020d"),
-    "semifl-cnn": ("4dfd7f80b4239b5ebb1a8fdc2ea2e07f",
+    "semifl-cnn": ("ece845721498b4b60f0a43661b796552",
                    "7dab0bb753e55278f7907552de4bf864",
                    "c1dc0bf0b2fa476a25939a133896e989"),
     "fl-mlp": ("b2fa6d8b436575bca4ad8a564cd88a6b",
                "4497cf9634ca4c6c6617435ddb23ed66",
                "23272d926c5a2ad1b6d10ae743056f76"),
-    "fl-cnn": ("f5ca4bfc9239ae4715a0d12f8b8da0f9",
+    "fl-cnn": ("8c8b7f6cdc1b5e022c67ddbbc1a62c4a",
                "8cf904296256296fc67e791982658913",
                "6c08b36366f2a68445bf4419f72f193f"),
     "cl-mlp": ("f8191ed86df77de8fae561bb2a5c3203",
                "d0025f3edefb6dc8703437f34a538958",
                "dabdc06c5b8604418a212f6a6fdd84da"),
-    "cl-cnn": ("1df7ea81577b70365c953444b08c1953",
+    "cl-cnn": ("c345ee389db7f4a4719fe00de01b03d0",
                "51544ea2fb9673c905f27654014957a1",
                "dabdc06c5b8604418a212f6a6fdd84da"),
     "fl-mlp-sampled": ("fd22c898f4f6b036f7b56fc028b4262d",
                        "6e9a411e7238d82c5e2e393d4060ee84",
                        "16d275becefa9e8d12088a77d22769f5"),
-    "semifl-cnn-shuffled": ("2486e08dd6200ce68a918a9041d516b1",
+    "semifl-cnn-shuffled": ("21ad36f3212bdab722009a09d3bc96e2",
                             "6ec6be928e09fcbbae40554fb2d465ac",
                             "c1dc0bf0b2fa476a25939a133896e989"),
 }
 
 # CNN kernel case -> digest of the loss and gradients, or of the logits
 KERNEL_GOLDEN = {
-    "cnn-loss_and_grads-b1": "c646002ebc62a86e8f44c0be6ec0cd52",
-    "cnn-loss_and_grads-b20": "f0ab22ab58f5f4857950ca4d79d3b541",
-    "cnn-loss_and_grads-b200": "aae3959e4a90981d416cc08b6fcee2f9",
+    "cnn-loss_and_grads-b1": "0d1cb3a2825d3ef19c5678d187b91ddf",
+    "cnn-loss_and_grads-b20": "9ccbfff52eee08faae93485113263452",
+    "cnn-loss_and_grads-b200": "ebcdb24469325ba78ed7456ead11c7e4",
     "cnn-forward-b512": "72d832c14d4643a88c3958aa9efc467e",
 }
 

@@ -240,24 +240,47 @@ def reference_col2im_dx(dout, w, x_shape):
     return dx
 
 
-class TestConvKernels:
-    """The tap-major im2col and the per-tap dx against the row-major reference, bit for bit."""
+def conv_case(bsz):
+    """A conv2-shaped channels-last input, weights, bias and output gradient."""
+    rng = np.random.default_rng(bsz)
+    x = rng.standard_normal((bsz, 12, 12, 10)).astype(np.float32)
+    w = rng.standard_normal((20, 10, 5, 5)).astype(np.float32)
+    b = rng.standard_normal(20).astype(np.float32)
+    dout = rng.standard_normal((bsz, 8, 8, 20)).astype(np.float32)
+    return x, w, b, dout
 
-    @pytest.mark.parametrize("bsz", [3, 200])
+
+class TestConvKernels:
+    """The tap-major im2col, per-tap dx and row-major dw/db, bit for bit."""
+
+    @pytest.mark.parametrize("bsz", [1, 3, 20, 200])
     def test_cols_and_dx_equal_the_reference(self, bsz):
-        rng = np.random.default_rng(bsz)
-        x = rng.standard_normal((bsz, 12, 12, 10)).astype(np.float32)
-        w = rng.standard_normal((20, 10, 5, 5)).astype(np.float32)
-        b = rng.standard_normal(20).astype(np.float32)
+        x, w, b, dout = conv_case(bsz)
         out, cols = nn._conv2d(x, w, b)
         ref_cols = reference_im2col(x, 5, 5)
         assert np.array_equal(cols, ref_cols)
         assert np.array_equal(out.reshape(-1, 20), ref_cols @ w.reshape(20, -1).T + b)
-        dout = rng.standard_normal(out.shape).astype(np.float32)
         dw, db, dx = nn._conv2d_backward(dout, cols, w, x.shape)
         assert np.array_equal(dx, reference_col2im_dx(dout, w, x.shape))
-        assert np.array_equal(dw.reshape(20, -1), dout.reshape(-1, 20).T @ ref_cols)
-        assert np.array_equal(db, dout.reshape(-1, 20).sum(axis=0))
+        # dw: the row-major (Cin*KH*KW, B*OH*OW) patch matrix times dmat;
+        # db: a BLAS column sum.  Both sum in another order than dmat.T @ cols
+        # and dmat.sum(axis=0), so these pins fail if either expression returns.
+        dmat = dout.reshape(-1, 20)
+        assert np.array_equal(dw.reshape(20, -1), (np.ascontiguousarray(ref_cols.T) @ dmat).T)
+        assert np.array_equal(db, np.ones(len(dmat), dtype=np.float32) @ dmat)
+
+    @pytest.mark.parametrize("bsz", [1, 3, 20, 200])
+    def test_dw_and_db_near_a_float64_oracle(self, bsz):
+        # each entry sums M = B*OH*OW float32 products; any summation order
+        # stays within M * eps/2 of the exact sum, relative to the sum of the
+        # absolute terms (the products themselves are exact in float64)
+        x, w, b, dout = conv_case(bsz)
+        dw, db, _ = nn._conv2d_backward(dout, nn._conv2d(x, w, b)[1], w)
+        dmat, cols = dout.reshape(-1, 20).astype(np.float64), reference_im2col(x, 5, 5)
+        gamma = len(dmat) * np.finfo(np.float32).eps / 2
+        assert np.all(np.abs(dw.reshape(20, -1) - dmat.T @ cols)
+                      <= gamma * (np.abs(dmat).T @ np.abs(cols)))
+        assert np.all(np.abs(db - dmat.sum(axis=0)) <= gamma * np.abs(dmat).sum(axis=0))
 
 
 def run_in_thread(fn):
@@ -318,14 +341,59 @@ class TestConvMemory:
         x1, x2 = rng.standard_normal((2, 3, 12, 12, 10)).astype(np.float32)
         w = rng.standard_normal((20, 10, 5, 5)).astype(np.float32)
         b = np.zeros(20, dtype=np.float32)
-        cols1 = nn._conv2d(x1, w, b)[1]
-        kept = cols1.copy()
-        other = run_in_thread(lambda: nn._conv2d(x2, w, b)[1])
+
+        def conv(x):  # the patch matrix and the layer's shift buffer
+            return nn._conv2d(x, w, b)[1], nn._scratch.shift[w[0].size]
+
+        cols1, shift1 = conv(x1)
+        kept, kept_shift = cols1.copy(), shift1.copy()
+        other, other_shift = run_in_thread(lambda: conv(x2))
         assert not np.shares_memory(cols1, other)
-        assert np.array_equal(cols1, kept)  # the other thread wrote its own buffer
-        cols2 = nn._conv2d(x2, w, b)[1]
-        assert np.shares_memory(cols1, cols2)  # this thread's buffer, refilled
-        assert np.array_equal(cols2, other)
+        assert not np.shares_memory(shift1, other_shift)
+        # the other thread wrote its own buffers
+        assert np.array_equal(cols1, kept) and np.array_equal(shift1, kept_shift)
+        cols2, shift2 = conv(x2)
+        assert np.shares_memory(cols1, cols2)  # this thread's buffers, refilled
+        assert shift2 is shift1
+        assert np.array_equal(cols2, other) and np.array_equal(shift2, other_shift)
+
+    def test_replaced_buffer_is_freed_before_its_successor(self):
+        # batch 200 then 199: the 12.2 MiB tap-major buffer is dropped before
+        # the one for 199 is allocated, so the two never coexist (24.4 MiB if
+        # they did)
+        x, w, b, _ = conv_case(200)
+        taps_mb = 250 * (200 * 8 * 8 + 16) * 4 / 2 ** 20
+
+        def both():
+            nn._conv2d(x, w, b)
+            nn._conv2d(x[:199], w, b)
+        assert traced_peak_mb(both) < 1.5 * taps_mb
+
+    def test_kept_buffers_follow_the_last_batch_shape(self):
+        # steps at 20 and 200, then a 500-image forward in chunks of 64 and 52:
+        # the thread keeps one tap-major and one shift buffer per conv layer,
+        # sized for the last (52-image) chunk.  Buffers kept per batch shape
+        # would add ~1.9 MB, the batch-200 shift buffers alone 1.3 MB.
+        m = nn.init_cnn(4)
+        rng = np.random.default_rng(4)
+        x = rng.random((500, 1, 28, 28), dtype=np.float32)
+        y = rng.integers(0, 10, 500)
+
+        def kept_bytes():
+            tracemalloc.start()
+            try:
+                for bsz in (20, 200):
+                    nn.loss_and_grads(m, x[:bsz], y[:bsz])
+                nn.forward(m, x)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        tail = 500 % nn.CONV_CHUNK
+        assert tail == 52
+        taps = 25 * (tail * 24 * 24 + 16) + 250 * (tail * 8 * 8 + 16)  # (rows, M + 16)
+        shift = tail * 28 * 24 + 10 * tail * 12 * 8  # (Cin, B, H, OW)
+        assert run_in_thread(kept_bytes) < 4 * (taps + shift) + 2 ** 18
 
 
 class TestMaxPool:
