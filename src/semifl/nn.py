@@ -32,13 +32,16 @@ order in which it sums, and in this order, on the SkylakeX kernel, the
 forward GEMM gives the same bits as over a row-major patch matrix.
 
 The backward reads the buffer along its rows: the weight gradient is the
-GEMM ``cols.T @ dmat`` over the row-major tap-major buffer, transposed to
-``w``'s shape, and the bias gradient the BLAS column sum ``ones @ dmat``.
-Both sum in another order than the earlier ``dmat.T @ cols`` and
-``dmat.sum(axis=0)`` (about twice and six times as fast), so the conv
-gradients, and the trained CNN parameters with them, changed bits on
-purpose; the forward bits did not.  The input gradient needs no patch-sized
-matrix: it is one small GEMM per tap, added in (i, j) order.
+GEMM ``cols.T @ dmat`` over the row-major tap-major buffer, copied to C
+order in ``w``'s shape, and the bias gradient the BLAS column sum
+``ones @ dmat``.  Their summation order sets the bits of the conv gradients,
+and so of every trained CNN, that the golden digests pin.  The input
+gradient needs no patch-sized matrix: it is one small GEMM per tap, added in
+(i, j) order.
+
+Every gradient, and so every parameter :func:`sgd_step` makes from it, is C
+ordered: :func:`grad_check` perturbs parameters through flat views, and the
+forward GEMM reads ``w`` in the layout of a freshly initialised model.
 
 Each conv layer keeps one tap-major and one shift buffer per thread, kept
 between calls and replaced only when the batch shape or dtype changes: with
@@ -97,7 +100,8 @@ class ModelParams:
         return ModelParams(
             self.arch,
             tuple(
-                LayerParams(lp.name, lp.weights.astype(dtype), lp.bias.astype(dtype))
+                LayerParams(lp.name, lp.weights.astype(dtype, order="C"),
+                            lp.bias.astype(dtype, order="C"))
                 for lp in self.layers
             ),
         )
@@ -234,10 +238,10 @@ def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=
     """Gradients (dw, db, dx) of :func:`_conv2d`; dout and dx are channels-last.
 
     dw is one GEMM over the row-major tap-major buffer, ``cols.T @ dmat``,
-    transposed to ``w``'s shape, and db is the BLAS column sum
-    ``ones @ dmat``: both read their operands along rows.  They sum in
-    another order than ``dmat.T @ cols`` and ``dmat.sum(axis=0)`` would, so
-    their bits differ from those (and from the digests pinned before them).
+    copied to C order in ``w``'s shape (the transpose alone would leave it
+    F-ordered, and SGD would carry that layout into the weights); db is the
+    BLAS column sum ``ones @ dmat``.  Both read their operands along rows,
+    and their summation order sets the pinned gradient bits.
     dx, the input gradient of shape ``x_shape``, is None without ``x_shape``.
     It is built from one (B*OH*OW, Cout) x (Cout, Cin) GEMM per kernel tap,
     ``dmat @ w[:, :, i, j]``, each added into its shifted window of dx in
@@ -246,7 +250,7 @@ def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=
     bsz, oh, ow, cout = dout.shape
     _, cin, kh, kw = w.shape
     dmat = dout.reshape(bsz * oh * ow, cout)
-    dw = (cols.T @ dmat).T.reshape(w.shape)
+    dw = np.ascontiguousarray((cols.T @ dmat).T).reshape(w.shape)
     db = np.ones(dmat.shape[0], dtype=dmat.dtype) @ dmat
     dx = None
     if x_shape is not None:

@@ -173,6 +173,17 @@ class TestLoss:
             assert gl.weights.shape == ml.weights.shape
             assert gl.bias.shape == ml.bias.shape
 
+    def test_grads_and_stepped_model_are_c_contiguous(self):
+        # grad_check perturbs parameters through reshape(-1) views, and the
+        # forward GEMM reads w.reshape(cout, -1): both assume C order
+        m = nn.init_cnn(8)
+        x = np.random.default_rng(7).random((3, 1, 28, 28)).astype(np.float32)
+        _, g = nn.loss_and_grads(m, x, np.array([1, 2, 3]))
+        stepped = nn.sgd_step(m, g, 0.1)
+        for params in (g, stepped):
+            for lp in params.layers:
+                assert lp.weights.flags.c_contiguous and lp.bias.flags.c_contiguous, lp.name
+
 
 class TestGradCheck:
     def test_mlp_one_hidden_unit_one_example(self):
@@ -209,6 +220,22 @@ class TestGradCheck:
         m = nn.init_cnn(seed, conv1=2, conv2=4, hidden=5, image_size=20)
         assert m.dtype == np.float32
         x = np.random.default_rng(seed + 100).random((3, 1, 20, 20)).astype(np.float32)
+        assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-5) < 1e-4
+
+    def test_cnn_after_a_training_step(self):
+        m = nn.init_cnn(12, conv1=2, conv2=4, hidden=5, image_size=20)
+        x = np.random.default_rng(112).random((3, 1, 20, 20)).astype(np.float32)
+        y = np.array([1, 4, 8])
+        m, _ = nn.train_local_with_loss(m, x, y, epochs=1, batch_size=3,
+                                        learning_rate=0.1, rng=np.random.default_rng(0))
+        assert nn.grad_check(m, x, y, step=1e-5) < 1e-4
+
+    def test_cnn_with_fortran_ordered_weights(self):
+        # the float64 shadow is C-ordered whatever the layout of the model
+        m = nn.init_cnn(13, conv1=2, conv2=4, hidden=5, image_size=20)
+        m = nn.ModelParams(m.arch, tuple(
+            nn.LayerParams(lp.name, np.asfortranarray(lp.weights), lp.bias) for lp in m.layers))
+        x = np.random.default_rng(113).random((3, 1, 20, 20)).astype(np.float32)
         assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-5) < 1e-4
 
     def test_identity_activation_hook(self, monkeypatch):
