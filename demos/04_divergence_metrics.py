@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from semifl import checkpoint, data, metrics, nn
+from semifl import checkpoint, cli, data, metrics, nn
 
 
 def train(examples, seed, epochs):
@@ -37,10 +37,8 @@ def main():
     print(f"{'subject':>16}  {'fc1 acs':>8}  {'fc1 red':>8}")
     for name, subset in variants.items():
         model = train(subset, seed=2, epochs=8)
-        report = metrics.layer_divergence(model, reference,
-                                          subject_id=name, reference_id="central")
-        e = report.entry("fc1")
-        print(f"{name:>16}  {e.acs:>8.3f}  {e.red:>8.3f}")
+        acs, red = metrics.layer_divergence(model, reference)["fc1"]
+        print(f"{name:>16}  {acs:>8.3f}  {red:>8.3f}")
 
     # the same comparison straight from checkpoint files
     with tempfile.TemporaryDirectory() as tmp:
@@ -48,14 +46,10 @@ def main():
         sub_path = os.path.join(tmp, "subject.sfl1")
         checkpoint.save_checkpoint(reference, ref_path)
         checkpoint.save_checkpoint(train(variants["1 class"], seed=2, epochs=8), sub_path)
-        report = metrics.layer_divergence(checkpoint.load_checkpoint(sub_path),
-                                          checkpoint.load_checkpoint(ref_path),
-                                          subject_id="subject.sfl1",
-                                          reference_id="reference.sfl1")
-        size = os.path.getsize(ref_path)
-    print("\ncsv form (what `semifl compare` writes):")
-    print(report.to_csv())
-    print(f"checkpoint size on disk: {size} bytes")
+        argv = ["compare", "--subject", sub_path, "--reference", ref_path]
+        print("\n$ semifl " + " ".join(argv))
+        cli.main(argv)
+        print(f"\ncheckpoint size on disk: {os.path.getsize(ref_path)} bytes")
 
 
 if __name__ == "__main__":

@@ -102,8 +102,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report = experiment.compare_checkpoints(args.subject, args.reference)
-    text = report.to_csv()
+    rows = experiment.compare_checkpoints(args.subject, args.reference)
+    text = (f"# subject={args.subject} reference={args.reference}\nlayer,acs,red\n"
+            + "".join(f"{layer},{a:.10g},{r:.10g}\n" for layer, (a, r) in rows.items()))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -59,10 +60,8 @@ def _read_maybe_gzip(path) -> bytes:
                 with gzip.open(fh) as gz:
                     return gz.read()
             return fh.read()
-    except OSError as exc:
+    except (OSError, EOFError, zlib.error) as exc:  # gzip.BadGzipFile is an OSError
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except (EOFError, gzip.BadGzipFile) as exc:
-        raise DataError(f"corrupt gzip stream in {path}: {exc}") from exc
 
 
 def load_idx(images_path, labels_path) -> LabeledSet:

@@ -34,7 +34,7 @@ from .config import ExperimentConfig, render_config, resolve_data_dir, validate_
 from .data import LabeledSet, generate_synthetic, load_idx, partition
 from .errors import DataError
 from .federation import RoundRecord
-from .metrics import DivergenceReport, evaluate_accuracy, layer_divergence
+from .metrics import evaluate_accuracy, layer_divergence
 from .nn import init_model
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -203,8 +203,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     return records
 
 
-def compare_checkpoints(subject_path, reference_path) -> DivergenceReport:
-    """Per-layer ACS/RED of one checkpoint against another (the reference).
+def compare_checkpoints(subject_path, reference_path) -> dict[str, tuple[float, float]]:
+    """Layer name -> (ACS, RED) of one checkpoint against another (the reference).
 
     Checkpoints that cannot be compared (other architectures or shapes, or a
     reference layer of zero norm) raise :class:`DataError`.
@@ -212,9 +212,7 @@ def compare_checkpoints(subject_path, reference_path) -> DivergenceReport:
     subject = load_checkpoint(subject_path)
     reference = load_checkpoint(reference_path)
     try:
-        return layer_divergence(subject, reference,
-                                subject_id=str(subject_path),
-                                reference_id=str(reference_path))
+        return layer_divergence(subject, reference)
     except ValueError as exc:
         raise DataError(f"cannot compare {subject_path} with {reference_path}: "
                         f"{exc}") from exc

@@ -2,9 +2,10 @@
 
 Divergence between two models is measured per weight layer with two numbers:
 
-* ACS -- averaged cosine similarity.  A layer's weights are viewed as a rank-3
-  stack of fibers (conv kernels ``(out, in, kh*kw)``; fc matrices ``(1, out, in)``),
-  cosine similarity is taken along the last axis and averaged over the rest.
+* ACS -- averaged cosine similarity.  A fiber is one row of a layer's weights:
+  one conv kernel (``kh*kw`` values of ``(out, in, kh, kw)``) or the inputs of
+  one fc unit (a row of ``(out, in)``).  The cosine similarity of each pair of
+  fibers is averaged over the layer.
 * RED -- relative Euclidean distance, ``norm(w1 - w2) / norm(w2)``, with the
   second argument as the reference.
 
@@ -13,9 +14,6 @@ part of either metric.
 """
 
 from __future__ import annotations
-
-import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,26 +35,24 @@ def evaluate_accuracy(model: ModelParams, images: np.ndarray, labels: np.ndarray
     return hits / n
 
 
-def cosine_map(w1: np.ndarray, w2: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """Cosine similarity along the last axis of two equal-shape rank-3 arrays.
+def acs(w1: np.ndarray, w2: np.ndarray) -> float:
+    """Averaged cosine similarity of two conv ``(out, in, kh, kw)`` or fc
+    ``(out, in)`` weight arrays over their fibers (rows; see the module docstring).
 
-    Denominator norms are clamped below at ``eps`` so zero fibers compare as 0.
+    Fiber norms are clamped below at ``EPS`` so zero fibers compare as 0.
     """
     a = np.asarray(w1, dtype=np.float64)
     b = np.asarray(w2, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim != 3:
-        raise ValueError(f"expected rank-3 arrays, got rank {a.ndim}")
+    if a.ndim not in (2, 4):
+        raise ValueError(f"expected conv (rank-4) or fc (rank-2) weights, got rank {a.ndim}")
+    rows = a.shape[0] * a.shape[1] if a.ndim == 4 else a.shape[0]
+    a, b = a.reshape(rows, -1), b.reshape(rows, -1)
     dots = (a * b).sum(axis=-1)
-    na = np.maximum(np.linalg.norm(a, axis=-1), eps)
-    nb = np.maximum(np.linalg.norm(b, axis=-1), eps)
-    return dots / (na * nb)
-
-
-def acs(w1: np.ndarray, w2: np.ndarray, eps: float = EPS) -> float:
-    """Averaged cosine similarity: mean of :func:`cosine_map` over all fibers."""
-    return float(cosine_map(w1, w2, eps).mean())
+    na = np.maximum(np.linalg.norm(a, axis=-1), EPS)
+    nb = np.maximum(np.linalg.norm(b, axis=-1), EPS)
+    return float((dots / (na * nb)).mean())
 
 
 def red(w1: np.ndarray, w2: np.ndarray) -> float:
@@ -71,59 +67,9 @@ def red(w1: np.ndarray, w2: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / ref)
 
 
-def fiber_view(weights: np.ndarray) -> np.ndarray:
-    """Rank-3 view of a weight array for :func:`acs`.
-
-    Conv weights (out, in, kh, kw) become (out, in, kh*kw); fc weights
-    (out, in) become (1, out, in).
-    """
-    w = np.asarray(weights)
-    if w.ndim == 4:
-        return w.reshape(w.shape[0], w.shape[1], -1)
-    if w.ndim == 2:
-        return w.reshape(1, *w.shape)
-    raise ValueError(f"no fiber view for rank-{w.ndim} weights")
-
-
-@dataclass(frozen=True)
-class LayerDivergence:
-    layer: str
-    acs: float
-    red: float
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Per-layer ACS/RED of a subject model against a reference model."""
-
-    subject_id: str
-    reference_id: str
-    entries: tuple[LayerDivergence, ...]
-
-    def entry(self, layer: str) -> LayerDivergence:
-        for e in self.entries:
-            if e.layer == layer:
-                return e
-        raise KeyError(layer)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# subject={self.subject_id} reference={self.reference_id}\n")
-        buf.write("layer,acs,red\n")
-        for e in self.entries:
-            buf.write(f"{e.layer},{e.acs:.10g},{e.red:.10g}\n")
-        return buf.getvalue()
-
-
-def layer_divergence(subject: ModelParams, reference: ModelParams,
-                     subject_id: str = "subject",
-                     reference_id: str = "reference") -> DivergenceReport:
-    """ACS and RED for every weight layer of two same-architecture models."""
+def layer_divergence(subject: ModelParams,
+                     reference: ModelParams) -> dict[str, tuple[float, float]]:
+    """Layer name -> (ACS, RED) of ``subject`` against ``reference``, in layer order."""
     check_aligned(subject, reference)
-    entries = []
-    for ls, lr in zip(subject.layers, reference.layers):
-        entries.append(LayerDivergence(
-            ls.name,
-            acs(fiber_view(ls.weights), fiber_view(lr.weights)),
-            red(ls.weights, lr.weights)))
-    return DivergenceReport(subject_id, reference_id, tuple(entries))
+    return {ls.name: (acs(ls.weights, lr.weights), red(ls.weights, lr.weights))
+            for ls, lr in zip(subject.layers, reference.layers)}

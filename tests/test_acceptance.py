@@ -5,7 +5,8 @@ Criteria 1, 2, and 6 run on synthetic data and always execute.  Criteria 3,
 4, and 5 need the real MNIST IDX files and skip (with a reason) when the
 files are not present; place them under ``./data`` or point SEMIFL_DATA_DIR
 at them.  Criterion 4 is additionally marked ``slow`` (hours of compute):
-``pytest -m slow tests/test_acceptance.py`` opts in.
+``pytest -m slow --basetemp DIR tests/test_acceptance.py`` opts in, and
+criterion 4 fails at once without ``--basetemp``.
 
 Criteria 3, 4 and 5 train each run with ``run_experiment``, the driver behind
 ``semifl train``, into a run directory under pytest's temporary directory
@@ -71,7 +72,7 @@ def test_criterion_1_property_suite(clients_100, tmp_path):
                for cl in c3)
 
     # acs / red identities
-    w = np.random.default_rng(4).normal(size=(3, 2, 25))
+    w = np.random.default_rng(4).normal(size=(3, 2, 5, 5))
     assert metrics.acs(w, w) == pytest.approx(1.0, abs=1e-12)
     assert metrics.acs(-w, w) == pytest.approx(-1.0, abs=1e-12)
     assert metrics.red(w, w) == 0.0
@@ -233,8 +234,7 @@ def test_criterion_5_divergence_ordering(desk_results):
     for s in DESK_SEEDS:
         ref = first[(s, "cl")]
         reds = {n: metrics.red(first[(s, n)], ref) for n in rank}
-        acss = {n: metrics.acs(metrics.fiber_view(first[(s, n)]), metrics.fiber_view(ref))
-                for n in rank}
+        acss = {n: metrics.acs(first[(s, n)], ref) for n in rank}
         red_flags.append(all(reds[rank[i]] > reds[rank[i + 1]]
                              for i in range(len(rank) - 1)))
         acs_flags.append(all(acss[rank[i]] < acss[rank[i + 1]]
@@ -250,7 +250,10 @@ def test_criterion_5_divergence_ordering(desk_results):
 
 
 @pytest.mark.slow
-def test_criterion_4_full_scale(mnist_dir, tmp_path_factory):
+def test_criterion_4_full_scale(mnist_dir, tmp_path_factory, request):
+    if request.config.getoption("basetemp") is None:
+        pytest.fail("criterion 4's runs take hours and pytest deletes its temporary "
+                    "roots after three sessions: run it with --basetemp DIR")
     out_root = tmp_path_factory.mktemp("criterion4")
     # 542/client is the largest single-label shard size that gives all ten
     # labels ten whole shards (the rarest label has 5421 training examples),

@@ -1,6 +1,7 @@
 """IDX ingestion, synthetic generation, and partitioning tests."""
 
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -57,6 +58,15 @@ class TestLoadIdx:
         zipped = data.load_idx(gz_ip, gz_lp)
         assert np.array_equal(plain.images, zipped.images)
         assert np.array_equal(plain.labels, zipped.labels)
+
+    def test_corrupt_gzip_names_file(self, idx_pair, tmp_path):
+        ip, lp = idx_pair
+        blob = bytearray(gzip.compress(ip.read_bytes()))
+        blob[10] = 0xFF  # first deflate block header: invalid block type
+        bad = tmp_path / "imgs.idx.gz"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=re.escape(f"cannot read {bad}: ")):
+            data.load_idx(bad, lp)
 
     def test_bad_magic_names_file(self, idx_pair, tmp_path):
         ip, lp = idx_pair

@@ -217,13 +217,13 @@ class TestCompare:
         a, b = tmp_path / "a", tmp_path / "b"
         experiment.run_experiment(tiny_cfg(pattern="c3"), a)
         experiment.run_experiment(tiny_cfg(mode="cl"), b)
-        report = experiment.compare_checkpoints(a / "model_final.sfl1",
-                                                b / "model_final.sfl1")
-        assert [e.layer for e in report.entries] == ["fc1", "fc2"]
-        assert all(e.red > 0 for e in report.entries)
+        div = experiment.compare_checkpoints(a / "model_final.sfl1",
+                                             b / "model_final.sfl1")
+        assert list(div) == ["fc1", "fc2"]
+        assert all(red > 0 for _, red in div.values())
         same = experiment.compare_checkpoints(a / "model_final.sfl1",
                                               a / "model_final.sfl1")
-        assert all(e.red == 0 for e in same.entries)
+        assert all(red == 0 for _, red in same.values())
 
 
 class TestCli:
@@ -371,6 +371,23 @@ class TestCli:
                        "--out", str(report_path)])
         assert rc == 0
         assert report_path.read_text().startswith("# subject=")
+
+    def test_compare_text_pinned(self, tmp_path, capsys, monkeypatch):
+        # the exact CSV, .10g values, of seed-4 against seed-5 initial CNNs
+        monkeypatch.chdir(tmp_path)
+        checkpoint.save_checkpoint(nn.init_cnn(4), "a.sfl1")
+        checkpoint.save_checkpoint(nn.init_cnn(5), "b.sfl1")
+        want = ("# subject=a.sfl1 reference=b.sfl1\n"
+                "layer,acs,red\n"
+                "conv1,-0.05496356349,1.436448506\n"
+                "conv2,-0.01356170427,1.428414649\n"
+                "fc3,-0.004046334192,1.414011794\n"
+                "fc4,-0.003616513782,1.413752376\n")
+        assert cli.main(["compare", "--subject", "a.sfl1", "--reference", "b.sfl1"]) == 0
+        assert capsys.readouterr().out == want
+        assert cli.main(["compare", "--subject", "a.sfl1", "--reference", "b.sfl1",
+                         "--out", "div.csv"]) == 0
+        assert (tmp_path / "div.csv").read_bytes() == want.encode()
 
     def test_compare_corrupt_checkpoint_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.sfl1"

@@ -52,59 +52,99 @@ class TestEvaluateAccuracy:
                                       np.zeros(0, np.int64))
 
 
+# conv (out, in, kh, kw) and fc (out, in) weights, as stored
+SHAPES = [(4, 3, 5, 5), (2, 5, 3, 3), (6, 11)]
+
+
 class TestCosine:
     def test_identity_is_one(self):
-        w = np.random.default_rng(3).normal(size=(4, 3, 25))
-        assert metrics.acs(w, w) == pytest.approx(1.0, abs=1e-12)
+        for shape in SHAPES:
+            w = np.random.default_rng(3).normal(size=shape)
+            assert metrics.acs(w, w) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariant(self):
-        w = np.random.default_rng(4).normal(size=(2, 5, 9))
-        assert metrics.acs(2.5 * w, w) == pytest.approx(1.0, abs=1e-12)
+        for shape in SHAPES:
+            w = np.random.default_rng(4).normal(size=shape)
+            assert metrics.acs(2.5 * w, w) == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_flip_is_minus_one(self):
-        w = np.random.default_rng(5).normal(size=(2, 2, 7))
-        assert metrics.acs(-w, w) == pytest.approx(-1.0, abs=1e-12)
+        for shape in SHAPES:
+            w = np.random.default_rng(5).normal(size=shape)
+            assert metrics.acs(-w, w) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_value(self):
-        a = np.array([[[1.0, 0.0], [0.0, 2.0]]])
-        b = np.array([[[2.0, 0.0], [0.0, -1.0]]])  # cosines: +1 and -1
+        a = np.array([[1.0, 0.0], [0.0, 2.0]])
+        b = np.array([[2.0, 0.0], [0.0, -1.0]])  # row cosines: +1 and -1
         assert metrics.acs(a, b) == pytest.approx(0.0, abs=1e-12)
-        cm = metrics.cosine_map(a, b)
-        assert cm.shape == (1, 2)
-        assert cm[0, 0] == pytest.approx(1.0)
-        assert cm[0, 1] == pytest.approx(-1.0)
+        assert metrics.acs(a[:1], b[:1]) == pytest.approx(1.0)
+        assert metrics.acs(a[1:], b[1:]) == pytest.approx(-1.0)
+        # as a (1, 2, 1, 2) conv the same rows are its two kernels
+        assert metrics.acs(a.reshape(1, 2, 1, 2),
+                           b.reshape(1, 2, 1, 2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_fiber_clamped_to_zero(self):
-        zero = np.zeros((1, 1, 2))
-        unit = np.array([[[1.0, 0.0]]])
+        zero = np.zeros((1, 2))
+        unit = np.array([[1.0, 0.0]])
         assert metrics.acs(zero, unit) == 0.0
         assert metrics.acs(zero, zero) == 0.0
+        assert metrics.acs(zero.reshape(1, 1, 1, 2), unit.reshape(1, 1, 1, 2)) == 0.0
 
     def test_bounded(self):
         rng = np.random.default_rng(6)
-        a, b = rng.normal(size=(2, 3, 4, 11))
-        cm = metrics.cosine_map(a, b)
-        assert np.all(cm <= 1.0 + 1e-12) and np.all(cm >= -1.0 - 1e-12)
+        a, b = rng.normal(size=(2, 24, 11))
+        for i in range(24):  # one fiber at a time
+            assert -1.0 - 1e-12 <= metrics.acs(a[i:i + 1], b[i:i + 1]) <= 1.0 + 1e-12
 
     def test_input_errors(self):
         with pytest.raises(ValueError, match="shape"):
-            metrics.cosine_map(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)))
-        with pytest.raises(ValueError, match="rank-3"):
-            metrics.cosine_map(np.zeros((2, 3)), np.zeros((2, 3)))
+            metrics.acs(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 3, 4)))
+        with pytest.raises(ValueError, match="shape"):
+            metrics.acs(np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_independent_recomputation(self):
         # brute-force float64 oracle over individual fibers
         rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 4, 25))
-        b = rng.normal(size=(5, 4, 25))
-        total = 0.0
-        for i in range(5):
-            for j in range(4):
-                dot = sum(float(x) * float(y) for x, y in zip(a[i, j], b[i, j]))
-                na = math.sqrt(sum(float(x) ** 2 for x in a[i, j]))
-                nb = math.sqrt(sum(float(y) ** 2 for y in b[i, j]))
+        for shape in [(5, 4, 5, 5), (7, 9)]:
+            a = rng.normal(size=shape)
+            b = rng.normal(size=shape)
+            fibers = list(np.ndindex(shape[:len(shape) // 2]))  # (out, in) or (out,)
+            total = 0.0
+            for idx in fibers:
+                fa, fb = a[idx].ravel(), b[idx].ravel()
+                dot = sum(float(x) * float(y) for x, y in zip(fa, fb))
+                na = math.sqrt(sum(float(x) ** 2 for x in fa))
+                nb = math.sqrt(sum(float(y) ** 2 for y in fb))
                 total += dot / (max(na, 1e-8) * max(nb, 1e-8))
-        assert metrics.acs(a, b) == pytest.approx(total / 20, abs=1e-12)
+            assert metrics.acs(a, b) == pytest.approx(total / len(fibers), abs=1e-12)
+
+
+class TestFiberView:
+    """How ``acs`` cuts weights as stored into fibers."""
+
+    def test_conv_view(self):
+        # one flipped kernel out of six: five cosines of +1 and one of -1
+        w = np.arange(1, 2 * 3 * 5 * 5 + 1).reshape(2, 3, 5, 5).astype(np.float64)
+        v = w.copy()
+        v[1, 2] *= -1
+        assert metrics.acs(v, w) == pytest.approx(4 / 6, abs=1e-12)
+        # whole output rows [1, 0, 0, 2] . [2, 0, 0, 2] would give 6/sqrt(40)
+        a = np.array([1.0, 0.0, 0.0, 2.0]).reshape(1, 2, 1, 2)
+        b = np.array([2.0, 0.0, 0.0, 2.0]).reshape(1, 2, 1, 2)
+        assert metrics.acs(a, b) == pytest.approx(1.0, abs=1e-12)
+
+    def test_fc_view(self):
+        # one flipped row out of three; columns as fibers would not give 1/3
+        w = np.arange(1, 13).reshape(3, 4).astype(np.float64)
+        v = w.copy()
+        v[1] *= -1
+        assert metrics.acs(v, w) == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_rank_errors(self):
+        for rank in (1, 3, 5):
+            w = np.zeros((2,) * rank)
+            with pytest.raises(ValueError,
+                               match=f"conv .rank-4. or fc .rank-2. weights, got rank {rank}"):
+                metrics.acs(w, w)
 
 
 class TestRed:
@@ -135,41 +175,21 @@ class TestRed:
             metrics.red(np.ones(3), np.ones(4))
 
 
-class TestFiberView:
-    def test_conv_view(self):
-        w = np.arange(2 * 3 * 5 * 5).reshape(2, 3, 5, 5).astype(np.float64)
-        v = metrics.fiber_view(w)
-        assert v.shape == (2, 3, 25)
-        assert np.array_equal(v[1, 2], w[1, 2].ravel())
-
-    def test_fc_view(self):
-        w = np.arange(12).reshape(3, 4).astype(np.float64)
-        v = metrics.fiber_view(w)
-        assert v.shape == (1, 3, 4)
-        assert np.array_equal(v[0], w)
-
-    def test_rank_errors(self):
-        with pytest.raises(ValueError, match="fiber view"):
-            metrics.fiber_view(np.zeros(5))
-
-
-class TestLayerDivergence:
+class TestDivergence:
     def test_same_model_reports_identity(self):
         m = nn.init_cnn(1)
-        report = metrics.layer_divergence(m, m)
-        assert [e.layer for e in report.entries] == ["conv1", "conv2", "fc3", "fc4"]
-        for e in report.entries:
-            assert e.acs == pytest.approx(1.0, abs=1e-9)
-            assert e.red == 0.0
+        div = metrics.layer_divergence(m, m)
+        assert list(div) == ["conv1", "conv2", "fc3", "fc4"]
+        for acs, red in div.values():
+            assert acs == pytest.approx(1.0, abs=1e-9)
+            assert red == 0.0
 
     def test_entries_match_direct_computation(self):
         a, b = nn.init_cnn(2), nn.init_cnn(3)
-        report = metrics.layer_divergence(a, b)
-        want_acs = metrics.acs(metrics.fiber_view(a.layers[0].weights),
-                               metrics.fiber_view(b.layers[0].weights))
-        want_red = metrics.red(a.layers[0].weights, b.layers[0].weights)
-        assert report.entry("conv1").acs == pytest.approx(want_acs)
-        assert report.entry("conv1").red == pytest.approx(want_red)
+        div = metrics.layer_divergence(a, b)
+        for la, lb in zip(a.layers, b.layers):
+            assert div[la.name] == (metrics.acs(la.weights, lb.weights),
+                                    metrics.red(la.weights, lb.weights))
 
     def test_arch_mismatch(self):
         with pytest.raises(ValueError, match="model mismatch: mlp/2 layers vs cnn/4"):
@@ -177,14 +197,20 @@ class TestLayerDivergence:
         with pytest.raises(ValueError, match="layer fc1: shape mismatch"):
             metrics.layer_divergence(nn.init_mlp(0), nn.init_mlp(0, hidden=32))
 
-    def test_csv_format(self):
-        report = metrics.layer_divergence(nn.init_mlp(4), nn.init_mlp(5),
-                                          subject_id="a.sfl1", reference_id="b.sfl1")
-        text = report.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "# subject=a.sfl1 reference=b.sfl1"
-        assert lines[1] == "layer,acs,red"
-        assert len(lines) == 4  # two weight layers
-        name, a, r = lines[2].split(",")
-        assert name == "fc1"
-        float(a), float(r)  # parseable
+    # float.hex() of (ACS, RED), seed 1 against seed 2.  RED's norms are BLAS
+    # dot products, so like tests/test_golden.py these hold on OpenBLAS's
+    # SkylakeX kernel.
+    PINNED = {
+        "cnn": {"conv1": ("-0x1.0ce42d9fd32bfp-4", "0x1.6c9a08b5162d5p+0"),
+                "conv2": ("0x1.6637d34434b05p-8", "0x1.67c5011ed7b7cp+0"),
+                "fc3": ("-0x1.1a92ac578060ap-9", "0x1.6a8625b329bc2p+0"),
+                "fc4": ("0x1.24c0ffb67fd93p-4", "0x1.61044571a7fe0p+0")},
+        "mlp": {"fc1": ("0x1.d7fe5667b8d1ap-8", "0x1.687b9d1782adcp+0"),
+                "fc2": ("0x1.9af6860f5d0eep-4", "0x1.51d95bbd7176bp+0")},
+    }
+
+    @pytest.mark.parametrize("arch", ["cnn", "mlp"])
+    def test_pinned_bits(self, arch):
+        div = metrics.layer_divergence(nn.init_model(arch, 1), nn.init_model(arch, 2))
+        got = {layer: (a.hex(), r.hex()) for layer, (a, r) in div.items()}
+        assert got == self.PINNED[arch]
