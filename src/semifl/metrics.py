@@ -9,8 +9,9 @@ Divergence between two models is measured per weight layer with two numbers:
 * RED -- relative Euclidean distance, ``norm(w1 - w2) / norm(w2)``, with the
   second argument as the reference.
 
-Both are computed in float64 regardless of the model dtype.  Biases are not
-part of either metric.
+Both are computed in float64 regardless of the model dtype, with numpy's own
+pairwise sums rather than BLAS dot products, so their bits do not depend on
+the BLAS kernel or its thread count.  Biases are not part of either metric.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ def red(w1: np.ndarray, w2: np.ndarray) -> float:
     b = np.asarray(w2, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    ref = np.linalg.norm(b)
+    ref = np.sqrt(np.square(b).sum())
     if ref == 0.0:
         raise ValueError("reference weights have zero norm")
-    return float(np.linalg.norm(a - b) / ref)
+    return float(np.sqrt(np.square(a - b).sum()) / ref)
 
 
 def layer_divergence(subject: ModelParams,

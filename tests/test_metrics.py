@@ -1,6 +1,11 @@
 """Accuracy and divergence-metric tests."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,20 +202,43 @@ class TestDivergence:
         with pytest.raises(ValueError, match="layer fc1: shape mismatch"):
             metrics.layer_divergence(nn.init_mlp(0), nn.init_mlp(0, hidden=32))
 
-    # float.hex() of (ACS, RED), seed 1 against seed 2.  RED's norms are BLAS
-    # dot products, so like tests/test_golden.py these hold on OpenBLAS's
-    # SkylakeX kernel.
+    # float.hex() of (ACS, RED), seed 1 against seed 2.  Both metrics sum with
+    # numpy, not BLAS, so these hold at any BLAS thread count and kernel.
     PINNED = {
         "cnn": {"conv1": ("-0x1.0ce42d9fd32bfp-4", "0x1.6c9a08b5162d5p+0"),
-                "conv2": ("0x1.6637d34434b05p-8", "0x1.67c5011ed7b7cp+0"),
-                "fc3": ("-0x1.1a92ac578060ap-9", "0x1.6a8625b329bc2p+0"),
-                "fc4": ("0x1.24c0ffb67fd93p-4", "0x1.61044571a7fe0p+0")},
-        "mlp": {"fc1": ("0x1.d7fe5667b8d1ap-8", "0x1.687b9d1782adcp+0"),
+                "conv2": ("0x1.6637d34434b05p-8", "0x1.67c5011ed7b7bp+0"),
+                "fc3": ("-0x1.1a92ac578060ap-9", "0x1.6a8625b329bbdp+0"),
+                "fc4": ("0x1.24c0ffb67fd93p-4", "0x1.61044571a7fdep+0")},
+        "mlp": {"fc1": ("0x1.d7fe5667b8d1ap-8", "0x1.687b9d1782ad3p+0"),
                 "fc2": ("0x1.9af6860f5d0eep-4", "0x1.51d95bbd7176bp+0")},
     }
 
+    @staticmethod
+    def pinned_pairs(arch):
+        div = metrics.layer_divergence(nn.init_model(arch, 1), nn.init_model(arch, 2))
+        return {layer: (a.hex(), r.hex()) for layer, (a, r) in div.items()}
+
     @pytest.mark.parametrize("arch", ["cnn", "mlp"])
     def test_pinned_bits(self, arch):
-        div = metrics.layer_divergence(nn.init_model(arch, 1), nn.init_model(arch, 2))
-        got = {layer: (a.hex(), r.hex()) for layer, (a, r) in div.items()}
-        assert got == self.PINNED[arch]
+        assert self.pinned_pairs(arch) == self.PINNED[arch]
+
+    @pytest.mark.parametrize("blas_env", [
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+    ], ids=["threads1", "threads2", "haswell"])
+    def test_pinned_bits_under_other_blas_settings(self, blas_env):
+        # BLAS reads these when it loads, so only a new process shows them.
+        # norm() of a whole vector is a BLAS dot, whose bits change with the
+        # thread count: RED read fc3 ...bc2p+0 at one thread and ...bc1p+0 at two.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, **blas_env,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import json, test_metrics as t; "
+                "print(json.dumps({a: t.TestDivergence.pinned_pairs(a) for a in ('cnn', 'mlp')}))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, cwd=Path(__file__).resolve().parent)
+        assert proc.returncode == 0, proc.stderr
+        got = {arch: {layer: tuple(p) for layer, p in pairs.items()}
+               for arch, pairs in json.loads(proc.stdout).items()}
+        assert got == self.PINNED
