@@ -15,12 +15,13 @@ from semifl import data, metrics, nn
 def main():
     for arch in ("mlp", "cnn"):
         model = nn.init_model(arch, seed=0)
-        print(f"{arch}: {model.num_params()} parameters, "
+        count = sum(l.weights.size + l.bias.size for l in model.layers)
+        print(f"{arch}: {count} parameters, "
               f"layers {[l.name for l in model.layers]}")
 
     # gradient check on shrunken models (cheap, still covers every layer kind)
     rng = np.random.default_rng(7)
-    tiny_mlp = nn.init_mlp(1, in_dim=12, hidden=5, out_dim=10)
+    tiny_mlp = nn.init_mlp(1, in_dim=12, hidden=5)
     err = nn.grad_check(tiny_mlp, rng.random((4, 12)).astype(np.float32),
                         rng.integers(0, 10, 4))
     print(f"mlp grad check: max relative error {err:.2e}")

@@ -11,6 +11,8 @@ Run:  python3 demos/02_partitions_and_clusters.py
 import os
 import tempfile
 
+import numpy as np
+
 from semifl import clustering, data
 
 
@@ -28,7 +30,8 @@ def describe(clients, label):
 
 def main():
     source = data.generate_synthetic(classes=10, per_class=120, seed=0)
-    print(f"source set: {len(source)} examples, labels {source.label_counts()}")
+    print(f"source set: {len(source)} examples, "
+          f"per label {np.bincount(source.labels).tolist()}")
 
     iid = data.partition(source, "iid", num_clients=100, per_client=12, seed=1)
     shards = data.partition(source, "noniid", num_clients=100, per_client=12, seed=1)

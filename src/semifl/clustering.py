@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import LabeledSet
+from .data import NUM_CLASSES, LabeledSet
 from .errors import DataError
 
 PATTERNS = ("c1", "c2", "c3", "c4")
-NUM_LABELS = 10
 
 Clusters = tuple[tuple[int, ...], ...]  # client ids per cluster, in training order
 
@@ -50,12 +49,12 @@ def build_pattern(pattern: str, clients: list[LabeledSet]) -> Clusters:
 
     if pattern == "c4":
         k = len(clients)
-        if k % NUM_LABELS:
-            raise DataError(f"c4 needs a multiple of {NUM_LABELS} clients, got {k}")
-        return tuple(tuple(range(i, i + NUM_LABELS)) for i in range(0, k, NUM_LABELS))
+        if k % NUM_CLASSES:
+            raise DataError(f"c4 needs a multiple of {NUM_CLASSES} clients, got {k}")
+        return tuple(tuple(range(i, i + NUM_CLASSES)) for i in range(0, k, NUM_CLASSES))
 
     by_label = _clients_by_label(clients)
-    missing = sorted(set(range(NUM_LABELS)) - set(by_label))
+    missing = sorted(set(range(NUM_CLASSES)) - set(by_label))
     if missing:
         raise DataError(f"pattern {pattern} needs clients for every label 0..9; "
                         f"missing labels {missing}")
@@ -66,7 +65,7 @@ def build_pattern(pattern: str, clients: list[LabeledSet]) -> Clusters:
     per_label = counts[0]
 
     if pattern == "c1":
-        return tuple(tuple(by_label[l]) for l in range(NUM_LABELS))
+        return tuple(tuple(by_label[l]) for l in range(NUM_CLASSES))
 
     if pattern == "c2":
         if per_label % 2:
@@ -74,15 +73,15 @@ def build_pattern(pattern: str, clients: list[LabeledSet]) -> Clusters:
                             f"{per_label} per label is odd")
         half = per_label // 2
         groups = []
-        for n in range(NUM_LABELS):
+        for n in range(NUM_CLASSES):
             own = by_label[n][:half]
-            borrowed = by_label[(n + 1) % NUM_LABELS][half:]
+            borrowed = by_label[(n + 1) % NUM_CLASSES][half:]
             groups.append(tuple(own + borrowed))
         return tuple(groups)
 
     # c3: the k-th client of each label forms cluster k
     return tuple(
-        tuple(by_label[l][k] for l in range(NUM_LABELS)) for k in range(per_label)
+        tuple(by_label[l][k] for l in range(NUM_CLASSES)) for k in range(per_label)
     )
 
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 import math
 import os
 import re
+import typing
 from dataclasses import dataclass, fields
 
+from .clustering import PATTERNS
 from .errors import ConfigError
+from .nn import ARCHITECTURES
 
 DATA_DIR_ENV = "SEMIFL_DATA_DIR"
 
@@ -76,34 +79,29 @@ class ExperimentConfig:
         return "shuffled", int(m.group(1))
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)  # key -> str, int or float, its parser
+VALUE_KINDS = {int: "an integer", float: "a number"}  # how errors name a numeric type
 
 _CHOICES = {
     "mode": ("semifl", "fl", "cl"),
-    "arch": ("cnn", "mlp"),
+    "arch": ARCHITECTURES,
     "partition": ("iid", "noniid"),
-    "pattern": ("c1", "c2", "c3", "c4", "explicit"),
+    "pattern": PATTERNS + ("explicit",),
 }
 
 _POSITIVE = ("clients", "per_client", "rounds", "local_epochs", "local_batch",
              "cl_batch", "eval_every")
 _NON_NEGATIVE = ("checkpoint_every", "master_seed")
-_STRINGS = tuple(name for name, ftype in _FIELD_TYPES.items() if ftype in ("str", str))
+_STRINGS = tuple(name for name, ftype in _FIELD_TYPES.items() if ftype is str)
 
 
 def _convert(key: str, raw: str, where: str):
-    ftype = _FIELD_TYPES[key]
-    if ftype in ("int", int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: key {key!r} needs an integer, got {raw!r}") from None
-    if ftype in ("float", float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: key {key!r} needs a number, got {raw!r}") from None
-    return raw
+    parse = _FIELD_TYPES[key]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: key {key!r} needs {VALUE_KINDS[parse]}, "
+                          f"got {raw!r}") from None
 
 
 def validate_config(cfg: ExperimentConfig, origin=None) -> ExperimentConfig:

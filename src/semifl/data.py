@@ -9,9 +9,9 @@ transparently decompresses gzip files.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import DataError
 
 IDX_IMAGES_MAGIC = 0x803
 IDX_LABELS_MAGIC = 0x801
-NUM_CLASSES = 10  # the models' output width
+NUM_CLASSES = 10  # digit classes: the label range and the models' output width
 _SYNTH_CHUNK = 64  # synthetic examples generated per batch of draws
 
 
@@ -43,9 +43,6 @@ class LabeledSet:
         idx = np.asarray(indices)
         return LabeledSet(self.images[idx], self.labels[idx])
 
-    def label_counts(self) -> Counter:
-        return Counter(int(v) for v in self.labels)
-
     @property
     def distinct_labels(self) -> tuple[int, ...]:
         return tuple(sorted(set(int(v) for v in self.labels)))
@@ -64,32 +61,27 @@ def _read_maybe_gzip(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_idx(path, magic: int, dims: int) -> tuple[list[int], bytes]:
+    """The ``dims`` header sizes and the uint8 body of an IDX file, checked."""
+    raw = _read_maybe_gzip(path)
+    head = 4 * (1 + dims)
+    if len(raw) < head:
+        raise DataError(f"{path}: truncated IDX header")
+    found, *sizes = struct.unpack(f">{1 + dims}I", raw[:head])
+    if found != magic:
+        raise DataError(f"{path}: bad magic 0x{found:x}, expected 0x{magic:x}")
+    body = raw[head:]
+    if len(body) != math.prod(sizes):
+        raise DataError(f"{path}: expected {math.prod(sizes)} data bytes, got {len(body)}")
+    return sizes, body
+
+
 def load_idx(images_path, labels_path) -> LabeledSet:
     """Read an IDX image/label file pair into a :class:`LabeledSet`."""
-    raw = _read_maybe_gzip(images_path)
-    if len(raw) < 16:
-        raise DataError(f"{images_path}: truncated IDX header")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataError(f"{images_path}: bad magic 0x{magic:x}, "
-                        f"expected 0x{IDX_IMAGES_MAGIC:x}")
-    expect = count * rows * cols
-    body = raw[16:]
-    if len(body) != expect:
-        raise DataError(f"{images_path}: expected {expect} pixels, got {len(body)}")
+    (count, rows, cols), body = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     images = np.frombuffer(body, dtype=np.uint8).reshape(count, 1, rows, cols)
     images = images.astype(np.float32) / 255.0
-
-    raw = _read_maybe_gzip(labels_path)
-    if len(raw) < 8:
-        raise DataError(f"{labels_path}: truncated IDX header")
-    magic, lcount = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataError(f"{labels_path}: bad magic 0x{magic:x}, "
-                        f"expected 0x{IDX_LABELS_MAGIC:x}")
-    body = raw[8:]
-    if len(body) != lcount:
-        raise DataError(f"{labels_path}: expected {lcount} labels, got {len(body)}")
+    (lcount,), body = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if lcount != count:
         raise DataError(f"{images_path} has {count} images but "
                         f"{labels_path} has {lcount} labels")

@@ -15,8 +15,9 @@ Two runs with the same configuration produce identical outputs apart from
 the ``elapsed_ms`` column, provided they use the same numpy and BLAS build,
 the same BLAS kernel and the same BLAS thread count (all recorded in
 ``env.json``): BLAS splits a GEMM differently at another thread count, and
-each kernel rounds its own way.  The pinned digests and the "same bits"
-claims of :mod:`semifl.nn` hold on the SkylakeX kernel.
+each kernel rounds its own way.  The pinned digests, and :mod:`semifl.nn`'s
+claim of the same bits as a row-major patch matrix, hold on the SkylakeX
+kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from . import clustering, federation
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, render_config, resolve_data_dir, validate_config
+from .config import (VALUE_KINDS, ExperimentConfig, render_config, resolve_data_dir,
+                     validate_config)
 from .data import LabeledSet, generate_synthetic, load_idx, partition
 from .errors import DataError
 from .federation import RoundRecord
@@ -218,9 +220,6 @@ def compare_checkpoints(subject_path, reference_path) -> dict[str, tuple[float, 
                         f"{exc}") from exc
 
 
-_VALUE_KINDS = {int: "an integer", float: "a number"}
-
-
 def _read_columns(path: Path, columns: dict[str, type]) -> list[dict]:
     """The rows of a CSV file whose header must name every key of ``columns``.
 
@@ -244,7 +243,7 @@ def _read_columns(path: Path, columns: dict[str, type]) -> list[dict]:
                     parsed[column] = kind(value)
                 except ValueError:
                     raise DataError(f"{path}: line {reader.line_num}: {column} is not "
-                                    f"{_VALUE_KINDS[kind]}: {value!r}") from None
+                                    f"{VALUE_KINDS[kind]}: {value!r}") from None
             rows.append(parsed)
         return rows
 

@@ -21,18 +21,18 @@ import numpy as np
 from .nn import ModelParams, check_aligned, forward
 
 EPS = 1e-8
+EVAL_BATCH = 512  # images per forward call in evaluation
 
 
-def evaluate_accuracy(model: ModelParams, images: np.ndarray, labels: np.ndarray,
-                      batch_size: int = 512) -> float:
+def evaluate_accuracy(model: ModelParams, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of examples whose argmax logit (lowest index wins ties) is correct."""
     n = labels.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty set")
     hits = 0
-    for s in range(0, n, batch_size):
-        logits = forward(model, images[s:s + batch_size])
-        hits += int((np.argmax(logits, axis=1) == labels[s:s + batch_size]).sum())
+    for s in range(0, n, EVAL_BATCH):
+        logits = forward(model, images[s:s + EVAL_BATCH])
+        hits += int((np.argmax(logits, axis=1) == labels[s:s + EVAL_BATCH]).sum())
     return hits / n
 
 

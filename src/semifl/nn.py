@@ -24,12 +24,10 @@ commutes.  When cells of a pooling tile tie, the first in row-major order
 takes the whole gradient.
 
 The im2col patch matrix ``cols`` is the transpose view of a tap-major buffer,
-(Cin, KH, KW, B, OH, OW).  It is filled in two stages: for each kernel column
-j, one copy of the input's columns j..j+OW-1 into a (Cin, B, H, OW) shift
-buffer, then one copy per kernel row i of contiguous OH*OW blocks of it.  Its
-columns stay in ``w``'s (Cin, KH, KW) order: a GEMM's rounding depends on the
-order in which it sums, and in this order, on the SkylakeX kernel, the
-forward GEMM gives the same bits as over a row-major patch matrix.
+(Cin, KH, KW, B, OH, OW).  Its columns stay in ``w``'s (Cin, KH, KW) order: a
+GEMM's rounding depends on the order in which it sums, and in this order, on
+the SkylakeX kernel, the forward GEMM gives the same bits as over a row-major
+patch matrix.
 
 The backward reads the buffer along its rows: the weight gradient is the
 GEMM ``cols.T @ dmat`` over the row-major tap-major buffer, copied to C
@@ -42,23 +40,6 @@ gradient needs no patch-sized matrix: it is one small GEMM per tap, added in
 Every gradient, and so every parameter :func:`sgd_step` makes from it, is C
 ordered: :func:`grad_check` perturbs parameters through flat views, and the
 forward GEMM reads ``w`` in the layout of a freshly initialised model.
-
-Each conv layer keeps one tap-major and one shift buffer per thread, kept
-between calls and replaced only when the batch shape or dtype changes: with
-a fresh MB-sized buffer per call, glibc can hand it back to the OS and fault
-it in again on every step.  A replaced buffer is dropped before its successor
-is allocated, so the successor can take its place in the heap instead of
-leaving a hole beside it that later allocations grow the heap around.  The
-slice copies write every element of a buffer before anything reads it, so no
-value carries over from one call to the next.
-
-:func:`forward`, which keeps no backward cache, runs the conv stack over
-chunks of :data:`CONV_CHUNK` images and the head once over the whole batch,
-so a 512-image evaluation batch holds only chunk-sized patch buffers and
-activations.  This gives the same bits as one pass on the SkylakeX kernel
-of the pinned numpy/OpenBLAS build, where both conv GEMMs give a row the same
-bits whatever the number of rows; the AVX2 kernels (Haswell, Zen) do not.
-The fc GEMMs do not, so the head is never chunked.
 """
 
 from __future__ import annotations
@@ -69,8 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import NUM_CLASSES
+
 ARCHITECTURES = ("cnn", "mlp")
-CONV_CHUNK = 64  # images per conv-stack pass in forward-only evaluation
+CONV_CHUNK = 64  # images per conv GEMM, and per conv-stack pass in forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +76,6 @@ class ModelParams:
     def dtype(self) -> np.dtype:
         return self.layers[0].weights.dtype
 
-    def num_params(self) -> int:
-        return sum(lp.weights.size + lp.bias.size for lp in self.layers)
-
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(
             self.arch,
@@ -111,43 +91,31 @@ class ModelParams:
 # initialisation
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+def _layer(name: str, rng: np.random.Generator, shape: tuple) -> LayerParams:
+    """float32 weights drawn U[-1/sqrt(fan_in), 1/sqrt(fan_in)] over ``shape[1:]``, zero biases."""
+    bound = 1.0 / math.sqrt(math.prod(shape[1:]))
+    return LayerParams(name, rng.uniform(-bound, bound, size=shape).astype(np.float32),
+                       np.zeros(shape[0], dtype=np.float32))
 
 
-def init_mlp(seed: int, in_dim: int = 784, hidden: int = 64, out_dim: int = 10,
-             dtype=np.float32) -> ModelParams:
-    """Fan-in uniform init (U[-1/sqrt(fan_in), 1/sqrt(fan_in)]), zero biases."""
+def init_mlp(seed: int, in_dim: int = 784, hidden: int = 64) -> ModelParams:
+    """Fan-in uniform init of the mlp; small ``in_dim`` and ``hidden`` suit gradient checks."""
     rng = np.random.default_rng(seed)
-    layers = (
-        LayerParams("fc1", _uniform(rng, (hidden, in_dim), in_dim, dtype),
-                    np.zeros(hidden, dtype=dtype)),
-        LayerParams("fc2", _uniform(rng, (out_dim, hidden), hidden, dtype),
-                    np.zeros(out_dim, dtype=dtype)),
-    )
-    return ModelParams("mlp", layers)
+    return ModelParams("mlp", (_layer("fc1", rng, (hidden, in_dim)),
+                               _layer("fc2", rng, (NUM_CLASSES, hidden))))
 
 
 def init_cnn(seed: int, conv1: int = 10, conv2: int = 20, hidden: int = 50,
-             image_size: int = 28, out_dim: int = 10, dtype=np.float32) -> ModelParams:
+             image_size: int = 28) -> ModelParams:
     """CNN init; ``image_size`` controls the fc3 input width (4x4 tiles at 28)."""
     side = ((image_size - 4) // 2 - 4) // 2  # two valid 5x5 convs, two 2x2 pools
     if side < 1 or (image_size - 4) % 2 or ((image_size - 4) // 2 - 4) % 2:
         raise ValueError(f"image_size {image_size} does not fit the conv/pool stack")
-    fc3_in = conv2 * side * side
     rng = np.random.default_rng(seed)
-    layers = (
-        LayerParams("conv1", _uniform(rng, (conv1, 1, 5, 5), 1 * 5 * 5, dtype),
-                    np.zeros(conv1, dtype=dtype)),
-        LayerParams("conv2", _uniform(rng, (conv2, conv1, 5, 5), conv1 * 5 * 5, dtype),
-                    np.zeros(conv2, dtype=dtype)),
-        LayerParams("fc3", _uniform(rng, (hidden, fc3_in), fc3_in, dtype),
-                    np.zeros(hidden, dtype=dtype)),
-        LayerParams("fc4", _uniform(rng, (out_dim, hidden), hidden, dtype),
-                    np.zeros(out_dim, dtype=dtype)),
-    )
-    return ModelParams("cnn", layers)
+    return ModelParams("cnn", (_layer("conv1", rng, (conv1, 1, 5, 5)),
+                               _layer("conv2", rng, (conv2, conv1, 5, 5)),
+                               _layer("fc3", rng, (hidden, conv2 * side * side)),
+                               _layer("fc4", rng, (NUM_CLASSES, hidden))))
 
 
 def init_model(arch: str, seed: int) -> ModelParams:
@@ -177,9 +145,13 @@ _scratch = threading.local()
 def _thread_buffer(kind: str, rows: int, shape: tuple, dtype) -> np.ndarray:
     """This thread's ``kind`` buffer for one conv layer, reused while its shape and dtype hold.
 
-    A buffer of another shape is dropped before its successor is allocated:
-    once the caller holds no view of it, the two never coexist and the
-    successor can take the freed space.
+    With a fresh MB-sized buffer per call, glibc can hand it back to the OS
+    and fault it in again on every step.  A buffer of another shape is
+    dropped before its successor is allocated: once the caller holds no view
+    of it, the two never coexist and the successor can take its place in the
+    heap instead of leaving a hole that later allocations grow the heap
+    around.  The callers' slice copies write every element of a buffer
+    before anything reads it, so no value carries over between calls.
     """
     slots = _scratch.__dict__.setdefault(kind, {})
     if rows in slots and (slots[rows].shape != shape or slots[rows].dtype != dtype):
@@ -214,6 +186,11 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     again one per layer and thread; each tap (i, j) then copies a contiguous
     OH*OW block of every (Cin, B) plane of it.  The copies move the same
     values as one slice copy per tap, so out and cols keep their bits.
+
+    A batch of more than :data:`CONV_CHUNK` images runs its GEMM in blocks of
+    that many images' rows, the calls :func:`forward` makes on its chunks, so
+    both give a row the same bits on any BLAS kernel.  A smaller batch keeps
+    one GEMM.
     """
     bsz, h, wid, cin = x.shape
     cout, _, kh, kw = w.shape
@@ -229,7 +206,14 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         for i in range(kh):
             taps6[:, i, j] = shift[:, :, i:i + oh]
     cols = taps.T
-    out = cols @ w.reshape(cout, -1).T
+    wt = w.reshape(cout, -1).T
+    if bsz <= CONV_CHUNK:  # the out= loop below measured slower on batch-20 steps
+        out = cols @ wt
+    else:
+        out = np.empty((m, cout), dtype=np.result_type(cols, wt))
+        step = CONV_CHUNK * oh * ow
+        for s in range(0, m, step):
+            np.matmul(cols[s:s + step], wt, out=out[s:s + step])
     out += b
     return out.reshape(bsz, oh, ow, cout), cols
 
@@ -358,28 +342,16 @@ def _head(model: ModelParams, x: np.ndarray):
     return a @ out.weights.T + out.bias, a, m
 
 
-def _forward_cached(model: ModelParams, x: np.ndarray):
-    """Forward pass returning (logits, cache-for-backward).
-
-    The cnn runs its conv stack first; both architectures then share the
-    fc / ReLU / fc head, which reads the last two layers.
-    """
-    conv_cache = None
-    if model.arch == "cnn":
-        x, conv_cache = _conv_forward(model, x)
-    logits, a, m = _head(model, x)
-    return logits, (conv_cache, x, a, m)
-
-
 def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Compute class logits, shape (B, 10).
 
     With no backward to feed, the cnn's conv stack runs over chunks of
-    :data:`CONV_CHUNK` images, dropping each chunk's cache, so its patch
-    buffers are chunk-sized; the head then runs once over all the features.
-    On the SkylakeX kernel the logits equal :func:`_forward_cached`'s bit for
-    bit: there a conv GEMM row's bits do not depend on the row count, but an
-    fc GEMM row's can.
+    :data:`CONV_CHUNK` images, dropping each chunk's cache, so a 512-image
+    evaluation batch holds only chunk-sized patch buffers and activations.
+    The head then runs once over all the features: an fc GEMM row's bits can
+    depend on the row count.  The logits equal one pass over the whole batch
+    bit for bit on any BLAS kernel, as :func:`_conv2d` issues its GEMM in the
+    same blocks.
     """
     x = _as_model_input(model, inputs)
     if model.arch == "cnn":
@@ -403,7 +375,8 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         i = int(np.flatnonzero((labels < 0) | (labels >= n_classes))[0])
         raise ValueError(f"label {labels[i]} at batch index {i} is outside 0..{n_classes - 1}")
-    logits, (conv_cache, feats, a, m) = _forward_cached(model, x)
+    feats, conv_cache = _conv_forward(model, x) if model.arch == "cnn" else (x, None)
+    logits, a, m = _head(model, feats)
     loss, dlogits = _softmax_cross_entropy(logits, labels)
 
     hidden, out = model.layers[-2:]
@@ -486,13 +459,12 @@ def grad_check(model: ModelParams, inputs: np.ndarray, labels: np.ndarray,
     max(|analytic|, |numeric|, 1e-8) as denominator.
     """
     shadow = model.astype(np.float64)
-    x64 = _as_model_input(shadow, np.asarray(inputs, dtype=np.float64))
+    x64 = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels)
     _, grads = loss_and_grads(shadow, x64, labels)
 
     def loss_at(m: ModelParams) -> float:
-        logits, _ = _forward_cached(m, x64)
-        return _softmax_cross_entropy(logits, labels)[0]
+        return _softmax_cross_entropy(forward(m, x64), labels)[0]
 
     worst = 0.0
     for li, lp in enumerate(shadow.layers):

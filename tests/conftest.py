@@ -1,6 +1,8 @@
 """Shared fixtures and helpers."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,30 @@ def models_equal(a, b) -> bool:
         and np.array_equal(la.weights, lb.weights)
         and np.array_equal(la.bias, lb.bias)
         for la, lb in zip(a.layers, b.layers)))
+
+
+# BLAS thread counts and a kernel other than the one picked for this CPU,
+# each to be set in a child process through run_child
+other_blas_settings = pytest.mark.parametrize("blas_env", [
+    {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+], ids=["threads1", "threads2", "haswell"])
+
+
+def run_child(code: str, env_vars: dict) -> str:
+    """stdout of ``python -c code``, run in the tests directory with ``env_vars`` set.
+
+    BLAS reads its thread and kernel variables when it loads, so only a new
+    process shows their effect.
+    """
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, cwd=tests)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def max_param_diff(a, b) -> float:
@@ -46,8 +72,8 @@ def _mnist_dir() -> str | None:
         candidates.append(Path(env))
     candidates.append(Path(__file__).resolve().parent.parent / "data")
     for root in candidates:
-        if (root / "train-images-idx3-ubyte").exists() or \
-                (root / "train-images-idx3-ubyte.gz").exists():
+        if any((root / (name + gz)).exists()
+               for name in experiment._MNIST_NAMES["train_images"] for gz in ("", ".gz")):
             return str(root)
     return None
 

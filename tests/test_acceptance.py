@@ -40,7 +40,7 @@ def test_criterion_1_property_suite(clients_100, tmp_path):
     t0 = time.time()
 
     # gradient checks <= 1e-3 relative
-    m_mlp = nn.init_mlp(5, in_dim=12, hidden=4, out_dim=10)
+    m_mlp = nn.init_mlp(5, in_dim=12, hidden=4)
     rng = np.random.default_rng(9)
     gc_mlp = nn.grad_check(m_mlp, rng.random((6, 12)).astype(np.float32),
                            rng.integers(0, 10, 6))

@@ -105,6 +105,14 @@ class TestCorruption:
         with pytest.raises(DataError, match="architecture tag"):
             checkpoint.load_checkpoint(path)
 
+    @pytest.mark.parametrize("count", [0, 65])
+    def test_implausible_layer_count(self, tmp_path, count):
+        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_mlp(0)))
+        blob[8:12] = count.to_bytes(4, "little")  # after b"SFL1", 3, b"mlp"
+        path = self._write(tmp_path, bytes(blob))
+        with pytest.raises(DataError, match=f"implausible layer count {count}"):
+            checkpoint.load_checkpoint(path)
+
     def test_missing_file(self):
         with pytest.raises(DataError, match="cannot read"):
             checkpoint.load_checkpoint("/nonexistent/m.sfl1")

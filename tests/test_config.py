@@ -92,6 +92,8 @@ class TestValidation:
         ("learning_rate = -0.5", "learning_rate"),
         ("learning_rate = nan", "learning_rate"),
         ("learning_rate = inf", "learning_rate"),
+        ("learning_rate = fast", "'learning_rate' needs a number, got 'fast'"),
+        ("partition_seed = -2", "partition_seed must be -1"),
         ("rounds = 0", "rounds"),
         ("local_epochs = 0", "local_epochs"),
         ("local_batch = 0", "local_batch"),

@@ -69,22 +69,25 @@ class TestLoadIdx:
             data.load_idx(bad, lp)
 
     def test_bad_magic_names_file(self, idx_pair, tmp_path):
-        ip, lp = idx_pair
-        bad = tmp_path / "bad.idx"
-        bad.write_bytes(b"\x00\x00\x08\x02" + ip.read_bytes()[4:])
-        with pytest.raises(DataError, match="bad.idx.*magic"):
-            data.load_idx(bad, lp)
+        for which in range(2):  # the image file, then the label file
+            pair = list(idx_pair)
+            bad = tmp_path / "bad.idx"
+            bad.write_bytes(b"\x00\x00\x08\x02" + pair[which].read_bytes()[4:])
+            pair[which] = bad
+            with pytest.raises(DataError, match=r"bad\.idx: bad magic 0x802, expected 0x80"):
+                data.load_idx(*pair)
 
     def test_truncated_rejected(self, idx_pair, tmp_path):
-        ip, lp = idx_pair
-        cut = tmp_path / "cut.idx"
-        cut.write_bytes(ip.read_bytes()[:-5])
-        with pytest.raises(DataError, match="cut.idx"):
-            data.load_idx(cut, lp)
-        tiny = tmp_path / "tiny.idx"
-        tiny.write_bytes(b"\x00\x00")
-        with pytest.raises(DataError, match="truncated"):
-            data.load_idx(tiny, lp)
+        for which in range(2):  # the image file, then the label file
+            pair = list(idx_pair)
+            blob = pair[which].read_bytes()
+            pair[which] = cut = tmp_path / "cut.idx"
+            cut.write_bytes(blob[:-1])
+            with pytest.raises(DataError, match=r"cut\.idx: expected \d+ data bytes, got"):
+                data.load_idx(*pair)
+            cut.write_bytes(blob[:6])  # inside the header of either file
+            with pytest.raises(DataError, match=r"cut\.idx: truncated IDX header"):
+                data.load_idx(*pair)
 
     def test_count_mismatch_rejected(self, idx_pair, tmp_path):
         ip, _ = idx_pair
@@ -127,6 +130,12 @@ def reference_synthetic(classes, per_class, seed):
     return images, labels
 
 
+class TestLabeledSet:
+    def test_fewer_labels_than_images_rejected(self):
+        with pytest.raises(DataError, match="3 images vs 2 labels"):
+            data.LabeledSet(np.zeros((3, 1, 2, 2), np.float32), np.zeros(2, np.int64))
+
+
 class TestSynthetic:
     # per_class 1, below, at and above the 64-example chunk, and 3 or 7 classes
     @pytest.mark.parametrize("classes, per_class, seed", [
@@ -151,7 +160,7 @@ class TestSynthetic:
         assert ds.images.shape == (100, 1, 28, 28)
         assert ds.images.dtype == np.float32
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
-        assert all(ds.label_counts()[c] == 10 for c in range(10))
+        assert np.bincount(ds.labels).tolist() == [10] * 10
 
     def test_learnable_by_mlp(self):
         # regression bound: 5 epochs on 2 classes x 50 must clear 0.9 holdout accuracy
@@ -221,6 +230,12 @@ class TestPartitionNoniid:
         clients = data.partition_noniid_shards(src, num_clients=20, per_client=10)
         assert len(clients) == 20
         assert all(len(c) == 10 for c in clients)
+
+    def test_client_count_off_the_label_cycle(self):
+        # 15 clients over 10 labels: the second pass deals labels 0-4, then stops
+        src = data.generate_synthetic(10, 20, seed=4)
+        clients = data.partition_noniid_shards(src, num_clients=15, per_client=10)
+        assert [c.distinct_labels for c in clients] == [(l,) for l in [*range(10), *range(5)]]
 
     def test_deficit_error_lists_supply(self):
         src = data.generate_synthetic(10, 25, seed=4)

@@ -1,6 +1,7 @@
 """End-to-end run orchestration and CLI tests (synthetic data only)."""
 
 import csv
+import gzip
 import json
 import os
 import struct
@@ -176,6 +177,12 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="SEMIFL_DATA_DIR"):
             experiment.run_experiment(cfg, tmp_path / "out")
 
+    def test_missing_explicit_idx_path_is_data_error(self, tmp_path):
+        missing = tmp_path / "nope-images.idx"
+        cfg = tiny_cfg(dataset="mnist", train_images=str(missing))
+        with pytest.raises(DataError, match=f"train_images: file not found: {missing}"):
+            experiment.run_experiment(cfg, tmp_path / "out")
+
     def test_all_modes_learn_synthetic(self, tmp_path):
         # easy blobs: every mode must clear 0.9 with an adequate budget,
         # and sequential clusters beat FedAvg at a matched 6-round budget
@@ -209,6 +216,11 @@ class TestSummarize:
 
     def test_missing_metrics(self, tmp_path):
         with pytest.raises(DataError, match="metrics.csv"):
+            experiment.summarize_run(tmp_path)
+
+    def test_metrics_without_rows(self, tmp_path):
+        (tmp_path / "metrics.csv").write_text(",".join(experiment.METRICS_COLUMNS) + "\n")
+        with pytest.raises(DataError, match="metrics.csv: no evaluation rows"):
             experiment.summarize_run(tmp_path)
 
 
@@ -282,6 +294,30 @@ class TestCli:
         assert (f"data error: {paths['train_images']}: images are 32x32, the models "
                 f"need 28x28") in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("via", ["data_dir", "env"])
+    def test_train_on_an_mnist_directory(self, tmp_path, monkeypatch, via):
+        # 28x28 IDX files under both spellings of the MNIST names, gzipped or not
+        root = tmp_path / "mnist"
+        root.mkdir()
+        rng = np.random.default_rng(0)
+        for images, labels, n in (("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte", 100),
+                                  ("t10k-images.idx3-ubyte", "t10k-labels.idx1-ubyte.gz", 20)):
+            pixels = rng.integers(0, 256, n * 28 * 28, dtype=np.uint8).tobytes()
+            for name, blob in ((images, struct.pack(">IIII", 0x803, n, 28, 28) + pixels),
+                               (labels, struct.pack(">II", 0x801, n)
+                                + bytes(i % 10 for i in range(n)))):
+                (root / name).write_bytes(gzip.compress(blob) if name.endswith(".gz") else blob)
+        monkeypatch.delenv("SEMIFL_DATA_DIR", raising=False)
+        where = {"data_dir": root}
+        if via == "env":
+            monkeypatch.setenv("SEMIFL_DATA_DIR", str(root))
+            where = {}
+        cfg = write_cfg(tmp_path, dataset="mnist", pattern="c3", clients=10, per_client=10,
+                        rounds=1, **where)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_metrics(out)) == 1
 
     def test_train_success(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c3")

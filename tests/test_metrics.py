@@ -2,15 +2,12 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semifl import metrics, nn
+from conftest import other_blas_settings, run_child
 
 
 def constant_predictor(cls: int) -> nn.ModelParams:
@@ -42,13 +39,17 @@ class TestEvaluateAccuracy:
         assert metrics.evaluate_accuracy(model, images, np.ones(10, np.int64)) == 0.0
 
     def test_batch_size_irrelevant(self):
+        # 600 examples take two forward calls, 512 and 88; their hits add up
         rng = np.random.default_rng(2)
-        images = rng.random((33, 1, 28, 28)).astype(np.float32)
-        labels = rng.integers(0, 10, 33)
+        images = rng.random((600, 1, 28, 28)).astype(np.float32)
+        labels = rng.integers(0, 10, 600)
         m = nn.init_mlp(3)
-        a = metrics.evaluate_accuracy(m, images, labels, batch_size=7)
-        b = metrics.evaluate_accuracy(m, images, labels, batch_size=512)
-        assert a == b
+        cut = metrics.EVAL_BATCH
+        assert cut == 512
+        head = metrics.evaluate_accuracy(m, images[:cut], labels[:cut])
+        tail = metrics.evaluate_accuracy(m, images[cut:], labels[cut:])
+        assert metrics.evaluate_accuracy(m, images, labels) == \
+            pytest.approx((cut * head + (600 - cut) * tail) / 600, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -222,23 +223,12 @@ class TestDivergence:
     def test_pinned_bits(self, arch):
         assert self.pinned_pairs(arch) == self.PINNED[arch]
 
-    @pytest.mark.parametrize("blas_env", [
-        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
-        {"OPENBLAS_CORETYPE": "Haswell"},
-    ], ids=["threads1", "threads2", "haswell"])
+    @other_blas_settings
     def test_pinned_bits_under_other_blas_settings(self, blas_env):
-        # BLAS reads these when it loads, so only a new process shows them.
         # norm() of a whole vector is a BLAS dot, whose bits change with the
         # thread count: RED read fc3 ...bc2p+0 at one thread and ...bc1p+0 at two.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, **blas_env,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = ("import json, test_metrics as t; "
                 "print(json.dumps({a: t.TestDivergence.pinned_pairs(a) for a in ('cnn', 'mlp')}))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120, cwd=Path(__file__).resolve().parent)
-        assert proc.returncode == 0, proc.stderr
         got = {arch: {layer: tuple(p) for layer, p in pairs.items()}
-               for arch, pairs in json.loads(proc.stdout).items()}
+               for arch, pairs in json.loads(run_child(code, blas_env)).items()}
         assert got == self.PINNED

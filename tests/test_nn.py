@@ -8,7 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from semifl import nn
-from conftest import models_equal
+from conftest import models_equal, other_blas_settings, run_child
 
 
 def naive_forward_cnn(model, x):
@@ -52,8 +52,9 @@ class TestInit:
         assert not models_equal(nn.init_mlp(3), nn.init_mlp(4))
 
     def test_param_counts(self):
-        assert nn.init_cnn(0).num_params() == 21840
-        assert nn.init_mlp(0).num_params() == 50890
+        for arch, count in (("cnn", 21840), ("mlp", 50890)):
+            m = nn.init_model(arch, 0)
+            assert sum(lp.weights.size + lp.bias.size for lp in m.layers) == count
 
     def test_shapes_and_dtype(self):
         m = nn.init_cnn(0)
@@ -77,6 +78,11 @@ class TestInit:
         assert nn.init_model("cnn", 5).arch == "cnn"
         with pytest.raises(ValueError, match="architecture"):
             nn.init_model("resnet", 5)
+
+    def test_image_size_that_does_not_fit_the_stack_rejected(self):
+        # 27 - 4 = 23 does not halve: the first 2x2 pool would drop a row
+        with pytest.raises(ValueError, match="image_size 27 does not fit"):
+            nn.init_cnn(0, image_size=27)
 
 
 class TestForward:
@@ -187,12 +193,12 @@ class TestLoss:
 
 class TestGradCheck:
     def test_mlp_one_hidden_unit_one_example(self):
-        m = nn.init_mlp(3, in_dim=5, hidden=1, out_dim=10)
+        m = nn.init_mlp(3, in_dim=5, hidden=1)
         x = np.random.default_rng(8).random((1, 5)).astype(np.float32)
         assert nn.grad_check(m, x, np.array([4])) < 1e-3
 
     def test_mlp_small(self):
-        m = nn.init_mlp(5, in_dim=12, hidden=4, out_dim=10)
+        m = nn.init_mlp(5, in_dim=12, hidden=4)
         rng = np.random.default_rng(9)
         x = rng.random((6, 12)).astype(np.float32)
         y = rng.integers(0, 10, 6)
@@ -241,7 +247,7 @@ class TestGradCheck:
     def test_identity_activation_hook(self, monkeypatch):
         # with ReLU swapped for identity the net is linear; grads must still match
         monkeypatch.setattr(nn, "_relu", lambda z: (z, np.ones(z.shape, dtype=bool)))
-        m = nn.init_mlp(5, in_dim=12, hidden=4, out_dim=10)
+        m = nn.init_mlp(5, in_dim=12, hidden=4)
         rng = np.random.default_rng(10)
         x = rng.random((6, 12)).astype(np.float32)
         y = rng.integers(0, 10, 6)
@@ -338,16 +344,30 @@ def traced_peak_mb(fn, warm_up=False):
     return run_in_thread(measure)
 
 
+def chunked_equals_one_pass(bsz) -> bool:
+    """Whether forward's chunked logits equal one conv-stack pass over the whole batch."""
+    m = nn.init_cnn(bsz)
+    x = np.random.default_rng(bsz).random((bsz, 1, 28, 28), dtype=np.float32)
+    one_pass = nn._head(m, nn._conv_forward(m, x)[0])[0]
+    return nn.forward(m, x).tobytes() == one_pass.tobytes()
+
+
 class TestConvMemory:
     """Chunked forward-only evaluation and reused im2col buffers, at the same bits."""
 
     @pytest.mark.parametrize("bsz", [1, nn.CONV_CHUNK - 1, nn.CONV_CHUNK,
                                      nn.CONV_CHUNK + 1, 200, 512, 800])
     def test_chunked_forward_equals_one_pass(self, bsz):
-        # holds because a conv GEMM row's bits do not depend on the row count
-        m = nn.init_cnn(bsz)
-        x = np.random.default_rng(bsz).random((bsz, 1, 28, 28), dtype=np.float32)
-        assert nn.forward(m, x).tobytes() == nn._forward_cached(m, x)[0].tobytes()
+        assert chunked_equals_one_pass(bsz)
+
+    @other_blas_settings
+    def test_chunked_forward_equals_one_pass_under_other_blas_settings(self, blas_env):
+        # on the AVX2 (Haswell) kernel a conv GEMM row's bits depend on the row
+        # count; the chunked and one-pass paths agree because _conv2d issues
+        # the same row blocks in both
+        code = ("import test_nn as t; "
+                "print([t.chunked_equals_one_pass(b) for b in (65, 200, 512, 800)])")
+        assert run_child(code, blas_env) == "[True, True, True, True]\n"
 
     def test_forward_512_peak(self):
         # one pass over 512 images peaked at 82 MB; a new thread allocates its buffers
