@@ -18,6 +18,7 @@ a half-written checkpoint in place.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 
@@ -113,10 +114,9 @@ def load_checkpoint(path) -> ModelParams:
     layers = []
     payload_start = cur.pos
     for name, w_shape, b_shape in manifest:
-        w = np.frombuffer(cur.read(4 * int(np.prod(w_shape, dtype=np.int64))),
-                          dtype="<f4").reshape(w_shape)
-        b = np.frombuffer(cur.read(4 * int(np.prod(b_shape, dtype=np.int64))),
-                          dtype="<f4").reshape(b_shape)
+        # math.prod, as numpy's fixed-width product wraps on a corrupt shape
+        w = np.frombuffer(cur.read(4 * math.prod(w_shape)), dtype="<f4").reshape(w_shape)
+        b = np.frombuffer(cur.read(4 * math.prod(b_shape)), dtype="<f4").reshape(b_shape)
         layers.append(LayerParams(name, np.asarray(w, dtype=np.float32),
                                   np.asarray(b, dtype=np.float32)))
     payload = data[payload_start:cur.pos]

@@ -3,7 +3,7 @@
 Subcommands::
 
     semifl partition --config runs.cfg [--out DIR] [--seed N]
-    semifl train     --config runs.cfg --out DIR [--seed N] [--cluster-order ...]
+    semifl train     --config runs.cfg --out DIR [--seed N]
     semifl compare   --subject a.sfl1 --reference b.sfl1 [--out report.csv]
     semifl report    RUN_DIR [RUN_DIR ...]
 
@@ -47,8 +47,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="run one experiment")
     add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--cluster-order", default=None,
-                   help="override cluster_order: fixed | shuffled:<seed>")
 
     p = sub.add_parser("compare", help="per-layer divergence of two checkpoints")
     p.add_argument("--subject", required=True)
@@ -65,8 +63,6 @@ def _load_config(args):
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = ("--seed", args.seed)
-    if getattr(args, "cluster_order", None) is not None:
-        overrides["cluster_order"] = ("--cluster-order", args.cluster_order)
     return parse_config(args.config, **overrides)
 
 

@@ -130,7 +130,7 @@ def load_assignment(path) -> Clusters:
                     clusters.append(tuple(int(tok) for tok in line.split()))
                 except ValueError as exc:
                     raise DataError(f"{path}:{ln}: not a client id list: {line!r}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read assignment file {path}: {exc}") from exc
     if not clusters:
         raise DataError(f"assignment file {path} defines no clusters")

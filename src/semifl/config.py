@@ -18,8 +18,6 @@ from .clustering import PATTERNS
 from .errors import ConfigError
 from .nn import ARCHITECTURES
 
-DATA_DIR_ENV = "SEMIFL_DATA_DIR"
-
 
 @dataclass
 class ExperimentConfig:
@@ -28,11 +26,7 @@ class ExperimentConfig:
     mode: str = "semifl"            # semifl | fl | cl
     arch: str = "cnn"               # cnn | mlp
     dataset: str = "mnist"          # mnist | synthetic:<classes>x<per_class>
-    data_dir: str = ""              # IDX directory; falls back to $SEMIFL_DATA_DIR
-    train_images: str = ""          # explicit IDX paths override data_dir
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
+    data_dir: str = ""              # MNIST IDX directory; empty = $SEMIFL_DATA_DIR
     partition: str = "noniid"       # iid | noniid
     clients: int = 100
     per_client: int = 600
@@ -48,11 +42,6 @@ class ExperimentConfig:
     eval_every: int = 5
     checkpoint_every: int = 0       # 0 = final checkpoint only
     master_seed: int = 0
-    partition_seed: int = -1        # -1 = reuse master_seed
-
-    @property
-    def effective_partition_seed(self) -> int:
-        return self.master_seed if self.partition_seed == -1 else self.partition_seed
 
     def dataset_kind(self) -> tuple[str, tuple[int, int] | None]:
         """Split the dataset spec: ("mnist", None) or ("synthetic", (classes, per_class))."""
@@ -129,9 +118,6 @@ def validate_config(cfg: ExperimentConfig, origin=None) -> ExperimentConfig:
         if any(ch in value for ch in "#\n\r") or value != value.strip():
             bad(key, f"{key} cannot hold '#', a line break or surrounding "
                      f"blanks (config.resolved would not read back), got {value!r}")
-    if cfg.partition_seed < -1:
-        bad("partition_seed", f"partition_seed must be -1 (reuse master_seed) or >= 0, "
-                              f"got {cfg.partition_seed}")
     if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate >= 0):
         bad("learning_rate",
             f"learning_rate must be a finite number >= 0, got {cfg.learning_rate}")
@@ -161,7 +147,7 @@ def parse_config(path, **overrides) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     cfg = ExperimentConfig()
@@ -194,8 +180,3 @@ def render_config(cfg: ExperimentConfig) -> str:
     for f in fields(ExperimentConfig):
         out.append(f"{f.name} = {getattr(cfg, f.name)}")
     return "\n".join(out) + "\n"
-
-
-def resolve_data_dir(cfg: ExperimentConfig) -> str:
-    """Directory that should contain the IDX files (may be empty if unset)."""
-    return cfg.data_dir or os.environ.get(DATA_DIR_ENV, "")

@@ -31,8 +31,7 @@ import numpy as np
 
 from . import clustering, federation
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
-from .config import (VALUE_KINDS, ExperimentConfig, render_config, resolve_data_dir,
-                     validate_config)
+from .config import VALUE_KINDS, ExperimentConfig, render_config, validate_config
 from .data import LabeledSet, generate_synthetic, load_idx, partition
 from .errors import DataError
 from .federation import RoundRecord
@@ -52,20 +51,9 @@ _MNIST_NAMES = {
 }
 
 
-def _find_idx_file(role: str, cfg: ExperimentConfig) -> str:
-    explicit = getattr(cfg, role)
-    if explicit:
-        if not os.path.exists(explicit):
-            raise DataError(f"{role}: file not found: {explicit}")
-        return explicit
-    root = resolve_data_dir(cfg)
-    if not root:
-        raise DataError(
-            f"{role}: no path configured; set data_dir, the {role} key, or "
-            f"the SEMIFL_DATA_DIR environment variable")
-    candidates = []
-    for name in _MNIST_NAMES[role]:
-        candidates += [os.path.join(root, name), os.path.join(root, name + ".gz")]
+def _find_idx_file(root: str, role: str) -> str:
+    candidates = [os.path.join(root, name + gz) for name in _MNIST_NAMES[role]
+                  for gz in ("", ".gz")]
     for cand in candidates:
         if os.path.exists(cand):
             return cand
@@ -73,13 +61,19 @@ def _find_idx_file(role: str, cfg: ExperimentConfig) -> str:
 
 
 def load_mnist(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
-    """Locate and read the train/test IDX pairs for an mnist-mode run.
+    """Read the train/test IDX pairs from ``cfg.data_dir``, or from the
+    ``SEMIFL_DATA_DIR`` environment variable when ``data_dir`` is empty.
 
     Both models are sized for 28x28 images, so other sizes stop here.
     """
+    root = cfg.data_dir or os.environ.get("SEMIFL_DATA_DIR", "")
+    if not root:
+        raise DataError("no MNIST directory: set data_dir or the SEMIFL_DATA_DIR "
+                        "environment variable")
+
     def read(split: str) -> LabeledSet:
-        images = _find_idx_file(f"{split}_images", cfg)
-        ds = load_idx(images, _find_idx_file(f"{split}_labels", cfg))
+        images = _find_idx_file(root, f"{split}_images")
+        ds = load_idx(images, _find_idx_file(root, f"{split}_labels"))
         rows, cols = ds.images.shape[2:]
         if (rows, cols) != (28, 28):
             raise DataError(f"{images}: images are {rows}x{cols}, the models need 28x28")
@@ -94,15 +88,13 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     if kind == "mnist":
         return load_mnist(cfg)
     classes, per_class = synth
-    seed = cfg.effective_partition_seed
-    train = generate_synthetic(classes, per_class, seed)
-    test = generate_synthetic(classes, max(10, per_class // 4), seed + 1_000_003)
+    train = generate_synthetic(classes, per_class, cfg.master_seed)
+    test = generate_synthetic(classes, max(10, per_class // 4), cfg.master_seed + 1_000_003)
     return train, test
 
 
 def build_clients(cfg: ExperimentConfig, train: LabeledSet):
-    return partition(train, cfg.partition, cfg.clients, cfg.per_client,
-                     cfg.effective_partition_seed)
+    return partition(train, cfg.partition, cfg.clients, cfg.per_client, cfg.master_seed)
 
 
 def build_assignment(cfg: ExperimentConfig, clients) -> clustering.Clusters:
@@ -227,25 +219,28 @@ def _read_columns(path: Path, columns: dict[str, type]) -> list[dict]:
     (``str``, ``int`` or ``float``).  A short row or a value that does not
     parse is a DataError naming the file and the line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            parsed = {}
-            for column, kind in columns.items():
-                value = row[column]
-                if value is None:
-                    raise DataError(f"{path}: line {reader.line_num}: no {column} value")
-                try:
-                    parsed[column] = kind(value)
-                except ValueError:
-                    raise DataError(f"{path}: line {reader.line_num}: {column} is not "
-                                    f"{VALUE_KINDS[kind]}: {value!r}") from None
-            rows.append(parsed)
-        return rows
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+            rows = []
+            for row in reader:
+                parsed = {}
+                for column, kind in columns.items():
+                    value = row[column]
+                    if value is None:
+                        raise DataError(f"{path}: line {reader.line_num}: no {column} value")
+                    try:
+                        parsed[column] = kind(value)
+                    except ValueError:
+                        raise DataError(f"{path}: line {reader.line_num}: {column} is not "
+                                        f"{VALUE_KINDS[kind]}: {value!r}") from None
+                rows.append(parsed)
+            return rows
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def summarize_run(run_dir) -> dict:

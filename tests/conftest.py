@@ -1,6 +1,8 @@
 """Shared fixtures and helpers."""
 
+import gzip
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,21 @@ def run_child(code: str, env_vars: dict) -> str:
                           text=True, timeout=120, cwd=tests)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def write_mnist_dir(root: Path, side: int = 28, n_train: int = 100, n_test: int = 20) -> Path:
+    """Random ``side`` x ``side`` IDX files under both spellings of the MNIST
+    names, gzipped or not, in a new directory ``root``."""
+    root.mkdir()
+    rng = np.random.default_rng(0)
+    for images, labels, n in (("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte", n_train),
+                              ("t10k-images.idx3-ubyte", "t10k-labels.idx1-ubyte.gz", n_test)):
+        pixels = rng.integers(0, 256, n * side * side, dtype=np.uint8).tobytes()
+        for name, blob in ((images, struct.pack(">IIII", 0x803, n, side, side) + pixels),
+                           (labels, struct.pack(">II", 0x801, n)
+                            + bytes(i % 10 for i in range(n)))):
+            (root / name).write_bytes(gzip.compress(blob) if name.endswith(".gz") else blob)
+    return root
 
 
 def max_param_diff(a, b) -> float:

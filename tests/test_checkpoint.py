@@ -1,5 +1,7 @@
 """Checkpoint container tests: round-trip, size arithmetic, corruption."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,14 @@ class TestCorruption:
         blob[5:8] = b"gru"  # overwrite the arch tag characters
         path = self._write(tmp_path, bytes(blob))
         with pytest.raises(DataError, match="architecture tag"):
+            checkpoint.load_checkpoint(path)
+
+    def test_shape_whose_size_wraps_is_truncation(self, tmp_path):
+        # 65536**4 == 2**64, which a fixed-width product wraps to 0 bytes
+        blob = (b"SFL1\x03mlp" + struct.pack("<I", 1) + b"\x03fc1"
+                + struct.pack("<B4I", 4, *[65536] * 4) + struct.pack("<BI", 1, 1) + bytes(12))
+        path = self._write(tmp_path, blob)
+        with pytest.raises(DataError, match="truncated checkpoint"):
             checkpoint.load_checkpoint(path)
 
     @pytest.mark.parametrize("count", [0, 65])

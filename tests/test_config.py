@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
-from semifl import config
+from semifl import config, experiment
 from semifl.errors import ConfigError
+from conftest import write_mnist_dir
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -29,12 +30,6 @@ class TestDefaults:
         assert cfg.cl_batch == 200
         assert cfg.eval_every == 5
         assert cfg.client_fraction == 1.0
-
-    def test_partition_seed_falls_back_to_master(self, tmp_path):
-        cfg = config.parse_config(write(tmp_path, "master_seed = 11\n"))
-        assert cfg.effective_partition_seed == 11
-        cfg2 = config.parse_config(write(tmp_path, "master_seed = 11\npartition_seed = 3\n"))
-        assert cfg2.effective_partition_seed == 3
 
 
 class TestParsing:
@@ -93,7 +88,7 @@ class TestValidation:
         ("learning_rate = nan", "learning_rate"),
         ("learning_rate = inf", "learning_rate"),
         ("learning_rate = fast", "'learning_rate' needs a number, got 'fast'"),
-        ("partition_seed = -2", "partition_seed must be -1"),
+        ("partition_seed = 3", "unknown key 'partition_seed'"),
         ("rounds = 0", "rounds"),
         ("local_epochs = 0", "local_epochs"),
         ("local_batch = 0", "local_batch"),
@@ -145,12 +140,11 @@ class TestRender:
         # every key differs from its default
         cfg = config.ExperimentConfig(
             mode="cl", arch="mlp", dataset="synthetic:3x7", data_dir="/data/mnist v2",
-            train_images="a.idx", train_labels="b.idx", test_images="c.idx",
-            test_labels="d.idx", partition="iid", clients=7, per_client=3,
+            partition="iid", clients=7, per_client=3,
             pattern="explicit", assignment_file="clusters.txt",
             cluster_order="shuffled:8", rounds=9, local_epochs=2, local_batch=4,
             learning_rate=1e-07, client_fraction=0.1, cl_batch=33, eval_every=3,
-            checkpoint_every=4, master_seed=2**40, partition_seed=0)
+            checkpoint_every=4, master_seed=2**40)
         defaults = config.ExperimentConfig()
         assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
                    for f in dataclasses.fields(cfg))
@@ -159,10 +153,9 @@ class TestRender:
 
 
 class TestDataDir:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(config.DATA_DIR_ENV, "/tmp/idx")
-        assert config.resolve_data_dir(config.ExperimentConfig()) == "/tmp/idx"
-        assert config.resolve_data_dir(
-            config.ExperimentConfig(data_dir="/explicit")) == "/explicit"
-        monkeypatch.delenv(config.DATA_DIR_ENV)
-        assert config.resolve_data_dir(config.ExperimentConfig()) == ""
+    def test_env_fallback(self, tmp_path, monkeypatch):
+        # $SEMIFL_DATA_DIR is read only when data_dir is empty
+        monkeypatch.setenv("SEMIFL_DATA_DIR", str(tmp_path / "bogus"))
+        root = write_mnist_dir(tmp_path / "mnist")
+        train, test = experiment.load_mnist(config.ExperimentConfig(data_dir=str(root)))
+        assert (len(train), len(test)) == (100, 20)

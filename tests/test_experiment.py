@@ -1,10 +1,8 @@
 """End-to-end run orchestration and CLI tests (synthetic data only)."""
 
 import csv
-import gzip
 import json
 import os
-import struct
 import subprocess
 import sys
 import warnings
@@ -16,6 +14,7 @@ import pytest
 from semifl import checkpoint, cli, clustering, config, experiment, federation, nn
 from semifl.config import ExperimentConfig, parse_config, render_config, validate_config
 from semifl.errors import ConfigError, DataError
+from conftest import write_mnist_dir
 
 TINY = dict(arch="mlp", dataset="synthetic:10x12", partition="noniid",
             clients=10, per_client=12, rounds=3, local_epochs=1, local_batch=6,
@@ -31,6 +30,15 @@ def tiny_cfg(**kw):
 def read_metrics(out_dir):
     with open(out_dir / "metrics.csv", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_cli(*args, **env_vars):
+    """The finished ``python -m semifl.cli args`` process, run with ``env_vars`` set."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, **env_vars,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "semifl.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def write_cfg(tmp_path, name="run.cfg", **kw):
@@ -79,12 +87,8 @@ class TestRunExperiment:
         if json.loads((tmp_path / "here" / "env.json").read_text())["blas_core"] is None:
             pytest.skip("numpy's BLAS has no scipy-openblas core name")
         cfg = write_cfg(tmp_path, rounds=1)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "semifl.cli", "train",
-                               "--config", str(cfg), "--out", str(tmp_path / "child")],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_cli("train", "--config", cfg, "--out", tmp_path / "child",
+                       OPENBLAS_CORETYPE="Haswell")
         assert proc.returncode == 0, proc.stderr
         child = json.loads((tmp_path / "child" / "env.json").read_text())
         assert (child["blas_core"], child["OPENBLAS_CORETYPE"]) == ("Haswell", "Haswell")
@@ -177,12 +181,6 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="SEMIFL_DATA_DIR"):
             experiment.run_experiment(cfg, tmp_path / "out")
 
-    def test_missing_explicit_idx_path_is_data_error(self, tmp_path):
-        missing = tmp_path / "nope-images.idx"
-        cfg = tiny_cfg(dataset="mnist", train_images=str(missing))
-        with pytest.raises(DataError, match=f"train_images: file not found: {missing}"):
-            experiment.run_experiment(cfg, tmp_path / "out")
-
     def test_all_modes_learn_synthetic(self, tmp_path):
         # easy blobs: every mode must clear 0.9 with an adequate budget,
         # and sequential clusters beat FedAvg at a matched 6-round budget
@@ -216,6 +214,17 @@ class TestSummarize:
 
     def test_missing_metrics(self, tmp_path):
         with pytest.raises(DataError, match="metrics.csv"):
+            experiment.summarize_run(tmp_path)
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_bytes(b"round,mode,pattern,test_accuracy\n1,fl,\xff,0.5\n"),
+        lambda path: path.write_text("round,mode,pattern,test_accuracy\n1,fl,-,"
+                                     + "5" * 200_000 + "\n"),  # over csv's field limit
+        lambda path: path.mkdir(),
+    ], ids=["not-utf8", "field-too-long", "directory"])
+    def test_unreadable_metrics_is_data_error(self, tmp_path, make):
+        make(tmp_path / "metrics.csv")
+        with pytest.raises(DataError, match=f"cannot read {tmp_path / 'metrics.csv'}: "):
             experiment.summarize_run(tmp_path)
 
     def test_metrics_without_rows(self, tmp_path):
@@ -279,35 +288,18 @@ class TestCli:
 
     @pytest.mark.parametrize("arch", ["mlp", "cnn"])
     def test_wrong_size_idx_images_are_exit_2_before_metrics(self, tmp_path, capsys, arch):
-        paths = {}
-        for split, n in (("train", 20), ("test", 10)):
-            paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
-            paths[f"{split}_images"].write_bytes(
-                struct.pack(">IIII", 0x803, n, 32, 32) + bytes(n * 32 * 32))
-            paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
-            paths[f"{split}_labels"].write_bytes(
-                struct.pack(">II", 0x801, n) + bytes(i % 10 for i in range(n)))
+        root = write_mnist_dir(tmp_path / "mnist", side=32, n_train=20, n_test=10)
         cfg = write_cfg(tmp_path, mode="fl", arch=arch, dataset="mnist", partition="iid",
-                        clients=10, per_client=2, local_batch=2, **paths)
+                        clients=10, per_client=2, local_batch=2, data_dir=root)
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert (f"data error: {paths['train_images']}: images are 32x32, the models "
-                f"need 28x28") in capsys.readouterr().err
+        assert (f"data error: {root / 'train-images-idx3-ubyte.gz'}: images are 32x32, "
+                f"the models need 28x28") in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("via", ["data_dir", "env"])
     def test_train_on_an_mnist_directory(self, tmp_path, monkeypatch, via):
-        # 28x28 IDX files under both spellings of the MNIST names, gzipped or not
-        root = tmp_path / "mnist"
-        root.mkdir()
-        rng = np.random.default_rng(0)
-        for images, labels, n in (("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte", 100),
-                                  ("t10k-images.idx3-ubyte", "t10k-labels.idx1-ubyte.gz", 20)):
-            pixels = rng.integers(0, 256, n * 28 * 28, dtype=np.uint8).tobytes()
-            for name, blob in ((images, struct.pack(">IIII", 0x803, n, 28, 28) + pixels),
-                               (labels, struct.pack(">II", 0x801, n)
-                                + bytes(i % 10 for i in range(n)))):
-                (root / name).write_bytes(gzip.compress(blob) if name.endswith(".gz") else blob)
+        root = write_mnist_dir(tmp_path / "mnist")
         monkeypatch.delenv("SEMIFL_DATA_DIR", raising=False)
         where = {"data_dir": root}
         if via == "env":
@@ -335,19 +327,8 @@ class TestCli:
         assert (a / "model_final.sfl1").read_bytes() != \
             (b / "model_final.sfl1").read_bytes()
 
-    def test_cluster_order_override(self, tmp_path):
-        cfg = write_cfg(tmp_path, pattern="c3")
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["train", "--config", str(cfg), "--out", str(a)]) == 0
-        assert cli.main(["train", "--config", str(cfg), "--out", str(b),
-                         "--cluster-order", "shuffled:5"]) == 0
-        assert (a / "model_final.sfl1").read_bytes() != \
-            (b / "model_final.sfl1").read_bytes()
-
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "master_seed must be >= 0, got -1"),
-        ("--cluster-order", "bogus", "cluster_order must be 'fixed' or "
-                                     "'shuffled:<seed>', got 'bogus'"),
     ])
     def test_bad_override_names_the_flag(self, tmp_path, capsys, flag, value, message):
         cfg = write_cfg(tmp_path, pattern="c3")
@@ -368,9 +349,25 @@ class TestCli:
             monkeypatch.setattr(module, "validate_config", counting, raising=False)
         cfg = write_cfg(tmp_path, pattern="c3")
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                         "--seed", "4", "--cluster-order", "shuffled:2"]) == 0
+                         "--seed", "4"]) == 0
         assert len(calls) == 2
-        assert calls[0].master_seed == 4 and calls[0].cluster_order == "shuffled:2"
+        assert calls[0].master_seed == 4
+
+    @pytest.mark.parametrize("bad_file, code, message", [
+        ("config", 1, "config error: cannot read config {path}: 'utf-8' codec can't decode"),
+        ("assignment_file", 2,
+         "data error: cannot read assignment file {path}: 'utf-8' codec can't decode"),
+    ], ids=["config", "assignment"])
+    def test_non_utf8_file_exit_status_in_a_child_process(self, tmp_path, bad_file, code,
+                                                          message):
+        # the exit status a shell sees, read from a real process
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1 \xff\n")
+        cfg = bad if bad_file == "config" else write_cfg(tmp_path, pattern="explicit",
+                                                         assignment_file=bad)
+        proc = run_cli("train", "--config", cfg, "--out", tmp_path / "out")
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(message.format(path=bad))
 
     def test_partition_writes_clients_and_clusters(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c1")
