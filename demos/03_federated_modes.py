@@ -1,9 +1,10 @@
 """The three training modes side by side, on the same synthetic federation.
 
 100 single-label clients train the same MLP under (a) clustered sequential
-training with one upload per cluster, (b) classic federated averaging with
-full and 10% participation, and (c) a centralized pool.  Prints a per-round
-accuracy table plus what each mode paid in uplink traffic.
+training with one upload per cluster, with every cluster or half of them
+sampled each round, (b) classic federated averaging with full and 10%
+participation, and (c) a centralized pool.  Prints a per-round accuracy table
+plus what each mode paid in uplink traffic.
 
 Each mode is one ``run_experiment`` call (the driver behind ``semifl train``)
 into a temporary run directory; the uplink totals come from its ledger.csv.
@@ -22,6 +23,7 @@ SEED = 0
 
 RUNS = {
     "semifl c3": dict(mode="semifl", pattern="c3"),
+    "semifl 50%": dict(mode="semifl", pattern="c3", client_fraction=0.5),
     "fl 100%": dict(mode="fl", client_fraction=1.0),
     "fl 10%": dict(mode="fl", client_fraction=0.1),
     "central": dict(mode="cl"),

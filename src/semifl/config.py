@@ -37,7 +37,7 @@ class ExperimentConfig:
     local_epochs: int = 5
     local_batch: int = 20
     learning_rate: float = 0.01
-    client_fraction: float = 1.0
+    client_fraction: float = 1.0    # share of chains trained per round: fl clients, semifl clusters
     cl_batch: int = 200
     eval_every: int = 5
     checkpoint_every: int = 0       # 0 = final checkpoint only

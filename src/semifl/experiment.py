@@ -64,7 +64,8 @@ def load_mnist(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     """Read the train/test IDX pairs from ``cfg.data_dir``, or from the
     ``SEMIFL_DATA_DIR`` environment variable when ``data_dir`` is empty.
 
-    Both models are sized for 28x28 images, so other sizes stop here.
+    Both models are sized for 28x28 images, so other sizes stop here, and so
+    does an empty split, which could neither train nor be evaluated.
     """
     root = cfg.data_dir or os.environ.get("SEMIFL_DATA_DIR", "")
     if not root:
@@ -74,6 +75,8 @@ def load_mnist(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     def read(split: str) -> LabeledSet:
         images = _find_idx_file(root, f"{split}_images")
         ds = load_idx(images, _find_idx_file(root, f"{split}_labels"))
+        if len(ds) == 0:
+            raise DataError(f"{images}: no images")
         rows, cols = ds.images.shape[2:]
         if (rows, cols) != (28, 28):
             raise DataError(f"{images}: images are {rows}x{cols}, the models need 28x28")

@@ -5,12 +5,16 @@ same global snapshot; each participant continues from its predecessor's
 weights and the chain's last model is its head.  The modes differ only in the
 chains they train and in what happens to the heads:
 
-* ``semifl`` -- one chain per cluster; the server averages the N heads.
-* ``fl``     -- classic FedAvg: max(1, round(C*K)) sampled clients, each a
-  one-client chain; the server averages their models.
+* ``semifl`` -- one chain per cluster; the server averages the heads.
+* ``fl``     -- classic FedAvg, which is semifl over singleton clusters: every
+  client is a one-client chain.
 * ``cl``     -- centralized pooled minibatch SGD: one chain holding the pooled
   set, trained for one epoch at ``cl_batch``; with no server, its head is the
   new model.
+
+With a server, each round trains max(1, round(C*N)) of the N chains (FedAvg's
+client fraction C, which in semifl picks clusters), drawn afresh every round;
+at C = 1 all of them train and nothing is drawn.
 
 :func:`plan_rounds` holds that per-mode knowledge; :func:`run_round` is the
 engine.  Every random draw is keyed by (master_seed, purpose, round, id)
@@ -37,7 +41,7 @@ from .nn import ModelParams, LayerParams, check_aligned, train_local_with_loss
 
 # stream purposes
 _KIND_TRAIN = 0   # per-client local training (shuffles)
-_KIND_SAMPLE = 1  # per-round FedAvg client sampling
+_KIND_SAMPLE = 1  # per-round chain sampling (FedAvg's C)
 _KIND_CL = 2      # per-round centralized epoch shuffle
 
 
@@ -66,11 +70,10 @@ class RoundPlan:
     """What one mode trains in every round of a run."""
 
     chains: tuple[Chain, ...]
-    kind: int                # stream purpose of the chain links
     epochs: int
     batch_size: int
     learning_rate: float
-    sample: int              # chains drawn per round; 0 trains them all
+    sample: int              # chains trained per round, drawn when fewer than all
     server: bool             # average the heads; without a server the one head is the model
     seed: int
 
@@ -79,24 +82,23 @@ def plan_rounds(cfg: ExperimentConfig, clients: list[LabeledSet],
                 clusters: Clusters | None = None) -> RoundPlan:
     """The chains, streams and hyperparameters of ``cfg.mode``.
 
-    Client ``k`` is ``clients[k]`` and trains on stream id ``k``.
-    ``clusters`` are the semifl clusters and are ignored by the other modes.
-    They are taken as given: ``build_assignment`` checks an explicit
-    assignment with ``clustering.validate``, and the patterns are built from
-    the clients.
+    Client ``k`` is ``clients[k]`` and trains on stream id ``k``.  With a
+    server, each of ``clusters`` is one chain, and ``None`` makes every
+    client its own cluster: that is FedAvg.  ``cl`` pools the clients into
+    one chain and ignores ``clusters``.  Clusters are taken as given:
+    ``build_assignment`` checks an explicit assignment with
+    ``clustering.validate``, and the patterns are built from the clients.
     """
-    common = dict(learning_rate=cfg.learning_rate, seed=cfg.master_seed)
     if cfg.mode == "cl":
-        return RoundPlan(chains=(((0, pool_clients(clients)),),), kind=_KIND_CL,
-                         epochs=1, batch_size=cfg.cl_batch, sample=0, server=False, **common)
-    common.update(epochs=cfg.local_epochs, batch_size=cfg.local_batch)
-    if cfg.mode == "fl":
-        m = max(1, round(cfg.client_fraction * len(clients)))
-        singletons = tuple(((cid, c),) for cid, c in enumerate(clients))
-        return RoundPlan(chains=singletons, kind=_KIND_TRAIN,
-                         sample=m if m < len(clients) else 0, server=True, **common)
-    chains = tuple(tuple((cid, clients[cid]) for cid in cluster) for cluster in clusters)
-    return RoundPlan(chains=chains, kind=_KIND_TRAIN, sample=0, server=True, **common)
+        chains, epochs, batch_size = (((0, pool_clients(clients)),),), 1, cfg.cl_batch
+    else:
+        if clusters is None:
+            clusters = tuple((cid,) for cid in range(len(clients)))
+        chains = tuple(tuple((cid, clients[cid]) for cid in cluster) for cluster in clusters)
+        epochs, batch_size = cfg.local_epochs, cfg.local_batch
+    return RoundPlan(chains=chains, epochs=epochs, batch_size=batch_size,
+                     learning_rate=cfg.learning_rate, server=cfg.mode != "cl",
+                     sample=max(1, round(cfg.client_fraction * len(chains))), seed=cfg.master_seed)
 
 
 class _Uploads:
@@ -127,7 +129,8 @@ def run_round(model: ModelParams, plan: RoundPlan,
     """
     t0 = time.perf_counter()
     chains = plan.chains
-    if plan.sample:
+    kind = _KIND_TRAIN if plan.server else _KIND_CL
+    if plan.sample < len(chains):
         sampler = stream(plan.seed, _KIND_SAMPLE, round_idx)
         picks = np.sort(sampler.choice(len(chains), size=plan.sample, replace=False))
         chains = [chains[i] for i in picks]
@@ -140,7 +143,7 @@ def run_round(model: ModelParams, plan: RoundPlan,
             head, loss = train_local_with_loss(
                 head, examples.images, examples.labels,
                 plan.epochs, plan.batch_size, plan.learning_rate,
-                stream(plan.seed, plan.kind, round_idx, ident))
+                stream(plan.seed, kind, round_idx, ident))
             if not math.isfinite(loss):
                 who = f"client {ident}" if plan.server else "the pooled set"
                 raise FloatingPointError(

@@ -165,7 +165,9 @@ def _taps_buffer(rows: int, m: int, dtype) -> np.ndarray:
     """This thread's (rows, m) tap-major buffer, reused while its shape and dtype hold.
 
     Its rows are padded by 16 floats: when a row of m floats is a multiple of
-    4 KiB (batch 512, for one), the GEMM's reads down the rows alias in cache.
+    4 KiB, the GEMM's reads down the rows alias in cache.  Both conv layers
+    hit that at any batch that is a multiple of 16 images, such as every
+    64-image chunk of :func:`forward`.
     """
     return _thread_buffer("taps", rows, (rows, m + 16), dtype)[:, :m]
 

@@ -297,6 +297,17 @@ class TestCli:
                 f"the models need 28x28") in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_empty_test_split_is_exit_2_before_training(self, tmp_path, capsys):
+        root = write_mnist_dir(tmp_path / "mnist", n_test=0)
+        cfg = write_cfg(tmp_path, mode="fl", dataset="mnist", partition="iid", clients=10,
+                        per_client=10, rounds=2, eval_every=2, data_dir=root)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"data error: {root / 't10k-images.idx3-ubyte'}: no images"
+                in capsys.readouterr().err)
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "ledger.csv").exists()
+
     @pytest.mark.parametrize("via", ["data_dir", "env"])
     def test_train_on_an_mnist_directory(self, tmp_path, monkeypatch, via):
         root = write_mnist_dir(tmp_path / "mnist")

@@ -27,6 +27,11 @@ def plan(clients, clusters=None, **kw):
     return federation.plan_rounds(fed_cfg(**kw), clients, clusters)
 
 
+PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
+# ten one-client fl chains, or five two-client semifl clusters
+LAYOUTS = {"fl": dict(mode="fl"), "semifl": dict(clusters=PAIRS)}
+
+
 def chain_head(model, clients, chain, cfg, round_idx):
     """Oracle: train the clients of ``chain`` (ids) one after another from ``model``."""
     for cid in chain:
@@ -143,15 +148,17 @@ class TestFedavgRound:
         assert models_equal(new, federation.aggregate_mean(updates))
         assert rec.uplink_models == 10
 
-    def test_sampling_count_and_determinism(self, ten_clients):
-        p = plan(ten_clients, mode="fl", client_fraction=0.3)
+    @pytest.mark.parametrize("layout, uploads", [("fl", 4), ("semifl", 2)], ids=LAYOUTS)
+    def test_sampling_count_and_determinism(self, ten_clients, layout, uploads):
+        p = plan(ten_clients, client_fraction=0.4, **LAYOUTS[layout])
         m0 = nn.init_mlp(3)
         a, rec = federation.run_round(m0, p, 4)
         b, _ = federation.run_round(m0, p, 4)
-        assert rec.uplink_models == 3  # round(0.3 * 10)
+        assert rec.uplink_models == uploads  # round(0.4 * chains)
         assert models_equal(a, b)
 
-    def test_sampling_varies_by_round(self, ten_clients, monkeypatch):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_sampling_varies_by_round(self, ten_clients, monkeypatch, layout):
         trained = []
         original = federation.train_local_with_loss
 
@@ -160,7 +167,8 @@ class TestFedavgRound:
             return original(model, images, labels, *args)
 
         monkeypatch.setattr(federation, "train_local_with_loss", spy)
-        p = plan(ten_clients, mode="fl", client_fraction=0.2, local_epochs=1)
+        # two of ten fl clients, or one of five semifl pairs: two clients either way
+        p = plan(ten_clients, client_fraction=0.2, local_epochs=1, **LAYOUTS[layout])
         for t in range(1, 7):
             trained.append([])
             federation.run_round(nn.init_mlp(0), p, t)
@@ -187,10 +195,27 @@ class TestFedavgRound:
         assert rec.uplink_models == 100
         assert peak < 4_000_000, f"round peak {peak / 1e6:.1f} MB"
 
-    def test_fraction_floor_one(self, ten_clients):
-        p = plan(ten_clients, mode="fl", client_fraction=0.01)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_fraction_floor_one(self, ten_clients, layout):
+        p = plan(ten_clients, client_fraction=0.01, **LAYOUTS[layout])
         _, rec = federation.run_round(nn.init_mlp(0), p, 1)
-        assert rec.uplink_models == 1  # max(1, round(0.1))
+        assert rec.uplink_models == 1  # max(1, round(0.01 * chains))
+
+    @pytest.mark.parametrize("kw", [*LAYOUTS.values(), dict(mode="cl"),
+                                    dict(mode="cl", client_fraction=0.3)],
+                             ids=[*LAYOUTS, "cl", "cl-fraction"])
+    def test_no_sample_stream_when_every_chain_trains(self, ten_clients, monkeypatch, kw):
+        # what keeps the C = 1 bits: the sampling stream is drawn only to leave chains out
+        kinds = []
+        original = federation.stream
+
+        def spy(seed, kind, *args):
+            kinds.append(kind)
+            return original(seed, kind, *args)
+
+        monkeypatch.setattr(federation, "stream", spy)
+        federation.run_round(nn.init_mlp(0), plan(ten_clients, local_epochs=1, **kw), 1)
+        assert kinds and federation._KIND_SAMPLE not in kinds
 
 
 class TestCentralized:
@@ -228,16 +253,16 @@ class TestCentralized:
 
 class TestUplinkAccounting:
     def test_reference_counts(self, clients_100):
-        # K=100, C=0.1, N=10: fl(10%)=10, fl(100%)=100, semifl=10, cl=0
+        # K=100, N=10: fl(C=0.1) trains 10 chains, fl(C=1) 100, semifl 10, cl its one
         c1 = clustering.build_pattern("c1", clients_100)
         semi = federation.plan_rounds(fed_cfg(), clients_100, c1)
         fl10 = federation.plan_rounds(fed_cfg(mode="fl", client_fraction=0.1), clients_100)
         fl100 = federation.plan_rounds(fed_cfg(mode="fl"), clients_100)
         cl = federation.plan_rounds(fed_cfg(mode="cl"), clients_100)
-        assert (len(semi.chains), semi.sample, semi.server) == (10, 0, True)
+        assert (len(semi.chains), semi.sample, semi.server) == (10, 10, True)
         assert (len(fl10.chains), fl10.sample, fl10.server) == (100, 10, True)
-        assert (len(fl100.chains), fl100.sample, fl100.server) == (100, 0, True)
-        assert (len(cl.chains), cl.server) == (1, False)
+        assert (len(fl100.chains), fl100.sample, fl100.server) == (100, 100, True)
+        assert (len(cl.chains), cl.sample, cl.server) == (1, 1, False)
 
     def test_bytes_scale_with_model(self, tmp_path):
         # a run writes uplink_models x the checkpoint's size in both of its CSVs
@@ -258,6 +283,26 @@ class TestUplinkAccounting:
                         (models, models * size)
                     if name == "metrics.csv":
                         assert (r["mode"], r["pattern"]) == (kw["mode"], pattern)
+
+    def test_semifl_fraction_samples_clusters(self, tmp_path, monkeypatch):
+        # C = 0.3 over 10 clusters of 10 clients: 3 uploads a round, drawn by (seed, round)
+        draws = []
+        original = federation.stream
+
+        def spy(seed, kind, *args):
+            if kind == federation._KIND_SAMPLE:
+                draws.append((seed, *args))
+            return original(seed, kind, *args)
+
+        monkeypatch.setattr(federation, "stream", spy)
+        cfg = ExperimentConfig(mode="semifl", pattern="c1", arch="mlp",
+                               dataset="synthetic:10x120", clients=100, per_client=12,
+                               rounds=3, eval_every=3, local_epochs=1, local_batch=12,
+                               client_fraction=0.3, master_seed=5)
+        experiment.run_experiment(cfg, tmp_path)
+        with open(tmp_path / "ledger.csv", newline="") as fh:
+            assert [r["uplink_models"] for r in csv.DictReader(fh)] == ["3", "3", "3"]
+        assert draws == [(5, 1), (5, 2), (5, 3)]
 
 
 class TestDivergence:
