@@ -37,6 +37,12 @@ and so of every trained CNN, that the golden digests pin.  The input
 gradient needs no patch-sized matrix: it is one small GEMM per tap, added in
 (i, j) order.
 
+A training batch of more than :data:`CONV_CHUNK` images runs forward and
+backward in equal chunks of at most that many, and its gradient is the sum
+of the chunk gradients in chunk order, so the chunk split is part of the bits
+of such a step.  Evaluation chunks only the conv stack, and its logits equal
+one pass bit for bit.
+
 Every gradient, and so every parameter :func:`sgd_step` makes from it, is C
 ordered: :func:`grad_check` perturbs parameters through flat views, and the
 forward GEMM reads ``w`` in the layout of a freshly initialised model.
@@ -53,7 +59,7 @@ import numpy as np
 from .data import NUM_CLASSES
 
 ARCHITECTURES = ("cnn", "mlp")
-CONV_CHUNK = 64  # images per conv GEMM, and per conv-stack pass in forward
+CONV_CHUNK = 64  # most images per conv GEMM, per conv-stack pass in forward, per training chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,17 +284,19 @@ def _maxpool2_backward(dout: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.n
     return dx.reshape(x.shape)
 
 
-def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the batch and its gradient w.r.t. the logits."""
+def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, total: int | None = None):
+    """Cross-entropy summed over the batch and its gradient w.r.t. the logits,
+    both divided by ``total`` (by default the batch size: the mean)."""
     z = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
     bsz = logits.shape[0]
+    total = bsz if total is None else total
     rows = np.arange(bsz)
-    loss = -logp[rows, labels].mean()
+    loss = -logp[rows, labels].sum() / total
     dlogits = np.exp(logp)
     dlogits[rows, labels] -= 1
-    dlogits /= bsz
+    dlogits /= total
     return float(loss), dlogits
 
 
@@ -301,7 +309,9 @@ def _as_model_input(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     (B, 1, H, W), which it flattens; the cnn requires (B, 1, H, W).  The
     feature width is checked where the head reads it."""
     if model.arch == "mlp":
-        return inputs.reshape(inputs.shape[0], -1) if inputs.ndim == 4 else inputs
+        if inputs.ndim == 4:  # the width is spelled out: -1 is ambiguous in an empty batch
+            return inputs.reshape(len(inputs), math.prod(inputs.shape[1:]))
+        return inputs
     if inputs.ndim != 4 or inputs.shape[1] != model.layers[0].weights.shape[1]:
         raise ValueError(f"cnn expects (B, 1, H, W) inputs, got shape {inputs.shape}")
     return inputs
@@ -353,7 +363,8 @@ def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     The head then runs once over all the features: an fc GEMM row's bits can
     depend on the row count.  The logits equal one pass over the whole batch
     bit for bit on any BLAS kernel, as :func:`_conv2d` issues its GEMM in the
-    same blocks.
+    same blocks.  :func:`loss_and_grads` chunks the whole network instead,
+    and changes the summation order of its gradients.
     """
     x = _as_model_input(model, inputs)
     if model.arch == "cnn":
@@ -366,28 +377,58 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
                    labels: np.ndarray) -> tuple[float, ModelParams]:
     """Mean softmax cross-entropy over the batch and its parameter gradients.
 
-    Labels must lie in 0..n_classes-1.  The returned gradients mirror
-    ``model``'s structure layer for layer.
+    Labels must lie in 0..n_classes-1, and the batch must not be empty.  The
+    returned gradients mirror ``model``'s structure layer for layer.
+
+    A cnn batch of more than :data:`CONV_CHUNK` images runs forward and
+    backward over equal chunks of at most that many images (4 x 50 at 200),
+    so its patch buffers and activations stay chunk-sized.  Each chunk's loss
+    and logit gradient are divided by the whole batch size, and the chunk
+    gradients are summed in chunk order into the first chunk's arrays: the
+    result is the batch mean, with float32 sums in another order than one
+    pass over the batch.  Smaller cnn batches and every mlp batch take one
+    pass.
     """
     x = _as_model_input(model, inputs)
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
         raise ValueError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
+    if not labels.size:
+        raise ValueError("cannot compute a loss on an empty batch")
     n_classes = model.layers[-1].bias.shape[0]
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.min() < 0 or labels.max() >= n_classes:
         i = int(np.flatnonzero((labels < 0) | (labels >= n_classes))[0])
         raise ValueError(f"label {labels[i]} at batch index {i} is outside 0..{n_classes - 1}")
+    bsz = x.shape[0]
+    if model.arch != "cnn" or bsz <= CONV_CHUNK:
+        loss, grads = _loss_and_grads(model, x, labels, bsz)
+    else:
+        size = -(-bsz // -(-bsz // CONV_CHUNK))  # even split: one buffer shape per step
+        loss, grads = _loss_and_grads(model, x[:size], labels[:size], bsz)
+        for s in range(size, bsz, size):
+            part, more = _loss_and_grads(model, x[s:s + size], labels[s:s + size], bsz)
+            loss += part
+            for (dw, db), (mw, mb) in zip(grads, more):
+                dw += mw
+                db += mb
+    return loss, ModelParams(model.arch, tuple(
+        LayerParams(lp.name, dw, db) for lp, (dw, db) in zip(model.layers, grads)))
+
+
+def _loss_and_grads(model: ModelParams, x: np.ndarray, labels: np.ndarray, total: int):
+    """One pass of :func:`loss_and_grads` over checked inputs: the loss and
+    the (dw, db) pairs of every layer, each summed over the batch and divided
+    by ``total``."""
     feats, conv_cache = _conv_forward(model, x) if model.arch == "cnn" else (x, None)
     logits, a, m = _head(model, feats)
-    loss, dlogits = _softmax_cross_entropy(logits, labels)
+    loss, dlogits = _softmax_cross_entropy(logits, labels, total)
 
     hidden, out = model.layers[-2:]
     dz = (dlogits @ out.weights) * m
     grads = [(dz.T @ feats, dz.sum(axis=0)), (dlogits.T @ a, dlogits.sum(axis=0))]
     if conv_cache is not None:
         grads = _conv_backward(model, dz @ hidden.weights, conv_cache) + grads
-    return loss, ModelParams(model.arch, tuple(
-        LayerParams(lp.name, dw, db) for lp, (dw, db) in zip(model.layers, grads)))
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------

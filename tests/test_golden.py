@@ -80,7 +80,7 @@ GOLDEN = {
 KERNEL_GOLDEN = {
     "cnn-loss_and_grads-b1": "0d1cb3a2825d3ef19c5678d187b91ddf",
     "cnn-loss_and_grads-b20": "9ccbfff52eee08faae93485113263452",
-    "cnn-loss_and_grads-b200": "ebcdb24469325ba78ed7456ead11c7e4",
+    "cnn-loss_and_grads-b200": "213a836bc554a65ebd7b7d6d449c0366",
     "cnn-forward-b512": "72d832c14d4643a88c3958aa9efc467e",
 }
 

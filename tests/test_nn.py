@@ -132,6 +132,12 @@ class TestForward:
             nn.forward(nn.init_cnn(0), np.zeros((2, 1, 32, 32), dtype=np.float32))
 
 
+def step_case(bsz):
+    """Fixed-seed float32 images and labels for one cnn step of ``bsz`` images."""
+    rng = np.random.default_rng(bsz)
+    return rng.random((bsz, 1, 28, 28), dtype=np.float32), rng.integers(0, 10, bsz)
+
+
 class TestLoss:
     def test_uniform_logits_loss_is_log_k(self):
         logits = np.zeros((4, 10), dtype=np.float32)
@@ -169,6 +175,45 @@ class TestLoss:
         with pytest.raises(ValueError, match=r"label 12 at batch index 2 is outside 0\.\.9"):
             nn.loss_and_grads(m, x, np.array([3, 9, 12]))
 
+    @pytest.mark.parametrize("arch, shape", [("cnn", (0, 1, 28, 28)), ("mlp", (0, 784)),
+                                             ("mlp", (0, 1, 28, 28))],
+                             ids=["cnn", "mlp", "mlp-images"])
+    def test_empty_batch_rejected(self, arch, shape):
+        # the cnn and the mlp on images failed to reshape, the mlp on rows
+        # returned a nan loss
+        with pytest.raises(ValueError, match="cannot compute a loss on an empty batch"):
+            nn.loss_and_grads(nn.init_model(arch, 0), np.zeros(shape, dtype=np.float32),
+                              np.zeros(0, dtype=np.int64))
+
+    def test_label_error_indexes_the_whole_chunked_batch(self):
+        # a 200-image step runs in chunks of 50: index 130 is the third chunk's 30th
+        x, y = step_case(200)
+        y[130] = 10
+        with pytest.raises(ValueError, match=r"label 10 at batch index 130 is outside 0\.\.9"):
+            nn.loss_and_grads(nn.init_cnn(0), x, y)
+
+    @pytest.mark.parametrize("bsz", [nn.CONV_CHUNK + 1, 200])
+    def test_chunked_step_is_the_batch_mean(self, bsz):
+        # the float64 step chunks too, so the mean of one-image steps, each a
+        # single pass, pins it first; float32 chunk sums then stay within
+        # ~84 eps of it, relative to each array's largest value (8.3e-7 seen)
+        m = nn.init_cnn(bsz)
+        x, y = step_case(bsz)
+        m64, x64 = m.astype(np.float64), x.astype(np.float64)
+        singles = [nn.loss_and_grads(m64, x64[i:i + 1], y[i:i + 1]) for i in range(bsz)]
+        loss64, g64 = nn.loss_and_grads(m64, x64, y)
+        loss, g = nn.loss_and_grads(m, x, y)
+        assert abs(sum(l for l, _ in singles) / bsz - loss64) <= 1e-12 * loss64
+        assert abs(loss - loss64) <= 1e-5 * loss64
+        for li, lp in enumerate(g64.layers):
+            for field in ("weights", "bias"):
+                want = getattr(lp, field)
+                scale = np.abs(want).max()
+                mean = sum(getattr(gs.layers[li], field) for _, gs in singles) / bsz
+                assert np.abs(mean - want).max() <= 1e-12 * scale, (lp.name, field)
+                assert np.abs(getattr(g.layers[li], field) - want).max() <= 1e-5 * scale, \
+                    (lp.name, field)
+
     def test_grads_mirror_model_structure(self):
         m = nn.init_cnn(8)
         x = np.random.default_rng(7).random((2, 1, 28, 28)).astype(np.float32)
@@ -179,12 +224,12 @@ class TestLoss:
             assert gl.weights.shape == ml.weights.shape
             assert gl.bias.shape == ml.bias.shape
 
-    def test_grads_and_stepped_model_are_c_contiguous(self):
+    @pytest.mark.parametrize("bsz", [3, 200])
+    def test_grads_and_stepped_model_are_c_contiguous(self, bsz):
         # grad_check perturbs parameters through reshape(-1) views, and the
         # forward GEMM reads w.reshape(cout, -1): both assume C order
         m = nn.init_cnn(8)
-        x = np.random.default_rng(7).random((3, 1, 28, 28)).astype(np.float32)
-        _, g = nn.loss_and_grads(m, x, np.array([1, 2, 3]))
+        _, g = nn.loss_and_grads(m, *step_case(bsz))
         stepped = nn.sgd_step(m, g, 0.1)
         for params in (g, stepped):
             for lp in params.layers:
@@ -375,13 +420,19 @@ class TestConvMemory:
         x = np.random.default_rng(0).random((512, 1, 28, 28), dtype=np.float32)
         assert traced_peak_mb(lambda: nn.forward(m, x)) < 16
 
-    def test_repeated_batch_200_step_peak(self):
-        # fresh im2col buffers in every step peaked at 39.6 MB
+    def test_batch_200_step_peak(self):
+        # one pass over 200 images peaked at 40.9 MB; a new thread allocates
+        # its buffers, sized for a 50-image chunk
         m = nn.init_cnn(1)
-        rng = np.random.default_rng(1)
-        x = rng.random((200, 1, 28, 28), dtype=np.float32)
-        y = rng.integers(0, 10, 200)
-        assert traced_peak_mb(lambda: nn.loss_and_grads(m, x, y), warm_up=True) < 20
+        x, y = step_case(200)
+        assert traced_peak_mb(lambda: nn.loss_and_grads(m, x, y)) < 16
+
+    def test_repeated_batch_200_step_peak(self):
+        # fresh im2col buffers in every step peaked at 39.6 MB, and reused
+        # batch-sized ones at 16.4 MB
+        m = nn.init_cnn(1)
+        x, y = step_case(200)
+        assert traced_peak_mb(lambda: nn.loss_and_grads(m, x, y), warm_up=True) < 15
 
     def test_buffers_are_reused_per_thread(self):
         rng = np.random.default_rng(2)
