@@ -61,8 +61,11 @@ def _read_maybe_gzip(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_idx(path, magic: int, dims: int) -> tuple[list[int], bytes]:
-    """The ``dims`` header sizes and the uint8 body of an IDX file, checked."""
+def _read_idx(path, magic: int, dims: int) -> tuple[list[int], memoryview]:
+    """The ``dims`` header sizes and the uint8 body of an IDX file, checked.
+
+    The body is a view into the file's bytes, not a copy of them.
+    """
     raw = _read_maybe_gzip(path)
     head = 4 * (1 + dims)
     if len(raw) < head:
@@ -70,7 +73,7 @@ def _read_idx(path, magic: int, dims: int) -> tuple[list[int], bytes]:
     found, *sizes = struct.unpack(f">{1 + dims}I", raw[:head])
     if found != magic:
         raise DataError(f"{path}: bad magic 0x{found:x}, expected 0x{magic:x}")
-    body = raw[head:]
+    body = memoryview(raw)[head:]
     if len(body) != math.prod(sizes):
         raise DataError(f"{path}: expected {math.prod(sizes)} data bytes, got {len(body)}")
     return sizes, body
@@ -80,7 +83,8 @@ def load_idx(images_path, labels_path) -> LabeledSet:
     """Read an IDX image/label file pair into a :class:`LabeledSet`."""
     (count, rows, cols), body = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     images = np.frombuffer(body, dtype=np.uint8).reshape(count, 1, rows, cols)
-    images = images.astype(np.float32) / 255.0
+    images = images.astype(np.float32)
+    images /= 255.0  # in place: the load holds one float32 copy, not two
     (lcount,), body = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if lcount != count:
         raise DataError(f"{images_path} has {count} images but "

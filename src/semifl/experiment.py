@@ -149,7 +149,15 @@ def _environment() -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
-    """Execute one full run and write its artifacts into ``out_dir``."""
+    """Execute one full run and write its artifacts into ``out_dir``.
+
+    Each dataset lives only while something reads it: the training set goes
+    as soon as ``build_clients`` has copied the shards out of it, and the
+    client list once ``plan_rounds`` has made the plan. semifl and fl chains
+    still hold the shards; cl holds only the pool. Releasing the source before
+    ``plan_rounds`` pools the shards keeps a cl run from ever holding source,
+    shards and pool at once.
+    """
     validate_config(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,10 +168,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
 
     train, test = load_datasets(cfg)
     clients = build_clients(cfg, train)
+    del train
     clusters = build_assignment(cfg, clients) if cfg.mode == "semifl" else None
     model = init_model(cfg.arch, cfg.master_seed)
     model_bytes = len(checkpoint_bytes(model))
     plan = federation.plan_rounds(cfg, clients, clusters)
+    del clients
     pattern = cfg.pattern if cfg.mode == "semifl" else "-"
 
     records: list[RoundRecord] = []

@@ -3,6 +3,7 @@
 import gzip
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,22 @@ class TestLoadIdx:
     def test_missing_file(self, idx_pair):
         with pytest.raises(DataError, match="cannot read"):
             data.load_idx("/nonexistent/images.idx", idx_pair[1])
+
+    def test_load_holds_the_images_once_as_float32(self, tmp_path):
+        # the file's bytes plus one float32 array (1.25x); a sliced copy of the
+        # body and a separate float32 quotient would make it 2.25x
+        pixels = np.random.default_rng(0).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        ip, lp = tmp_path / "imgs.idx", tmp_path / "labels.idx"
+        ip.write_bytes(struct.pack(">IIII", 0x803, *pixels.shape) + pixels.tobytes())
+        lp.write_bytes(idx_labels_bytes([k % 10 for k in range(len(pixels))]))
+        tracemalloc.start()
+        try:
+            ds = data.load_idx(ip, lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.images.tobytes() == (pixels[:, None].astype(np.float32) / 255.0).tobytes()
+        assert peak <= 1.5 * ds.images.nbytes
 
 
 def reference_synthetic(classes, per_class, seed):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,41 @@ class TestRunExperiment:
         assert accs["cl"] > 0.9
         assert accs["fl20"] > 0.9
         assert accs["semifl"] > accs["fl6"] + 0.1  # more consecutive steps per round
+
+
+class TestDataLifetime:
+    """A run holds each dataset only while something still reads it."""
+
+    @pytest.mark.parametrize("mode", ["semifl", "fl", "cl"])
+    def test_only_the_data_training_reads_is_alive_at_round_1(self, tmp_path, monkeypatch, mode):
+        # semifl and fl chains train on the shards; cl trains on its pooled copy
+        load_datasets, build_clients = experiment.load_datasets, experiment.build_clients
+        run_round = federation.run_round
+        refs, started = {}, []
+
+        def watched_load(cfg):
+            train, test = load_datasets(cfg)
+            refs["train"] = weakref.ref(train.images)
+            return train, test
+
+        def watched_clients(cfg, train):
+            clients = build_clients(cfg, train)
+            refs["shards"] = [weakref.ref(c.images) for c in clients]
+            return clients
+
+        def checked_round(model, plan, t):
+            if t == 1:
+                assert refs["train"]() is None
+                assert [r() is not None for r in refs["shards"]] == \
+                    [mode != "cl"] * len(refs["shards"])
+                started.append(t)
+            return run_round(model, plan, t)
+
+        monkeypatch.setattr(experiment, "load_datasets", watched_load)
+        monkeypatch.setattr(experiment, "build_clients", watched_clients)
+        monkeypatch.setattr(federation, "run_round", checked_round)
+        experiment.run_experiment(tiny_cfg(mode=mode, rounds=1), tmp_path / "run")
+        assert started == [1]
 
 
 class TestSummarize:
