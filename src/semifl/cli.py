@@ -68,8 +68,8 @@ def _load_config(args):
 
 def _cmd_partition(args) -> int:
     cfg = _load_config(args)
-    train, _ = experiment.load_datasets(cfg)
-    clients = experiment.build_clients(cfg, train)
+    # only the shards are kept: the command reads neither the source nor the test set
+    clients = experiment.build_clients(cfg, experiment.load_datasets(cfg)[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -40,8 +40,10 @@ gradient needs no patch-sized matrix: it is one small GEMM per tap, added in
 A training batch of more than :data:`CONV_CHUNK` images runs forward and
 backward in equal chunks of at most that many, and its gradient is the sum
 of the chunk gradients in chunk order, so the chunk split is part of the bits
-of such a step.  Evaluation chunks only the conv stack, and its logits equal
-one pass bit for bit.
+of such a step.  Evaluation chunks only the conv stack.  On the SkylakeX
+kernel its logits equal one pass bit for bit; on another BLAS kernel, such as
+AVX2's, a GEMM row's bits can depend on the row count, so they agree only to
+float32 rounding.
 
 Every gradient, and so every parameter :func:`sgd_step` makes from it, is C
 ordered: :func:`grad_check` perturbs parameters through flat views, and the
@@ -59,7 +61,7 @@ import numpy as np
 from .data import NUM_CLASSES
 
 ARCHITECTURES = ("cnn", "mlp")
-CONV_CHUNK = 64  # most images per conv GEMM, per conv-stack pass in forward, per training chunk
+CONV_CHUNK = 64  # most images per conv-stack pass in forward and per training chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,11 +196,6 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     again one per layer and thread; each tap (i, j) then copies a contiguous
     OH*OW block of every (Cin, B) plane of it.  The copies move the same
     values as one slice copy per tap, so out and cols keep their bits.
-
-    A batch of more than :data:`CONV_CHUNK` images runs its GEMM in blocks of
-    that many images' rows, the calls :func:`forward` makes on its chunks, so
-    both give a row the same bits on any BLAS kernel.  A smaller batch keeps
-    one GEMM.
     """
     bsz, h, wid, cin = x.shape
     cout, _, kh, kw = w.shape
@@ -214,14 +211,7 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         for i in range(kh):
             taps6[:, i, j] = shift[:, :, i:i + oh]
     cols = taps.T
-    wt = w.reshape(cout, -1).T
-    if bsz <= CONV_CHUNK:  # the out= loop below measured slower on batch-20 steps
-        out = cols @ wt
-    else:
-        out = np.empty((m, cout), dtype=np.result_type(cols, wt))
-        step = CONV_CHUNK * oh * ow
-        for s in range(0, m, step):
-            np.matmul(cols[s:s + step], wt, out=out[s:s + step])
+    out = cols @ w.reshape(cout, -1).T
     out += b
     return out.reshape(bsz, oh, ow, cout), cols
 
@@ -361,10 +351,11 @@ def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     :data:`CONV_CHUNK` images, dropping each chunk's cache, so a 512-image
     evaluation batch holds only chunk-sized patch buffers and activations.
     The head then runs once over all the features: an fc GEMM row's bits can
-    depend on the row count.  The logits equal one pass over the whole batch
-    bit for bit on any BLAS kernel, as :func:`_conv2d` issues its GEMM in the
-    same blocks.  :func:`loss_and_grads` chunks the whole network instead,
-    and changes the summation order of its gradients.
+    depend on the row count.  On the SkylakeX kernel the logits equal one pass
+    over the whole batch bit for bit; on a kernel whose conv GEMM rows also
+    depend on the row count, such as AVX2's, they agree to float32 rounding.
+    :func:`loss_and_grads` chunks the whole network instead, and changes the
+    summation order of its gradients.
     """
     x = _as_model_input(model, inputs)
     if model.arch == "cnn":
@@ -400,17 +391,15 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
         i = int(np.flatnonzero((labels < 0) | (labels >= n_classes))[0])
         raise ValueError(f"label {labels[i]} at batch index {i} is outside 0..{n_classes - 1}")
     bsz = x.shape[0]
-    if model.arch != "cnn" or bsz <= CONV_CHUNK:
-        loss, grads = _loss_and_grads(model, x, labels, bsz)
-    else:
-        size = -(-bsz // -(-bsz // CONV_CHUNK))  # even split: one buffer shape per step
-        loss, grads = _loss_and_grads(model, x[:size], labels[:size], bsz)
-        for s in range(size, bsz, size):
-            part, more = _loss_and_grads(model, x[s:s + size], labels[s:s + size], bsz)
-            loss += part
-            for (dw, db), (mw, mb) in zip(grads, more):
-                dw += mw
-                db += mb
+    # the cnn's even split keeps one buffer shape per step; the mlp takes one pass
+    size = -(-bsz // -(-bsz // CONV_CHUNK)) if model.arch == "cnn" else bsz
+    loss, grads = _loss_and_grads(model, x[:size], labels[:size], bsz)
+    for s in range(size, bsz, size):
+        part, more = _loss_and_grads(model, x[s:s + size], labels[s:s + size], bsz)
+        loss += part
+        for (dw, db), (mw, mb) in zip(grads, more):
+            dw += mw
+            db += mb
     return loss, ModelParams(model.arch, tuple(
         LayerParams(lp.name, dw, db) for lp, (dw, db) in zip(model.layers, grads)))
 

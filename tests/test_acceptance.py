@@ -108,14 +108,22 @@ def test_criterion_2a_singleton_clusters_match_fedavg(clients_100):
                                   singletons)
     fl = federation.plan_rounds(ExperimentConfig(mode="fl", client_fraction=1.0, **local),
                                 clients_100)
-    a = b = nn.init_mlp(13)
+    a = b = c = nn.init_mlp(13)
     for t in (1, 2, 3):
         a, rec_a = federation.run_round(a, semi, t)
         b, rec_b = federation.run_round(b, fl, t)
+        # FedAvg from its primitives, outside the round engine: every client
+        # trains from the global model on its own stream, then a plain mean
+        c = federation.aggregate_mean([
+            nn.train_local_with_loss(c, cl.images, cl.labels, local["local_epochs"],
+                                     local["local_batch"], local["learning_rate"],
+                                     federation.stream(local["master_seed"], 0, t, cid))[0]
+            for cid, cl in enumerate(clients_100)])
         assert models_equal(a, b), f"diverged at round {t}"
+        assert models_equal(a, c), f"diverged from the primitive FedAvg at round {t}"
         assert rec_a.uplink_models == rec_b.uplink_models == 100
     report("criterion 2a: 100 singleton clusters == FedAvg(C=1), 3 rounds",
-           True, "bit-identical parameters each round")
+           True, "bit-identical parameters each round, engine and primitive FedAvg")
 
 
 def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):

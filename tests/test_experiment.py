@@ -236,6 +236,26 @@ class TestDataLifetime:
         experiment.run_experiment(tiny_cfg(mode=mode, rounds=1), tmp_path / "run")
         assert started == [1]
 
+    def test_partition_keeps_only_the_clients(self, tmp_path, monkeypatch):
+        # `semifl partition` reads neither set once the shards are copied out
+        load_datasets, build_assignment = experiment.load_datasets, experiment.build_assignment
+        refs, dead = [], []
+
+        def watched_load(cfg):
+            sets = load_datasets(cfg)
+            refs.extend(weakref.ref(s.images) for s in sets)
+            return sets
+
+        def checked_assignment(cfg, clients):
+            dead.append([r() is None for r in refs])
+            return build_assignment(cfg, clients)
+
+        monkeypatch.setattr(experiment, "load_datasets", watched_load)
+        monkeypatch.setattr(experiment, "build_assignment", checked_assignment)
+        cfg = write_cfg(tmp_path, pattern="c3")
+        assert cli.main(["partition", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+        assert dead == [[True, True]]  # train and test, at the one semifl assignment
+
 
 class TestSummarize:
     def test_summary_fields(self, tmp_path):

@@ -5,10 +5,11 @@ single-label clients of 20 examples.  The pinned values are blake2b digests
 of ``model_final.sfl1``, of ``metrics.csv`` without its wall-clock
 ``elapsed_ms`` column, and of ``ledger.csv``.
 
-The runs reach CNN batches 10 and 50 only, so the CNN kernels are also pinned
-at the batch sizes perfbench runs: the loss and every gradient of one
-``loss_and_grads`` step at batch 1, 20 and 200, and the logits of one
-batch-512 ``forward``, on fixed-seed images.
+The runs reach CNN batches 10 and 50 only, so the kernels are also pinned at
+the batch sizes perfbench runs, on fixed-seed images: the loss and every
+gradient of one CNN ``loss_and_grads`` step at batch 1, 20 and 200, the
+logits of one batch-512 CNN ``forward``, and one MLP step at batch 200, more
+than ``nn.CONV_CHUNK`` images, which the MLP still takes in a single pass.
 
 The runs happen in one child process with the BLAS thread variables set to 1
 before numpy is imported: OpenBLAS splits a GEMM differently at another
@@ -18,8 +19,8 @@ threads).  The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
 says "Haswell", but this ``DYNAMIC_ARCH`` build picks its kernels from the
 CPU at run time (``blas_core`` in ``env.json``): on an AVX2-only CPU, or
 under ``OPENBLAS_CORETYPE=Haswell``, the digests differ.  Another BLAS build
-may round differently too.  A change that alters a digest on purpose must
-say why in CHANGES.md.
+may round differently too, so every test here is marked ``pinned_bits``.  A
+change that alters a digest on purpose must say why in CHANGES.md.
 
 Print the digests of the current code:
 ``PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tests/test_golden.py``
@@ -36,6 +37,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
+
+pytestmark = pytest.mark.pinned_bits
 
 BASE = dict(dataset="synthetic:10x20", partition="noniid", clients=10, per_client=20,
             rounds=3, local_epochs=1, local_batch=10, learning_rate=0.05, cl_batch=50,
@@ -76,12 +79,14 @@ GOLDEN = {
                             "c1dc0bf0b2fa476a25939a133896e989"),
 }
 
-# CNN kernel case -> digest of the loss and gradients, or of the logits
+# kernel case "<arch>-<function>-b<batch>" -> digest of the loss and
+# gradients, or of the logits
 KERNEL_GOLDEN = {
     "cnn-loss_and_grads-b1": "0d1cb3a2825d3ef19c5678d187b91ddf",
     "cnn-loss_and_grads-b20": "9ccbfff52eee08faae93485113263452",
     "cnn-loss_and_grads-b200": "213a836bc554a65ebd7b7d6d449c0366",
     "cnn-forward-b512": "72d832c14d4643a88c3958aa9efc467e",
+    "mlp-loss_and_grads-b200": "c8b934ec36e9265c571c154efea76655",
 }
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -114,10 +119,11 @@ def kernel_digest(case: str) -> str:
     import numpy as np
     from semifl import nn
     kind, batch = case.rsplit("-b", 1)
+    arch, kind = kind.split("-", 1)
     rng = np.random.default_rng(int(batch))
     images = rng.random((int(batch), 1, 28, 28), dtype=np.float32)
-    model = nn.init_cnn(3)
-    if kind == "cnn-forward":
+    model = nn.init_model(arch, 3)
+    if kind == "forward":
         return _digest(nn.forward(model, images).tobytes())
     loss, grads = nn.loss_and_grads(model, images, rng.integers(0, 10, int(batch)))
     return _digest(b"".join([np.float64(loss).tobytes()] + [
