@@ -15,9 +15,10 @@ Two runs with the same configuration produce identical outputs apart from
 the ``elapsed_ms`` column, provided they use the same numpy and BLAS build,
 the same BLAS kernel and the same BLAS thread count (all recorded in
 ``env.json``): BLAS splits a GEMM differently at another thread count, and
-each kernel rounds its own way.  The pinned digests, and :mod:`semifl.nn`'s
-claim of the same bits as a row-major patch matrix, hold on the SkylakeX
-kernel.
+each kernel rounds its own way.  The pinned digests are taken under
+``OPENBLAS_CORETYPE=Haswell``, which any AVX2 x86-64 CPU runs;
+:mod:`semifl.nn`'s claim of the same bits as a row-major patch matrix holds
+on the SkylakeX kernel.
 """
 
 from __future__ import annotations

@@ -24,6 +24,13 @@ def models_equal(a, b) -> bool:
         for la, lb in zip(a.layers, b.layers)))
 
 
+# exact only on OpenBLAS's SkylakeX kernel, where a GEMM element's bits do not
+# depend on the operand shape; keyed on the kernel this process runs
+_BLAS_CORE = experiment._environment()["blas_core"]
+skylakex_only = pytest.mark.skipif(_BLAS_CORE != "SkylakeX",
+                                   reason=f"SkylakeX bits; this process runs {_BLAS_CORE}")
+
+
 # BLAS thread counts and a kernel other than the one picked for this CPU,
 # each to be set in a child process through run_child
 other_blas_settings = pytest.mark.parametrize("blas_env", [
@@ -82,28 +89,18 @@ def clients_100():
     return data.partition_noniid_shards(source, num_clients=100, per_client=12)
 
 
-def _mnist_dir() -> str | None:
-    candidates = []
-    env = os.environ.get("SEMIFL_DATA_DIR")
-    if env:
-        candidates.append(Path(env))
-    candidates.append(Path(__file__).resolve().parent.parent / "data")
-    for root in candidates:
-        if any((root / (name + gz)).exists()
-               for name in experiment._MNIST_NAMES["train_images"] for gz in ("", ".gz")):
-            return str(root)
-    return None
-
-
 @pytest.fixture(scope="session")
 def mnist_dir():
-    """The MNIST IDX directory; skip when its files are missing or do not read."""
-    root = _mnist_dir()
-    if root is None:
-        pytest.skip("MNIST IDX files not found; place them under ./data or "
-                    "set SEMIFL_DATA_DIR")
-    try:
-        experiment.load_mnist(ExperimentConfig(data_dir=root))
-    except DataError as exc:
-        pytest.skip(f"MNIST unreadable: {exc}")
-    return root
+    """The first MNIST IDX directory that loads, ``$SEMIFL_DATA_DIR`` before
+    ``./data``; skip with each candidate's error when none does."""
+    errors = []
+    for root in filter(None, [os.environ.get("SEMIFL_DATA_DIR"),
+                              str(Path(__file__).resolve().parent.parent / "data")]):
+        try:
+            experiment.load_mnist(ExperimentConfig(data_dir=root))
+        except DataError as exc:
+            errors.append(str(exc))
+        else:
+            return root
+    pytest.skip("MNIST not loaded; place the IDX files under ./data or set "
+                "SEMIFL_DATA_DIR: " + "; ".join(errors))

@@ -12,18 +12,20 @@ logits of one batch-512 CNN ``forward``, and one MLP step at batch 200, more
 than ``nn.CONV_CHUNK`` images, which the MLP still takes in a single pass.
 
 The runs happen in one child process with the BLAS thread variables set to 1
-before numpy is imported: OpenBLAS splits a GEMM differently at another
-thread count, and the rounding then differs (``cl-mlp`` changes with two
-threads).  The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
-(scipy-openblas) on its SkylakeX kernels, on CPython 3.11.  The build string
-says "Haswell", but this ``DYNAMIC_ARCH`` build picks its kernels from the
-CPU at run time (``blas_core`` in ``env.json``): on an AVX2-only CPU, or
-under ``OPENBLAS_CORETYPE=Haswell``, the digests differ.  Another BLAS build
-may round differently too, so every test here is marked ``pinned_bits``.  A
-change that alters a digest on purpose must say why in CHANGES.md.
+and ``OPENBLAS_CORETYPE=Haswell`` before numpy is imported.  OpenBLAS splits
+a GEMM differently at another thread count, and the rounding then differs
+(``cl-mlp`` changes with two threads).  Each kernel rounds its own way too,
+and a ``DYNAMIC_ARCH`` build picks its kernel from the CPU at run time
+(``blas_core`` in ``env.json``), so the child forces the AVX2 (Haswell)
+kernel, which any AVX2 x86-64 CPU runs, with AVX-512 or without.  The child
+reports the kernel it ran, and the tests stop with its name unless it is
+Haswell: a BLAS build that ignores ``OPENBLAS_CORETYPE``, or a host other
+than x86-64, cannot check these digests.  They were taken with numpy 2.4.6
+and OpenBLAS 0.3.31 (scipy-openblas) on CPython 3.11.  A change that alters
+a digest on purpose must say why in CHANGES.md.
 
 Print the digests of the current code:
-``PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tests/test_golden.py``
+``OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/test_golden.py``
 """
 
 import csv
@@ -38,8 +40,6 @@ from pathlib import Path
 
 import pytest
 
-pytestmark = pytest.mark.pinned_bits
-
 BASE = dict(dataset="synthetic:10x20", partition="noniid", clients=10, per_client=20,
             rounds=3, local_epochs=1, local_batch=10, learning_rate=0.05, cl_batch=50,
             eval_every=2, master_seed=5)
@@ -53,28 +53,28 @@ CASES = {
 
 # case -> (model_final.sfl1, metrics.csv minus elapsed_ms, ledger.csv)
 GOLDEN = {
-    "semifl-mlp": ("0a9b65615e8c5557043d49df89d1bbc7",
-                   "d1177b413df6526b15a331a87f3c311e",
+    "semifl-mlp": ("10a41fce2fc93cd5640a72fb3ff3e8d2",
+                   "cdb45d65dcc91511f47edee23fc18799",
                    "778df4f13b518118887eea8a79a4020d"),
-    "semifl-cnn": ("ece845721498b4b60f0a43661b796552",
+    "semifl-cnn": ("280f01d6f3743a673f600fc8f3c46173",
                    "7dab0bb753e55278f7907552de4bf864",
                    "c1dc0bf0b2fa476a25939a133896e989"),
-    "fl-mlp": ("b2fa6d8b436575bca4ad8a564cd88a6b",
-               "4497cf9634ca4c6c6617435ddb23ed66",
+    "fl-mlp": ("6224ec404144d8c32f06981e354e2149",
+               "1eea5ac537907931fc28a236a14ecabf",
                "23272d926c5a2ad1b6d10ae743056f76"),
-    "fl-cnn": ("8c8b7f6cdc1b5e022c67ddbbc1a62c4a",
+    "fl-cnn": ("54f8cd2e43fa80dc08d91234143b4fa7",
                "8cf904296256296fc67e791982658913",
                "6c08b36366f2a68445bf4419f72f193f"),
-    "cl-mlp": ("f8191ed86df77de8fae561bb2a5c3203",
+    "cl-mlp": ("3379d19877301f8412d343e578c58a1f",
                "d0025f3edefb6dc8703437f34a538958",
                "dabdc06c5b8604418a212f6a6fdd84da"),
-    "cl-cnn": ("c345ee389db7f4a4719fe00de01b03d0",
+    "cl-cnn": ("a1c18d771cf9dd742d4efa69cec661b6",
                "51544ea2fb9673c905f27654014957a1",
                "dabdc06c5b8604418a212f6a6fdd84da"),
-    "fl-mlp-sampled": ("fd22c898f4f6b036f7b56fc028b4262d",
+    "fl-mlp-sampled": ("3478525d7968e8f3f39ea6e561a4e4c5",
                        "6e9a411e7238d82c5e2e393d4060ee84",
                        "16d275becefa9e8d12088a77d22769f5"),
-    "semifl-cnn-shuffled": ("21ad36f3212bdab722009a09d3bc96e2",
+    "semifl-cnn-shuffled": ("54400349a26b28da1621aa2b8a4bc840",
                             "6ec6be928e09fcbbae40554fb2d465ac",
                             "c1dc0bf0b2fa476a25939a133896e989"),
 }
@@ -82,14 +82,16 @@ GOLDEN = {
 # kernel case "<arch>-<function>-b<batch>" -> digest of the loss and
 # gradients, or of the logits
 KERNEL_GOLDEN = {
-    "cnn-loss_and_grads-b1": "0d1cb3a2825d3ef19c5678d187b91ddf",
-    "cnn-loss_and_grads-b20": "9ccbfff52eee08faae93485113263452",
-    "cnn-loss_and_grads-b200": "213a836bc554a65ebd7b7d6d449c0366",
-    "cnn-forward-b512": "72d832c14d4643a88c3958aa9efc467e",
-    "mlp-loss_and_grads-b200": "c8b934ec36e9265c571c154efea76655",
+    "cnn-loss_and_grads-b1": "8be410c0633125bb53c863f45071ac72",
+    "cnn-loss_and_grads-b20": "15470ce181de7fde7232a064d06843bd",
+    "cnn-loss_and_grads-b200": "790cc3dacbe7bf818c9189219efb8ee5",
+    "cnn-forward-b512": "7eb527510e4e11929adaa19c51646cfa",
+    "mlp-loss_and_grads-b200": "7f3c529c39b467a8f0bee0aa4f1a3882",
 }
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# the BLAS kernel and thread count the digests hold under, set in the child
+CHILD_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OMP_NUM_THREADS": "1",
+             "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -132,13 +134,16 @@ def kernel_digest(case: str) -> str:
 
 @pytest.fixture(scope="module")
 def digests():
-    env = {**os.environ, **{v: "1" for v in THREAD_VARS},
+    env = {**os.environ, **CHILD_ENV,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
                                                        os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    out = json.loads(proc.stdout)
+    assert out["blas_core"] == "Haswell", \
+        f"the digests hold on OpenBLAS's Haswell kernel; the child ran {out['blas_core']}"
+    return out
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -152,6 +157,8 @@ def test_kernel_digests(case, digests):
 
 
 if __name__ == "__main__":
+    from semifl import experiment
     with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps({**{name: run_digests(name, Path(tmp) / name) for name in CASES},
-                          **{case: kernel_digest(case) for case in KERNEL_GOLDEN}}))
+                          **{case: kernel_digest(case) for case in KERNEL_GOLDEN},
+                          "blas_core": experiment._environment()["blas_core"]}))

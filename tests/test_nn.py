@@ -8,7 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from semifl import nn
-from conftest import models_equal, other_blas_settings, run_child
+from conftest import models_equal, other_blas_settings, run_child, skylakex_only
 
 
 def naive_forward_cnn(model, x):
@@ -331,24 +331,29 @@ def conv_case(bsz):
 class TestConvKernels:
     """The tap-major im2col, per-tap dx and row-major dw/db, bit for bit."""
 
-    # on the AVX2 kernel a GEMM element's bits depend on the operand shape, so
-    # out and dx round differently from their one-GEMM references
-    @pytest.mark.pinned_bits
     @pytest.mark.parametrize("bsz", [1, 3, 20, 200])
-    def test_cols_and_dx_equal_the_reference(self, bsz):
+    def test_cols_out_dw_and_db_equal_the_reference(self, bsz):
         x, w, b, dout = conv_case(bsz)
         out, cols = nn._conv2d(x, w, b)
         ref_cols = reference_im2col(x, 5, 5)
         assert np.array_equal(cols, ref_cols)
         assert np.array_equal(out.reshape(-1, 20), ref_cols @ w.reshape(20, -1).T + b)
-        dw, db, dx = nn._conv2d_backward(dout, cols, w, x.shape)
-        assert np.array_equal(dx, reference_col2im_dx(dout, w, x.shape))
+        dw, db, _ = nn._conv2d_backward(dout, cols, w)
         # dw: the row-major (Cin*KH*KW, B*OH*OW) patch matrix times dmat;
         # db: a BLAS column sum.  Both sum in another order than dmat.T @ cols
         # and dmat.sum(axis=0), so these pins fail if either expression returns.
         dmat = dout.reshape(-1, 20)
         assert np.array_equal(dw.reshape(20, -1), (np.ascontiguousarray(ref_cols.T) @ dmat).T)
         assert np.array_equal(db, np.ones(len(dmat), dtype=np.float32) @ dmat)
+
+    # per tap, dx is an N = Cin GEMM, the reference one GEMM with N = Cin*KH*KW;
+    # on the AVX2 kernel a GEMM element's bits depend on the operand shape
+    @skylakex_only
+    @pytest.mark.parametrize("bsz", [1, 3, 20, 200])
+    def test_dx_equals_the_col2im_reference(self, bsz):
+        x, w, b, dout = conv_case(bsz)
+        _, _, dx = nn._conv2d_backward(dout, nn._conv2d(x, w, b)[1], w, x.shape)
+        assert np.array_equal(dx, reference_col2im_dx(dout, w, x.shape))
 
     @pytest.mark.parametrize("bsz", [1, 3, 20, 200])
     def test_dw_and_db_near_a_float64_oracle(self, bsz):
@@ -410,7 +415,7 @@ class TestConvMemory:
     """Chunked forward-only evaluation and reused im2col buffers, at the same bits."""
 
     # on the AVX2 kernel a conv GEMM row's bits depend on the row count
-    @pytest.mark.pinned_bits
+    @skylakex_only
     @pytest.mark.parametrize("bsz", [1, nn.CONV_CHUNK - 1, nn.CONV_CHUNK,
                                      nn.CONV_CHUNK + 1, 200, 512, 800])
     def test_chunked_forward_equals_one_pass(self, bsz):
