@@ -13,6 +13,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -164,15 +165,9 @@ def partition_noniid_shards(source: LabeledSet, num_clients: int,
             f"{per_client} examples: only {total} whole shards available "
             f"({supply})")
 
-    labels_cycle = sorted(shards)
-    clients: list[LabeledSet] = []
-    while len(clients) < num_clients:
-        for label in labels_cycle:
-            if len(clients) == num_clients:
-                break
-            if shards[label]:
-                clients.append(source.take(shards[label].pop(0)))
-    return clients
+    # every label's shard r, labels ascending, before any label's shard r + 1
+    dealt = (s for rank in zip_longest(*shards.values()) for s in rank if s is not None)
+    return [source.take(s) for s in islice(dealt, num_clients)]
 
 
 def partition(source: LabeledSet, mode: str, num_clients: int, per_client: int,

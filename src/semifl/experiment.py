@@ -11,6 +11,9 @@ directory and produces:
 * ``ledger.csv``      -- per-round communication accounting, appended per round
 * ``model_final.sfl1`` (and optional periodic checkpoints)
 
+A directory that already holds any of the last three, or a checkpoint, is
+refused: the new run's files would sit beside the old run's.
+
 Two runs with the same configuration produce identical outputs apart from
 the ``elapsed_ms`` column, provided they use the same numpy and BLAS build,
 the same BLAS kernel and the same BLAS thread count (all recorded in
@@ -34,7 +37,7 @@ from . import clustering, federation
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .config import VALUE_KINDS, ExperimentConfig, render_config, validate_config
 from .data import LabeledSet, generate_synthetic, load_idx, partition
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .federation import RoundRecord
 from .metrics import evaluate_accuracy, layer_divergence
 from .nn import init_model
@@ -43,6 +46,8 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 METRICS_COLUMNS = ("round", "mode", "pattern", "test_accuracy", "train_loss",
                    "uplink_models", "uplink_bytes", "elapsed_ms")
+
+_RUN_OUTPUTS = ("metrics.csv", "ledger.csv", "model_final.sfl1", "checkpoint_r*.sfl1")
 
 _MNIST_NAMES = {
     "train_images": ("train-images-idx3-ubyte", "train-images.idx3-ubyte"),
@@ -161,6 +166,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     """
     validate_config(cfg)
     out = Path(out_dir)
+    used = [p.name for pattern in _RUN_OUTPUTS for p in sorted(out.glob(pattern))]
+    if used:
+        raise ConfigError(f"output directory {out} already holds a run: {', '.join(used)}")
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(render_config(cfg), encoding="utf-8")
     import json  # here, not at module level: the import costs ~3 ms of start-up

@@ -431,8 +431,9 @@ def check_aligned(a: ModelParams, b: ModelParams):
                          f"{b.arch}/{len(b.layers)}")
     for la, lb in zip(a.layers, b.layers):
         if la.weights.shape != lb.weights.shape or la.bias.shape != lb.bias.shape:
-            raise ValueError(f"layer {la.name}: shape mismatch "
-                             f"{la.weights.shape} vs {lb.weights.shape}")
+            kind = "weights" if la.weights.shape != lb.weights.shape else "bias"
+            raise ValueError(f"layer {la.name}: shape mismatch in {kind} "
+                             f"{getattr(la, kind).shape} vs {getattr(lb, kind).shape}")
 
 
 def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:

@@ -14,6 +14,8 @@ from semifl import data, experiment
 from semifl.config import ExperimentConfig
 from semifl.errors import DataError
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def models_equal(a, b) -> bool:
     """Bit-exact parameter equality."""
@@ -40,19 +42,32 @@ other_blas_settings = pytest.mark.parametrize("blas_env", [
 ], ids=["threads1", "threads2", "haswell"])
 
 
-def run_child(code: str, env_vars: dict) -> str:
-    """stdout of ``python -c code``, run in the tests directory with ``env_vars`` set.
+def run_python(*args, env_vars=None, cwd=None) -> subprocess.CompletedProcess:
+    """The finished ``python *args`` process, with ``src`` on its path and ``env_vars`` set.
 
     BLAS reads its thread and kernel variables when it loads, so only a new
     process shows their effect.
     """
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, cwd=tests)
+    env = {**os.environ, **(env_vars or {}), "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, args)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+
+
+def run_child(code: str, env_vars: dict) -> str:
+    """stdout of ``python -c code``, run in the tests directory; it must exit 0."""
+    proc = run_python("-c", code, env_vars=env_vars, cwd=ROOT / "tests")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def idx_images_bytes(pixels: np.ndarray) -> bytes:
+    """An IDX image file of a uint8 (N, rows, cols) array."""
+    return struct.pack(">IIII", 0x803, *pixels.shape) + pixels.tobytes()
+
+
+def idx_labels_bytes(labels) -> bytes:
+    return struct.pack(">II", 0x801, len(labels)) + bytes(labels)
 
 
 def write_mnist_dir(root: Path, side: int = 28, n_train: int = 100, n_test: int = 20) -> Path:
@@ -62,10 +77,9 @@ def write_mnist_dir(root: Path, side: int = 28, n_train: int = 100, n_test: int 
     rng = np.random.default_rng(0)
     for images, labels, n in (("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte", n_train),
                               ("t10k-images.idx3-ubyte", "t10k-labels.idx1-ubyte.gz", n_test)):
-        pixels = rng.integers(0, 256, n * side * side, dtype=np.uint8).tobytes()
-        for name, blob in ((images, struct.pack(">IIII", 0x803, n, side, side) + pixels),
-                           (labels, struct.pack(">II", 0x801, n)
-                            + bytes(i % 10 for i in range(n)))):
+        pixels = rng.integers(0, 256, (n, side, side), dtype=np.uint8)
+        for name, blob in ((images, idx_images_bytes(pixels)),
+                           (labels, idx_labels_bytes([i % 10 for i in range(n)]))):
             (root / name).write_bytes(gzip.compress(blob) if name.endswith(".gz") else blob)
     return root
 
@@ -95,7 +109,7 @@ def mnist_dir():
     ``./data``; skip with each candidate's error when none does."""
     errors = []
     for root in filter(None, [os.environ.get("SEMIFL_DATA_DIR"),
-                              str(Path(__file__).resolve().parent.parent / "data")]):
+                              str(ROOT / "data")]):
         try:
             experiment.load_mnist(ExperimentConfig(data_dir=root))
         except DataError as exc:

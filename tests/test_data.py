@@ -2,7 +2,6 @@
 
 import gzip
 import re
-import struct
 import tracemalloc
 
 import numpy as np
@@ -11,26 +10,13 @@ import pytest
 from semifl import data, nn
 from semifl.errors import DataError
 from semifl.metrics import evaluate_accuracy
-
-
-def idx_images_bytes(arrays) -> bytes:
-    """Hand-build an IDX image file from a list of uint8 2-d arrays."""
-    arrays = [np.asarray(a, dtype=np.uint8) for a in arrays]
-    rows, cols = arrays[0].shape
-    blob = struct.pack(">IIII", 0x803, len(arrays), rows, cols)
-    for a in arrays:
-        blob += a.tobytes()
-    return blob
-
-
-def idx_labels_bytes(labels) -> bytes:
-    return struct.pack(">II", 0x801, len(labels)) + bytes(labels)
+from conftest import idx_images_bytes, idx_labels_bytes
 
 
 @pytest.fixture
 def idx_pair(tmp_path):
-    imgs = [np.arange(12, dtype=np.uint8).reshape(3, 4),
-            np.full((3, 4), 255, dtype=np.uint8)]
+    imgs = np.stack([np.arange(12, dtype=np.uint8).reshape(3, 4),
+                     np.full((3, 4), 255, dtype=np.uint8)])
     ip = tmp_path / "imgs.idx"
     lp = tmp_path / "labels.idx"
     ip.write_bytes(idx_images_bytes(imgs))
@@ -114,7 +100,7 @@ class TestLoadIdx:
         # body and a separate float32 quotient would make it 2.25x
         pixels = np.random.default_rng(0).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
         ip, lp = tmp_path / "imgs.idx", tmp_path / "labels.idx"
-        ip.write_bytes(struct.pack(">IIII", 0x803, *pixels.shape) + pixels.tobytes())
+        ip.write_bytes(idx_images_bytes(pixels))
         lp.write_bytes(idx_labels_bytes([k % 10 for k in range(len(pixels))]))
         tracemalloc.start()
         try:

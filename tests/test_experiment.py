@@ -2,12 +2,8 @@
 
 import csv
 import json
-import os
-import subprocess
-import sys
 import warnings
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +11,7 @@ import pytest
 from semifl import checkpoint, cli, clustering, config, experiment, federation, nn
 from semifl.config import ExperimentConfig, parse_config, render_config, validate_config
 from semifl.errors import ConfigError, DataError
-from conftest import write_mnist_dir
+from conftest import run_python, write_mnist_dir
 
 TINY = dict(arch="mlp", dataset="synthetic:10x12", partition="noniid",
             clients=10, per_client=12, rounds=3, local_epochs=1, local_batch=6,
@@ -24,8 +20,7 @@ TINY = dict(arch="mlp", dataset="synthetic:10x12", partition="noniid",
 
 
 def tiny_cfg(**kw):
-    merged = {**TINY, **kw}
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**{**TINY, **kw})
 
 
 def read_metrics(out_dir):
@@ -33,19 +28,9 @@ def read_metrics(out_dir):
         return list(csv.DictReader(fh))
 
 
-def run_cli(*args, **env_vars):
-    """The finished ``python -m semifl.cli args`` process, run with ``env_vars`` set."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, **env_vars,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "semifl.cli", *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=120)
-
-
 def write_cfg(tmp_path, name="run.cfg", **kw):
-    merged = {**TINY, **kw}
     path = tmp_path / name
-    path.write_text("".join(f"{k} = {v}\n" for k, v in merged.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {**TINY, **kw}.items()))
     return path
 
 
@@ -65,6 +50,15 @@ class TestRunExperiment:
         assert all(r["uplink_models"] == "1" for r in rows)
         final = checkpoint.load_checkpoint(out / "model_final.sfl1")
         assert final.arch == "mlp"
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "ledger.csv", "model_final.sfl1",
+                                      "checkpoint_r0006.sfl1"])
+    def test_used_out_dir_refused_before_writing(self, tmp_path, name):
+        (tmp_path / name).write_text("an earlier run's\n")
+        with pytest.raises(ConfigError) as exc:
+            experiment.run_experiment(tiny_cfg(), tmp_path)
+        assert str(exc.value) == f"output directory {tmp_path} already holds a run: {name}"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_env_json_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -88,8 +82,8 @@ class TestRunExperiment:
         if json.loads((tmp_path / "here" / "env.json").read_text())["blas_core"] is None:
             pytest.skip("numpy's BLAS has no scipy-openblas core name")
         cfg = write_cfg(tmp_path, rounds=1)
-        proc = run_cli("train", "--config", cfg, "--out", tmp_path / "child",
-                       OPENBLAS_CORETYPE="Haswell")
+        proc = run_python("-m", "semifl.cli", "train", "--config", cfg, "--out",
+                          tmp_path / "child", env_vars={"OPENBLAS_CORETYPE": "Haswell"})
         assert proc.returncode == 0, proc.stderr
         child = json.loads((tmp_path / "child" / "env.json").read_text())
         assert (child["blas_core"], child["OPENBLAS_CORETYPE"]) == ("Haswell", "Haswell")
@@ -385,6 +379,15 @@ class TestCli:
         assert "final accuracy" in capsys.readouterr().out
         assert (out / "metrics.csv").exists()
 
+    def test_train_into_a_used_out_dir_is_exit_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, rounds=2)  # no run output: the first run starts beside it
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: output directory {tmp_path} already holds a run: metrics.csv, "
+            "ledger.csv, model_final.sfl1, checkpoint_r0002.sfl1\n")
+
     def test_seed_override_changes_result(self, tmp_path):
         cfg = write_cfg(tmp_path, pattern="c3")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -432,7 +435,7 @@ class TestCli:
         bad.write_bytes(b"0 1 \xff\n")
         cfg = bad if bad_file == "config" else write_cfg(tmp_path, pattern="explicit",
                                                          assignment_file=bad)
-        proc = run_cli("train", "--config", cfg, "--out", tmp_path / "out")
+        proc = run_python("-m", "semifl.cli", "train", "--config", cfg, "--out", tmp_path / "out")
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.startswith(message.format(path=bad))
 

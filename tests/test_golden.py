@@ -32,13 +32,15 @@ import csv
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from semifl import experiment, nn
+from semifl.config import ExperimentConfig
+from conftest import run_child
 
 BASE = dict(dataset="synthetic:10x20", partition="noniid", clients=10, per_client=20,
             rounds=3, local_epochs=1, local_batch=10, learning_rate=0.05, cl_batch=50,
@@ -92,7 +94,6 @@ KERNEL_GOLDEN = {
 # the BLAS kernel and thread count the digests hold under, set in the child
 CHILD_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OMP_NUM_THREADS": "1",
              "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _digest(data: bytes) -> str:
@@ -109,8 +110,6 @@ def _metrics_digest(path: Path) -> str:
 
 
 def run_digests(case: str, out: Path) -> list[str]:
-    from semifl import experiment
-    from semifl.config import ExperimentConfig
     experiment.run_experiment(ExperimentConfig(**BASE, **CASES[case]), out)
     return [_digest((out / "model_final.sfl1").read_bytes()),
             _metrics_digest(out / "metrics.csv"),
@@ -118,8 +117,6 @@ def run_digests(case: str, out: Path) -> list[str]:
 
 
 def kernel_digest(case: str) -> str:
-    import numpy as np
-    from semifl import nn
     kind, batch = case.rsplit("-b", 1)
     arch, kind = kind.split("-", 1)
     rng = np.random.default_rng(int(batch))
@@ -132,15 +129,18 @@ def kernel_digest(case: str) -> str:
         a.tobytes() for lp in grads.layers for a in (lp.weights, lp.bias)]))
 
 
+def all_digests() -> dict:
+    """Every run and kernel digest, and the BLAS kernel they were taken on."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {**{name: run_digests(name, Path(tmp) / name) for name in CASES},
+                **{case: kernel_digest(case) for case in KERNEL_GOLDEN},
+                "blas_core": experiment._environment()["blas_core"]}
+
+
 @pytest.fixture(scope="module")
 def digests():
-    env = {**os.environ, **CHILD_ENV,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                       os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    code = "import json, test_golden as t; print(json.dumps(t.all_digests()))"
+    out = json.loads(run_child(code, CHILD_ENV))
     assert out["blas_core"] == "Haswell", \
         f"the digests hold on OpenBLAS's Haswell kernel; the child ran {out['blas_core']}"
     return out
@@ -157,8 +157,4 @@ def test_kernel_digests(case, digests):
 
 
 if __name__ == "__main__":
-    from semifl import experiment
-    with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps({**{name: run_digests(name, Path(tmp) / name) for name in CASES},
-                          **{case: kernel_digest(case) for case in KERNEL_GOLDEN},
-                          "blas_core": experiment._environment()["blas_core"]}))
+    print(json.dumps(all_digests()))

@@ -357,16 +357,21 @@ class TestConvKernels:
 
     @pytest.mark.parametrize("bsz", [1, 3, 20, 200])
     def test_dw_and_db_near_a_float64_oracle(self, bsz):
-        # each entry sums M = B*OH*OW float32 products; any summation order
-        # stays within M * eps/2 of the exact sum, relative to the sum of the
-        # absolute terms (the products themselves are exact in float64)
+        # each entry sums n float32 products (M = B*OH*OW for dw and db, at most
+        # Cout*KH*KW for dx); any summation order stays within n * eps/2 of the
+        # exact sum, relative to the sum of the absolute terms (the products
+        # themselves are exact in float64)
         x, w, b, dout = conv_case(bsz)
-        dw, db, _ = nn._conv2d_backward(dout, nn._conv2d(x, w, b)[1], w)
-        dmat, cols = dout.reshape(-1, 20).astype(np.float64), reference_im2col(x, 5, 5)
+        dw, db, dx = nn._conv2d_backward(dout, nn._conv2d(x, w, b)[1], w, x.shape)
+        dout64, w64 = dout.astype(np.float64), w.astype(np.float64)
+        dmat, cols = dout64.reshape(-1, 20), reference_im2col(x, 5, 5)
         gamma = len(dmat) * np.finfo(np.float32).eps / 2
         assert np.all(np.abs(dw.reshape(20, -1) - dmat.T @ cols)
                       <= gamma * (np.abs(dmat).T @ np.abs(cols)))
         assert np.all(np.abs(db - dmat.sum(axis=0)) <= gamma * np.abs(dmat).sum(axis=0))
+        gamma = 20 * 5 * 5 * np.finfo(np.float32).eps / 2
+        assert np.all(np.abs(dx - reference_col2im_dx(dout64, w64, x.shape))
+                      <= gamma * reference_col2im_dx(np.abs(dout64), np.abs(w64), x.shape))
 
 
 def run_in_thread(fn):
@@ -423,11 +428,10 @@ class TestConvMemory:
         assert chunked.tobytes() == one_pass.tobytes()
 
     @other_blas_settings
-    def test_chunked_forward_equals_one_pass_under_other_blas_settings(self, blas_env):
-        # equal to float32 rounding: bit for bit on the SkylakeX kernel, while
-        # on the AVX2 (Haswell) kernel a conv GEMM row's bits depend on the
-        # row count, and the chunked logits were seen ~5 eps of the largest
-        # logit away from one pass
+    def test_chunked_forward_within_32_eps_of_one_pass_under_other_blas_settings(self, blas_env):
+        # bit for bit on the SkylakeX kernel, while on the AVX2 (Haswell)
+        # kernel a conv GEMM row's bits depend on the row count, and the chunked
+        # logits were seen ~5 eps of the largest logit away from one pass
         code = ("import test_nn as t; "
                 "print(max(t.one_pass_gap_eps(b) for b in (65, 200, 512, 800)))")
         assert float(run_child(code, blas_env)) <= 32
@@ -581,10 +585,16 @@ class TestSgd:
         assert after < before
 
     def test_shape_mismatch_rejected(self):
+        m = nn.init_mlp(0)
+        with pytest.raises(ValueError, match=r"^layer fc1: shape mismatch in weights "
+                                             r"\(64, 784\) vs \(32, 784\)$"):
+            nn.sgd_step(m, nn.init_mlp(0, hidden=32), 0.1)
+        fc2 = nn.LayerParams("fc2", m.layers[1].weights, np.zeros(11, np.float32))
+        with pytest.raises(ValueError, match=r"^layer fc2: shape mismatch in bias "
+                                             r"\(10,\) vs \(11,\)$"):
+            nn.sgd_step(m, nn.ModelParams("mlp", (m.layers[0], fc2)), 0.1)
         with pytest.raises(ValueError, match="mismatch"):
-            nn.sgd_step(nn.init_mlp(0), nn.init_mlp(0, hidden=32), 0.1)
-        with pytest.raises(ValueError, match="mismatch"):
-            nn.sgd_step(nn.init_mlp(0), nn.init_cnn(0), 0.1)
+            nn.sgd_step(m, nn.init_cnn(0), 0.1)
 
 
 def train(model, images, labels, epochs, batch_size, learning_rate, rng):
