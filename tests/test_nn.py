@@ -428,7 +428,7 @@ class TestConvMemory:
         assert chunked.tobytes() == one_pass.tobytes()
 
     @other_blas_settings
-    def test_chunked_forward_within_32_eps_of_one_pass_under_other_blas_settings(self, blas_env):
+    def test_chunked_forward_within_32_eps_of_one_pass_on_other_blas(self, blas_env):
         # bit for bit on the SkylakeX kernel, while on the AVX2 (Haswell)
         # kernel a conv GEMM row's bits depend on the row count, and the chunked
         # logits were seen ~5 eps of the largest logit away from one pass
