@@ -7,7 +7,7 @@ participation, and (c) a centralized pool.  Prints a per-round accuracy table
 plus what each mode paid in uplink traffic.
 
 Each mode is one ``run_experiment`` call (the driver behind ``semifl train``)
-into a temporary run directory; the uplink totals come from its ledger.csv.
+into a temporary run directory; the uplink totals come from its metrics.csv.
 
 Run:  python3 demos/03_federated_modes.py
 """

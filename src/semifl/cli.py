@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 from . import clustering, experiment
 from .config import parse_config
@@ -68,9 +67,9 @@ def _load_config(args):
 
 def _cmd_partition(args) -> int:
     cfg = _load_config(args)
+    out = experiment.output_dir(args.out)
     # only the shards are kept: the command reads neither the source nor the test set
     clients = experiment.build_clients(cfg, experiment.load_datasets(cfg)[0])
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "clients.csv", "w", newline="", encoding="utf-8") as fh:
@@ -113,13 +112,10 @@ def _cmd_compare(args) -> int:
 def _cmd_report(args) -> int:
     for run in args.runs:
         s = experiment.summarize_run(run)
-        line = (f"{s['run']}: mode={s['mode']} pattern={s['pattern']} "
-                f"rounds={s['rounds']} final_acc={s['final_accuracy']:.4f} "
-                f"best_acc={s['best_accuracy']:.4f}")
-        if "total_uplink_models" in s:
-            line += (f" uplink_models={s['total_uplink_models']} "
-                     f"uplink_bytes={s['total_uplink_bytes']}")
-        print(line)
+        print(f"{s['run']}: mode={s['mode']} pattern={s['pattern']} "
+              f"rounds={s['rounds']} final_acc={s['final_accuracy']:.4f} "
+              f"best_acc={s['best_accuracy']:.4f} uplink_models={s['total_uplink_models']} "
+              f"uplink_bytes={s['total_uplink_bytes']}")
     return 0
 
 

@@ -7,12 +7,14 @@ directory and produces:
 * ``env.json``        -- Python, numpy and BLAS versions, the OpenBLAS kernel
   (``blas_core``) and ``OPENBLAS_CORETYPE``, and the BLAS thread variables
   (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``)
-* ``metrics.csv``     -- one row per evaluation round
-* ``ledger.csv``      -- per-round communication accounting, appended per round
+* ``metrics.csv``     -- one row per round, appended as the round ends: its
+  training loss and uplink, and its test accuracy, left empty on a round
+  without an evaluation
 * ``model_final.sfl1`` (and optional periodic checkpoints)
 
-A directory that already holds any of the last three, or a checkpoint, is
-refused: the new run's files would sit beside the old run's.
+A directory that already holds either of the last two, or a checkpoint, is
+refused: the new run's files would sit beside the old run's.  So is an output
+path that names a file.
 
 Two runs with the same configuration produce identical outputs apart from
 the ``elapsed_ms`` column, provided they use the same numpy and BLAS build,
@@ -47,7 +49,7 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 METRICS_COLUMNS = ("round", "mode", "pattern", "test_accuracy", "train_loss",
                    "uplink_models", "uplink_bytes", "elapsed_ms")
 
-_RUN_OUTPUTS = ("metrics.csv", "ledger.csv", "model_final.sfl1", "checkpoint_r*.sfl1")
+_RUN_OUTPUTS = ("metrics.csv", "model_final.sfl1", "checkpoint_r*.sfl1")
 
 _MNIST_NAMES = {
     "train_images": ("train-images-idx3-ubyte", "train-images.idx3-ubyte"),
@@ -154,6 +156,14 @@ def _environment() -> dict:
     }
 
 
+def output_dir(path) -> Path:
+    """``path`` as a directory to write into; naming a file is a ConfigError."""
+    out = Path(path)
+    if not out.is_dir() and out.exists():
+        raise ConfigError(f"output directory {out} exists and is not a directory")
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     """Execute one full run and write its artifacts into ``out_dir``.
 
@@ -165,7 +175,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     shards and pool at once.
     """
     validate_config(cfg)
-    out = Path(out_dir)
+    out = output_dir(out_dir)
     used = [p.name for pattern in _RUN_OUTPUTS for p in sorted(out.glob(pattern))]
     if used:
         raise ConfigError(f"output directory {out} already holds a run: {', '.join(used)}")
@@ -186,31 +196,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     pattern = cfg.pattern if cfg.mode == "semifl" else "-"
 
     records: list[RoundRecord] = []
+    # line-buffered: the header, and each row as its round ends, reach the file.
     # run_round's finiteness checks report a diverging run; numpy's overflow
     # warnings on the way there would only repeat it
-    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh, \
-            open(out / "ledger.csv", "w", newline="", encoding="utf-8") as lfh, \
+    with open(out / "metrics.csv", "w", buffering=1, newline="", encoding="utf-8") as fh, \
             np.errstate(over="ignore", invalid="ignore"):
         writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
         writer.writeheader()
-        ledger = csv.writer(lfh)
-        ledger.writerow(["round", "uplink_models", "uplink_bytes", "downlink_models"])
         for t in range(1, cfg.rounds + 1):
             model, rec = federation.run_round(model, plan, t)
-            uplink_bytes = rec.uplink_models * model_bytes
-            # each uploaded head came from a chain that downloaded the snapshot;
-            # cl has no server and moves no model
-            ledger.writerow([t, rec.uplink_models, uplink_bytes, rec.uplink_models])
-            lfh.flush()
+            accuracy = ""
             if t % cfg.eval_every == 0 or t == cfg.rounds:
                 rec.test_accuracy = evaluate_accuracy(model, test.images, test.labels)
-                writer.writerow({
-                    "round": t, "mode": cfg.mode, "pattern": pattern,
-                    "test_accuracy": f"{rec.test_accuracy:.10g}",
-                    "train_loss": f"{rec.train_loss:.10g}",
-                    "uplink_models": rec.uplink_models, "uplink_bytes": uplink_bytes,
-                    "elapsed_ms": rec.elapsed_ms})
-                fh.flush()
+                accuracy = f"{rec.test_accuracy:.10g}"
+            writer.writerow({
+                "round": t, "mode": cfg.mode, "pattern": pattern,
+                "test_accuracy": accuracy, "train_loss": f"{rec.train_loss:.10g}",
+                "uplink_models": rec.uplink_models,
+                "uplink_bytes": rec.uplink_models * model_bytes,
+                "elapsed_ms": rec.elapsed_ms})
             if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
                 save_checkpoint(model, out / f"checkpoint_r{t:04d}.sfl1")
             records.append(rec)
@@ -234,12 +238,13 @@ def compare_checkpoints(subject_path, reference_path) -> dict[str, tuple[float, 
                         f"{exc}") from exc
 
 
-def _read_columns(path: Path, columns: dict[str, type]) -> list[dict]:
+def _read_columns(path: Path, columns: dict[str, type], optional=()) -> list[dict]:
     """The rows of a CSV file whose header must name every key of ``columns``.
 
     Each row holds those columns only, every value parsed by its column's type
-    (``str``, ``int`` or ``float``).  A short row or a value that does not
-    parse is a DataError naming the file and the line.
+    (``str``, ``int`` or ``float``), or None when it is empty and its column is
+    in ``optional``.  A short row or a value that does not parse is a
+    DataError naming the file and the line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -255,7 +260,7 @@ def _read_columns(path: Path, columns: dict[str, type]) -> list[dict]:
                     if value is None:
                         raise DataError(f"{path}: line {reader.line_num}: no {column} value")
                     try:
-                        parsed[column] = kind(value)
+                        parsed[column] = None if value == "" and column in optional else kind(value)
                     except ValueError:
                         raise DataError(f"{path}: line {reader.line_num}: {column} is not "
                                         f"{VALUE_KINDS[kind]}: {value!r}") from None
@@ -266,27 +271,26 @@ def _read_columns(path: Path, columns: dict[str, type]) -> list[dict]:
 
 
 def summarize_run(run_dir) -> dict:
-    """Digest of one run directory's metrics.csv/ledger.csv for reporting."""
+    """Digest of one run directory's metrics.csv for reporting: the rounds run,
+    the last and best evaluated accuracy, and the uplink over every round."""
     run = Path(run_dir)
     metrics_path = run / "metrics.csv" if run.is_dir() else run
     if not metrics_path.exists():
         raise DataError(f"no metrics.csv under {run_dir}")
     rows = _read_columns(metrics_path, {"round": int, "mode": str, "pattern": str,
-                                        "test_accuracy": float})
-    if not rows:
+                                        "test_accuracy": float, "uplink_models": int,
+                                        "uplink_bytes": int}, optional=("test_accuracy",))
+    evaluated = [r["test_accuracy"] for r in rows if r["test_accuracy"] is not None]
+    if not evaluated:
         raise DataError(f"{metrics_path}: no evaluation rows")
     last = rows[-1]
-    summary = {
+    return {
         "run": str(run_dir),
         "mode": last["mode"],
         "pattern": last["pattern"],
         "rounds": last["round"],
-        "final_accuracy": last["test_accuracy"],
-        "best_accuracy": max(r["test_accuracy"] for r in rows),
+        "final_accuracy": evaluated[-1],
+        "best_accuracy": max(evaluated),
+        "total_uplink_models": sum(r["uplink_models"] for r in rows),
+        "total_uplink_bytes": sum(r["uplink_bytes"] for r in rows),
     }
-    ledger_path = metrics_path.parent / "ledger.csv"
-    if ledger_path.exists():
-        entries = _read_columns(ledger_path, {"uplink_models": int, "uplink_bytes": int})
-        summary["total_uplink_models"] = sum(e["uplink_models"] for e in entries)
-        summary["total_uplink_bytes"] = sum(e["uplink_bytes"] for e in entries)
-    return summary

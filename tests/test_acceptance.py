@@ -147,7 +147,7 @@ def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: communication ledger
+# criterion 6: uplink counts
 
 
 def test_criterion_6_uplink_counts(clients_100):

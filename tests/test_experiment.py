@@ -4,6 +4,7 @@ import csv
 import json
 import warnings
 import weakref
+from importlib.metadata import EntryPoint
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from semifl import checkpoint, cli, clustering, config, experiment, federation, nn
 from semifl.config import ExperimentConfig, parse_config, render_config, validate_config
 from semifl.errors import ConfigError, DataError
-from conftest import run_python, write_mnist_dir
+from conftest import ROOT, run_python, write_mnist_dir
 
 TINY = dict(arch="mlp", dataset="synthetic:10x12", partition="noniid",
             clients=10, per_client=12, rounds=3, local_epochs=1, local_batch=6,
@@ -21,6 +22,9 @@ TINY = dict(arch="mlp", dataset="synthetic:10x12", partition="noniid",
 
 def tiny_cfg(**kw):
     return ExperimentConfig(**{**TINY, **kw})
+
+
+HEADER = ",".join(experiment.METRICS_COLUMNS)
 
 
 def read_metrics(out_dir):
@@ -39,11 +43,13 @@ class TestRunExperiment:
         out = tmp_path / "run"
         records = experiment.run_experiment(tiny_cfg(pattern="c3"), out)
         assert len(records) == 3
-        for name in ("config.resolved", "metrics.csv", "ledger.csv",
-                     "model_final.sfl1", "checkpoint_r0002.sfl1"):
+        for name in ("config.resolved", "metrics.csv", "model_final.sfl1",
+                     "checkpoint_r0002.sfl1"):
             assert (out / name).exists(), name
         rows = read_metrics(out)
-        assert [r["round"] for r in rows] == ["2", "3"]  # eval_every=2 plus final
+        assert [r["round"] for r in rows] == ["1", "2", "3"]
+        # evaluated at eval_every=2 and at the final round
+        assert [r["test_accuracy"] != "" for r in rows] == [False, True, True]
         assert list(rows[0]) == list(experiment.METRICS_COLUMNS)
         assert all(r["mode"] == "semifl" and r["pattern"] == "c3" for r in rows)
         # 10 single-label clients form one c3 cluster -> 1 uplink model per round
@@ -51,8 +57,7 @@ class TestRunExperiment:
         final = checkpoint.load_checkpoint(out / "model_final.sfl1")
         assert final.arch == "mlp"
 
-    @pytest.mark.parametrize("name", ["metrics.csv", "ledger.csv", "model_final.sfl1",
-                                      "checkpoint_r0006.sfl1"])
+    @pytest.mark.parametrize("name", ["metrics.csv", "model_final.sfl1", "checkpoint_r0006.sfl1"])
     def test_used_out_dir_refused_before_writing(self, tmp_path, name):
         (tmp_path / name).write_text("an earlier run's\n")
         with pytest.raises(ConfigError) as exc:
@@ -88,29 +93,38 @@ class TestRunExperiment:
         child = json.loads((tmp_path / "child" / "env.json").read_text())
         assert (child["blas_core"], child["OPENBLAS_CORETYPE"]) == ("Haswell", "Haswell")
 
-    def test_ledger_rows_every_round(self, tmp_path):
+    def test_metrics_row_every_round(self, tmp_path):
         out = tmp_path / "run"
         experiment.run_experiment(tiny_cfg(mode="fl"), out)
-        with open(out / "ledger.csv", newline="") as fh:
-            entries = list(csv.DictReader(fh))
-        assert [e["round"] for e in entries] == ["1", "2", "3"]
-        assert all(e["uplink_models"] == "10" for e in entries)  # C=1.0, K=10
-        assert all(e["downlink_models"] == "10" for e in entries)
+        rows = read_metrics(out)
+        assert [r["round"] for r in rows] == ["1", "2", "3"]
+        assert [r["test_accuracy"] == "" for r in rows] == [True, False, False]
+        assert all(r["uplink_models"] == "10" for r in rows)  # C=1.0, K=10
+        assert all(float(r["train_loss"]) > 0 for r in rows)
 
-    def test_ledger_keeps_the_rounds_before_an_interrupted_one(self, tmp_path, monkeypatch):
+    def test_metrics_keeps_the_rounds_before_an_interrupted_one(self, tmp_path, monkeypatch):
         real = federation.run_round
+        out = tmp_path / "run"
+        on_disk = []
 
         def run_round(model, plan, t):
-            if t == 3:
+            if t == 4:
+                on_disk.extend(r["round"] for r in read_metrics(out))  # flushed, not closed
                 raise RuntimeError("interrupted")
             return real(model, plan, t)
 
         monkeypatch.setattr(federation, "run_round", run_round)
-        out = tmp_path / "run"
         with pytest.raises(RuntimeError, match="interrupted"):
-            experiment.run_experiment(tiny_cfg(mode="fl", rounds=4), out)
-        with open(out / "ledger.csv", newline="") as fh:
-            assert [e["round"] for e in csv.DictReader(fh)] == ["1", "2"]
+            experiment.run_experiment(tiny_cfg(mode="fl", rounds=6, eval_every=2), out)
+        rows = read_metrics(out)
+        assert [r["round"] for r in rows] == on_disk == ["1", "2", "3"]
+        assert [r["test_accuracy"] == "" for r in rows] == [True, False, True]
+        size = (out / "checkpoint_r0002.sfl1").stat().st_size
+        s = experiment.summarize_run(out)
+        # the report counts the same three rounds as the uplink totals
+        assert (s["rounds"], s["total_uplink_models"], s["total_uplink_bytes"]) == \
+            (3, 30, 30 * size)
+        assert s["final_accuracy"] == float(rows[1]["test_accuracy"])
 
     def test_cl_mode_has_no_uplink(self, tmp_path):
         out = tmp_path / "run"
@@ -261,14 +275,15 @@ class TestSummarize:
         assert 0.0 <= s["final_accuracy"] <= 1.0
         assert s["best_accuracy"] >= s["final_accuracy"] - 1e-9
         assert s["total_uplink_models"] == 4  # one cluster head x 4 rounds
+        assert s["total_uplink_bytes"] == 4 * (out / "model_final.sfl1").stat().st_size
 
     def test_missing_metrics(self, tmp_path):
         with pytest.raises(DataError, match="metrics.csv"):
             experiment.summarize_run(tmp_path)
 
     @pytest.mark.parametrize("make", [
-        lambda path: path.write_bytes(b"round,mode,pattern,test_accuracy\n1,fl,\xff,0.5\n"),
-        lambda path: path.write_text("round,mode,pattern,test_accuracy\n1,fl,-,"
+        lambda path: path.write_bytes(HEADER.encode() + b"\n1,fl,\xff,0.5,2.3,10,870,5\n"),
+        lambda path: path.write_text(f"{HEADER}\n1,fl,-,"
                                      + "5" * 200_000 + "\n"),  # over csv's field limit
         lambda path: path.mkdir(),
     ], ids=["not-utf8", "field-too-long", "directory"])
@@ -278,9 +293,10 @@ class TestSummarize:
             experiment.summarize_run(tmp_path)
 
     def test_metrics_without_rows(self, tmp_path):
-        (tmp_path / "metrics.csv").write_text(",".join(experiment.METRICS_COLUMNS) + "\n")
-        with pytest.raises(DataError, match="metrics.csv: no evaluation rows"):
-            experiment.summarize_run(tmp_path)
+        for rows in ("", "1,fl,-,,2.3,10,870,5\n"):  # no row; no evaluated row
+            (tmp_path / "metrics.csv").write_text(f"{HEADER}\n{rows}")
+            with pytest.raises(DataError, match="metrics.csv: no evaluation rows"):
+                experiment.summarize_run(tmp_path)
 
 
 class TestCompare:
@@ -356,7 +372,6 @@ class TestCli:
         assert (f"data error: {root / 't10k-images.idx3-ubyte'}: no images"
                 in capsys.readouterr().err)
         assert not (out / "metrics.csv").exists()
-        assert not (out / "ledger.csv").exists()
 
     @pytest.mark.parametrize("via", ["data_dir", "env"])
     def test_train_on_an_mnist_directory(self, tmp_path, monkeypatch, via):
@@ -386,7 +401,18 @@ class TestCli:
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             f"config error: output directory {tmp_path} already holds a run: metrics.csv, "
-            "ledger.csv, model_final.sfl1, checkpoint_r0002.sfl1\n")
+            "model_final.sfl1, checkpoint_r0002.sfl1\n")
+
+    @pytest.mark.parametrize("command", ["train", "partition"])
+    def test_out_naming_a_file_is_exit_1(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, pattern="c3")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert cli.main([command, "--config", str(cfg), "--out", str(afile)]) == 1
+        assert capsys.readouterr().err == \
+            f"config error: output directory {afile} exists and is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+        assert afile.read_text() == "kept\n"
 
     def test_seed_override_changes_result(self, tmp_path):
         cfg = write_cfg(tmp_path, pattern="c3")
@@ -518,34 +544,33 @@ class TestCli:
             f"data error: cannot compare {subject} with {reference}: "
             f"reference weights have zero norm\n")
 
-    @pytest.mark.parametrize("name, header, missing", [
-        ("metrics.csv", "round,foo", "mode, pattern, test_accuracy"),
-        ("ledger.csv", "round,uplink_models", "uplink_bytes"),
-    ], ids=["metrics", "ledger"])
-    def test_report_missing_column_is_exit_2(self, tmp_path, capsys, name, header, missing):
+    @pytest.mark.parametrize("header, missing", [
+        ("round,foo", "mode, pattern, test_accuracy, uplink_models, uplink_bytes"),
+        (HEADER.replace(",uplink_bytes", ""), "uplink_bytes"),
+    ], ids=["metrics", "uplink_bytes"])
+    def test_report_missing_column_is_exit_2(self, tmp_path, capsys, header, missing):
         cfg = write_cfg(tmp_path, pattern="c3")
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        (out / name).write_text(f"{header}\n1,2\n")
+        (out / "metrics.csv").write_text(f"{header}\n1,2\n")
         capsys.readouterr()
         assert cli.main(["report", str(out)]) == 2
         assert capsys.readouterr().err == \
-            f"data error: {out / name}: missing column(s) {missing}\n"
+            f"data error: {out / 'metrics.csv'}: missing column(s) {missing}\n"
 
-    @pytest.mark.parametrize("name, text, message", [
-        ("metrics.csv", "1,fl,-,abc", "test_accuracy is not a number: 'abc'"),
-        ("metrics.csv", "1,fl", "no pattern value"),
-        ("ledger.csv", "round,uplink_models,uplink_bytes\n1,10,abc",
-         "uplink_bytes is not an integer: 'abc'"),
-    ], ids=["metrics-not-a-number", "metrics-short-row", "ledger-not-an-integer"])
-    def test_report_malformed_row_is_exit_2(self, tmp_path, capsys, name, text, message):
-        metrics = "round,mode,pattern,test_accuracy\n1,fl,-,0.5\n"
-        (tmp_path / "metrics.csv").write_text(metrics + (text if name == "metrics.csv" else ""))
-        if name == "ledger.csv":
-            (tmp_path / name).write_text(f"{text}\n")
+    @pytest.mark.parametrize("row, message", [
+        ("2,fl,-,abc,2.3,10,870,5", "test_accuracy is not a number: 'abc'"),
+        ("2,fl", "no pattern value"),
+        ("2,fl,-,,2.3,10,abc,5", "uplink_bytes is not an integer: 'abc'"),
+        ("2,fl,-,,2.3,10,,5", "uplink_bytes is not an integer: ''"),
+    ], ids=["metrics-not-a-number", "metrics-short-row", "uplink-bytes-not-an-integer",
+            "uplink-bytes-empty"])
+    def test_report_malformed_row_is_exit_2(self, tmp_path, capsys, row, message):
+        # only test_accuracy may be empty
+        (tmp_path / "metrics.csv").write_text(f"{HEADER}\n1,fl,-,0.5,2.3,10,870,5\n{row}\n")
         assert cli.main(["report", str(tmp_path)]) == 2
-        line = 3 if name == "metrics.csv" else 2
-        assert capsys.readouterr().err == f"data error: {tmp_path / name}: line {line}: {message}\n"
+        assert capsys.readouterr().err == \
+            f"data error: {tmp_path / 'metrics.csv'}: line 3: {message}\n"
 
     def test_report(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, pattern="c3")
@@ -555,6 +580,15 @@ class TestCli:
         assert cli.main(["report", str(out)]) == 0
         line = capsys.readouterr().out
         assert "mode=semifl" in line and "final_acc=" in line
+        assert " rounds=3 " in line and " uplink_models=3 " in line  # one c3 head a round
+
+    def test_console_scripts_resolve(self):
+        # each [project.scripts] target loads as an installed command would load it
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pytest.importorskip("tomllib").loads(text)["project"]["scripts"]
+        assert list(scripts) == ["semifl"]  # the command the README and CI run
+        for name, target in scripts.items():
+            assert callable(EntryPoint(name, target, "console_scripts").load()), name
 
     def test_divergence_is_exit_3_without_nan_rows(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"

@@ -265,7 +265,7 @@ class TestUplinkAccounting:
         assert (len(cl.chains), cl.sample, cl.server) == (1, 1, False)
 
     def test_bytes_scale_with_model(self, tmp_path):
-        # a run writes uplink_models x the checkpoint's size in both of its CSVs
+        # a run writes uplink_models x the checkpoint's size in every metrics.csv row
         base = dict(arch="mlp", dataset="synthetic:10x12", clients=10, per_client=12,
                     rounds=2, eval_every=1, local_epochs=1, cl_batch=60)
         for kw, models, pattern in ((dict(mode="fl", client_fraction=0.3), 3, "-"),
@@ -274,15 +274,13 @@ class TestUplinkAccounting:
             out = tmp_path / kw["mode"]
             experiment.run_experiment(ExperimentConfig(**base, **kw), out)
             size = (out / "model_final.sfl1").stat().st_size
-            for name in ("metrics.csv", "ledger.csv"):
-                with open(out / name, newline="") as fh:
-                    rows = list(csv.DictReader(fh))
-                assert [r["round"] for r in rows] == ["1", "2"]
-                for r in rows:
-                    assert (int(r["uplink_models"]), int(r["uplink_bytes"])) == \
-                        (models, models * size)
-                    if name == "metrics.csv":
-                        assert (r["mode"], r["pattern"]) == (kw["mode"], pattern)
+            with open(out / "metrics.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["round"] for r in rows] == ["1", "2"]
+            for r in rows:
+                assert (int(r["uplink_models"]), int(r["uplink_bytes"])) == \
+                    (models, models * size)
+                assert (r["mode"], r["pattern"]) == (kw["mode"], pattern)
 
     def test_semifl_fraction_samples_clusters(self, tmp_path, monkeypatch):
         # C = 0.3 over 10 clusters of 10 clients: 3 uploads a round, drawn by (seed, round)
@@ -300,7 +298,7 @@ class TestUplinkAccounting:
                                rounds=3, eval_every=3, local_epochs=1, local_batch=12,
                                client_fraction=0.3, master_seed=5)
         experiment.run_experiment(cfg, tmp_path)
-        with open(tmp_path / "ledger.csv", newline="") as fh:
+        with open(tmp_path / "metrics.csv", newline="") as fh:
             assert [r["uplink_models"] for r in csv.DictReader(fh)] == ["3", "3", "3"]
         assert draws == [(5, 1), (5, 2), (5, 3)]
 

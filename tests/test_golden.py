@@ -2,8 +2,8 @@
 
 Each case is a 3-round ``run_experiment`` on ``synthetic:10x20`` with 10
 single-label clients of 20 examples.  The pinned values are blake2b digests
-of ``model_final.sfl1``, of ``metrics.csv`` without its wall-clock
-``elapsed_ms`` column, and of ``ledger.csv``.
+of ``model_final.sfl1`` and of ``metrics.csv`` without its wall-clock
+``elapsed_ms`` column.
 
 The runs reach CNN batches 10 and 50 only, so the kernels are also pinned at
 the batch sizes perfbench runs, on fixed-seed images: the loss and every
@@ -53,32 +53,24 @@ CASES = {
     "semifl-cnn-shuffled": dict(mode="semifl", arch="cnn", cluster_order="shuffled:3"),
 }
 
-# case -> (model_final.sfl1, metrics.csv minus elapsed_ms, ledger.csv)
+# case -> (model_final.sfl1, metrics.csv minus elapsed_ms)
 GOLDEN = {
     "semifl-mlp": ("10a41fce2fc93cd5640a72fb3ff3e8d2",
-                   "cdb45d65dcc91511f47edee23fc18799",
-                   "778df4f13b518118887eea8a79a4020d"),
+                   "6483f0168708f5c236f766f1343b7c9a"),
     "semifl-cnn": ("280f01d6f3743a673f600fc8f3c46173",
-                   "7dab0bb753e55278f7907552de4bf864",
-                   "c1dc0bf0b2fa476a25939a133896e989"),
+                   "6251ed39b2b929e79fc4212cc5da56d6"),
     "fl-mlp": ("6224ec404144d8c32f06981e354e2149",
-               "1eea5ac537907931fc28a236a14ecabf",
-               "23272d926c5a2ad1b6d10ae743056f76"),
+               "faa10539f189d79c055562b3ada9884b"),
     "fl-cnn": ("54f8cd2e43fa80dc08d91234143b4fa7",
-               "8cf904296256296fc67e791982658913",
-               "6c08b36366f2a68445bf4419f72f193f"),
+               "102288f082ee7ba0ebc8a1a87a0b3229"),
     "cl-mlp": ("3379d19877301f8412d343e578c58a1f",
-               "d0025f3edefb6dc8703437f34a538958",
-               "dabdc06c5b8604418a212f6a6fdd84da"),
+               "814c68151b7712f1f76ed5026fd40963"),
     "cl-cnn": ("a1c18d771cf9dd742d4efa69cec661b6",
-               "51544ea2fb9673c905f27654014957a1",
-               "dabdc06c5b8604418a212f6a6fdd84da"),
+               "3c761171bfc0cab441dd31272cd69f08"),
     "fl-mlp-sampled": ("3478525d7968e8f3f39ea6e561a4e4c5",
-                       "6e9a411e7238d82c5e2e393d4060ee84",
-                       "16d275becefa9e8d12088a77d22769f5"),
+                       "32cbd903c9cd2959493e7b81b9cdec23"),
     "semifl-cnn-shuffled": ("54400349a26b28da1621aa2b8a4bc840",
-                            "6ec6be928e09fcbbae40554fb2d465ac",
-                            "c1dc0bf0b2fa476a25939a133896e989"),
+                            "4c4e22d098aafb45c44ffc9ae9e2b27c"),
 }
 
 # kernel case "<arch>-<function>-b<batch>" -> digest of the loss and
@@ -112,8 +104,7 @@ def _metrics_digest(path: Path) -> str:
 def run_digests(case: str, out: Path) -> list[str]:
     experiment.run_experiment(ExperimentConfig(**BASE, **CASES[case]), out)
     return [_digest((out / "model_final.sfl1").read_bytes()),
-            _metrics_digest(out / "metrics.csv"),
-            _digest((out / "ledger.csv").read_bytes())]
+            _metrics_digest(out / "metrics.csv")]
 
 
 def kernel_digest(case: str) -> str:
