@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from . import clustering, experiment
@@ -42,19 +43,23 @@ def _build_parser() -> _Parser:
                        help="materialise the client partition and clusters")
     add_common(p)
     p.add_argument("--out", default=".", help="output directory (default: .)")
+    p.set_defaults(handler=_cmd_partition)
 
     p = sub.add_parser("train", help="run one experiment")
     add_common(p)
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("compare", help="per-layer divergence of two checkpoints")
     p.add_argument("--subject", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("report", help="summarise finished runs")
     p.add_argument("runs", nargs="+", metavar="RUN_DIR",
                    help="run directories (or metrics.csv paths)")
+    p.set_defaults(handler=_cmd_report)
     return parser
 
 
@@ -97,6 +102,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.out and os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory; compare writes one CSV file")
     rows = experiment.compare_checkpoints(args.subject, args.reference)
     text = (f"# subject={args.subject} reference={args.reference}\nlayer,acs,red\n"
             + "".join(f"{layer},{a:.10g},{r:.10g}\n" for layer, (a, r) in rows.items()))
@@ -119,14 +126,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "partition": _cmd_partition,
-    "train": _cmd_train,
-    "compare": _cmd_compare,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_help()
             return 1
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -169,10 +169,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
 
     Each dataset lives only while something reads it: the training set goes
     as soon as ``build_clients`` has copied the shards out of it, and the
-    client list once ``plan_rounds`` has made the plan. semifl and fl chains
-    still hold the shards; cl holds only the pool. Releasing the source before
-    ``plan_rounds`` pools the shards keeps a cl run from ever holding source,
-    shards and pool at once.
+    client list once ``plan_rounds`` has made the plan. The plan's clients
+    are the shards in semifl and fl and only the pool in cl. Releasing the
+    source before ``plan_rounds`` pools the shards keeps a cl run from ever
+    holding source, shards and pool at once.
     """
     validate_config(cfg)
     out = output_dir(out_dir)

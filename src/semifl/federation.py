@@ -1,16 +1,17 @@
 """The round engine shared by the three training modes.
 
-A round trains ordered chains of participants, every chain starting from the
-same global snapshot; each participant continues from its predecessor's
-weights and the chain's last model is its head.  The modes differ only in the
-chains they train and in what happens to the heads:
+A round trains ordered chains of clients, every chain starting from the same
+global snapshot; each client continues from its predecessor's weights and the
+chain's last model is its head.  A chain is a cluster, the tuple of client ids
+that :mod:`semifl.clustering` builds.  The modes differ only in the chains
+they train and in what happens to the heads:
 
 * ``semifl`` -- one chain per cluster; the server averages the heads.
 * ``fl``     -- classic FedAvg, which is semifl over singleton clusters: every
   client is a one-client chain.
-* ``cl``     -- centralized pooled minibatch SGD: one chain holding the pooled
-  set, trained for one epoch at ``cl_batch``; with no server, its head is the
-  new model.
+* ``cl``     -- centralized pooled minibatch SGD: the pooled set is the one
+  client of the one chain, trained for one epoch at ``cl_batch``; with no
+  server, its head is the new model.
 
 With a server, each round trains max(1, round(C*N)) of the N chains (FedAvg's
 client fraction C, which in semifl picks clusters), drawn afresh every round;
@@ -62,14 +63,12 @@ class RoundRecord:
     elapsed_ms: int = 0
 
 
-Chain = tuple[tuple[int, LabeledSet], ...]  # (stream id, examples) in training order
-
-
 @dataclass(frozen=True)
 class RoundPlan:
     """What one mode trains in every round of a run."""
 
-    chains: tuple[Chain, ...]
+    clients: Sequence[LabeledSet]  # client k trains on clients[k] and stream id k
+    chains: Clusters                # client ids per chain, in training order
     epochs: int
     batch_size: int
     learning_rate: float
@@ -83,20 +82,18 @@ def plan_rounds(cfg: ExperimentConfig, clients: list[LabeledSet],
     """The chains, streams and hyperparameters of ``cfg.mode``.
 
     Client ``k`` is ``clients[k]`` and trains on stream id ``k``.  With a
-    server, each of ``clusters`` is one chain, and ``None`` makes every
-    client its own cluster: that is FedAvg.  ``cl`` pools the clients into
-    one chain and ignores ``clusters``.  Clusters are taken as given:
-    ``build_assignment`` checks an explicit assignment with
+    server, the chains are ``clusters``, and ``None`` makes every client its
+    own cluster: that is FedAvg.  ``cl`` pools the clients into client 0, the
+    one chain ``((0,),)``, and ignores ``clusters``.  Clusters are taken as
+    given: ``build_assignment`` checks an explicit assignment with
     ``clustering.validate``, and the patterns are built from the clients.
     """
     if cfg.mode == "cl":
-        chains, epochs, batch_size = (((0, pool_clients(clients)),),), 1, cfg.cl_batch
+        clients, chains, epochs, batch_size = [pool_clients(clients)], ((0,),), 1, cfg.cl_batch
     else:
-        if clusters is None:
-            clusters = tuple((cid,) for cid in range(len(clients)))
-        chains = tuple(tuple((cid, clients[cid]) for cid in cluster) for cluster in clusters)
+        chains = tuple((cid,) for cid in range(len(clients))) if clusters is None else clusters
         epochs, batch_size = cfg.local_epochs, cfg.local_batch
-    return RoundPlan(chains=chains, epochs=epochs, batch_size=batch_size,
+    return RoundPlan(clients=clients, chains=chains, epochs=epochs, batch_size=batch_size,
                      learning_rate=cfg.learning_rate, server=cfg.mode != "cl",
                      sample=max(1, round(cfg.client_fraction * len(chains))), seed=cfg.master_seed)
 
@@ -108,7 +105,7 @@ class _Uploads:
     perfbench's tracer reads the length (``_model_count``, the models per
     aggregation)."""
 
-    def __init__(self, chains: Sequence[Chain], train: Callable[[int, Chain], ModelParams]):
+    def __init__(self, chains: Clusters, train: Callable[[int, tuple[int, ...]], ModelParams]):
         self.chains, self.train = chains, train
 
     def __len__(self) -> int:
@@ -133,13 +130,14 @@ def run_round(model: ModelParams, plan: RoundPlan,
     if plan.sample < len(chains):
         sampler = stream(plan.seed, _KIND_SAMPLE, round_idx)
         picks = np.sort(sampler.choice(len(chains), size=plan.sample, replace=False))
-        chains = [chains[i] for i in picks]
+        chains = tuple(chains[i] for i in picks)
 
     losses = []
 
-    def train_chain(ci: int, chain: Chain) -> ModelParams:
+    def train_chain(ci: int, chain: tuple[int, ...]) -> ModelParams:
         head = model
-        for ident, examples in chain:
+        for ident in chain:
+            examples = plan.clients[ident]
             head, loss = train_local_with_loss(
                 head, examples.images, examples.labels,
                 plan.epochs, plan.batch_size, plan.learning_rate,

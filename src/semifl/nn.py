@@ -154,12 +154,20 @@ def _thread_buffer(kind: str, rows: int, shape: tuple, dtype) -> np.ndarray:
     """This thread's ``kind`` buffer for one conv layer, reused while its shape and dtype hold.
 
     With a fresh MB-sized buffer per call, glibc can hand it back to the OS
-    and fault it in again on every step.  A buffer of another shape is
-    dropped before its successor is allocated: once the caller holds no view
-    of it, the two never coexist and the successor can take its place in the
-    heap instead of leaving a hole that later allocations grow the heap
-    around.  The callers' slice copies write every element of a buffer
-    before anything reads it, so no value carries over between calls.
+    and fault it in again on every step.  That happens while glibc's mmap
+    threshold is below the buffer's size.  glibc raises the threshold only
+    when it frees an mmapped block of at most 32 MB, so the regime this cache
+    exists for is a run whose freed training set is larger than that and that
+    has not evaluated yet (evaluation frees multi-MB buffers): a fresh
+    ``semifl train`` of one c3 CNN round on ``synthetic:10x6000`` ran 13-30%
+    slower with per-call buffers, at 6-8x the minor page faults.
+
+    A buffer of another shape is dropped before its successor is allocated:
+    once the caller holds no view of it, the two never coexist and the
+    successor can take its place in the heap instead of leaving a hole that
+    later allocations grow the heap around.  The callers' slice copies write
+    every element of a buffer before anything reads it, so no value carries
+    over between calls.
     """
     slots = _scratch.__dict__.setdefault(kind, {})
     if rows in slots and (slots[rows].shape != shape or slots[rows].dtype != dtype):
@@ -437,10 +445,8 @@ def check_aligned(a: ModelParams, b: ModelParams):
 
 
 def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
-    """One vanilla SGD update, ``w - lr * g``.  lr == 0 returns the model unchanged."""
+    """One vanilla SGD update, ``w - lr * g``."""
     check_aligned(model, grads)
-    if lr == 0:
-        return model
 
     def step(w: np.ndarray, g: np.ndarray) -> np.ndarray:
         t = lr * g  # numpy's own order for w - lr * g, one temporary fewer

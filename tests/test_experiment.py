@@ -215,7 +215,7 @@ class TestDataLifetime:
 
     @pytest.mark.parametrize("mode", ["semifl", "fl", "cl"])
     def test_only_the_data_training_reads_is_alive_at_round_1(self, tmp_path, monkeypatch, mode):
-        # semifl and fl chains train on the shards; cl trains on its pooled copy
+        # semifl and fl plans hold the shards; cl's holds only its pooled copy
         load_datasets, build_clients = experiment.load_datasets, experiment.build_clients
         run_round = federation.run_round
         refs, started = {}, []
@@ -517,6 +517,25 @@ class TestCli:
         assert cli.main(["compare", "--subject", "a.sfl1", "--reference", "b.sfl1",
                          "--out", "div.csv"]) == 0
         assert (tmp_path / "div.csv").read_bytes() == want.encode()
+
+    def test_compare_out_naming_a_directory_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        a, b, outdir = tmp_path / "a.sfl1", tmp_path / "b.sfl1", tmp_path / "outdir"
+        checkpoint.save_checkpoint(nn.init_mlp(0), a)
+        checkpoint.save_checkpoint(nn.init_mlp(1), b)
+        outdir.mkdir()
+        args = ["compare", "--subject", str(a), "--reference", str(b), "--out"]
+        read = []
+        monkeypatch.setattr(experiment, "load_checkpoint", read.append)
+        assert cli.main(args + [str(outdir)]) == 1
+        assert read == []  # refused before either checkpoint is read
+        assert capsys.readouterr().err == \
+            f"config error: --out {outdir} is a directory; compare writes one CSV file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.sfl1", "b.sfl1", "outdir"]
+        assert not any(outdir.iterdir())
+        # a file under a missing directory stays a runtime error
+        monkeypatch.undo()
+        assert cli.main(args + [str(tmp_path / "missing" / "div.csv")]) == 3
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_compare_corrupt_checkpoint_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.sfl1"

@@ -95,6 +95,20 @@ class TestAggregateMean:
             federation.aggregate_mean(iter([]))
 
 
+class TestPlan:
+    def test_chains_are_clusters(self, ten_clients):
+        semi = plan(ten_clients, PAIRS)
+        assert semi.chains is PAIRS and semi.clients is ten_clients
+        fl = plan(ten_clients, mode="fl")
+        assert fl.chains == tuple((k,) for k in range(10))
+        assert fl.clients is ten_clients
+        cl = plan(ten_clients, PAIRS, mode="cl")  # cl ignores the clusters
+        assert cl.chains == ((0,),)
+        [pool] = cl.clients
+        assert np.array_equal(pool.images, np.concatenate([c.images for c in ten_clients]))
+        assert np.array_equal(pool.labels, np.concatenate([c.labels for c in ten_clients]))
+
+
 class TestClusterChain:
     def test_chain_equals_primitive_composition(self, ten_clients):
         # full-batch, one epoch: the head must equal composing plain GD steps
