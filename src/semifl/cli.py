@@ -73,8 +73,8 @@ def _load_config(args):
 def _cmd_partition(args) -> int:
     cfg = _load_config(args)
     out = experiment.output_dir(args.out)
-    # only the shards are kept: the command reads neither the source nor the test set
-    clients = experiment.build_clients(cfg, experiment.load_datasets(cfg)[0])
+    # everything that can fail on the data fails here, before anything is written
+    clients, clusters = experiment.prepare(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "clients.csv", "w", newline="", encoding="utf-8") as fh:
@@ -84,8 +84,7 @@ def _cmd_partition(args) -> int:
             writer.writerow([cid, len(c), "|".join(str(l) for l in c.distinct_labels)])
     print(f"wrote {out / 'clients.csv'} ({len(clients)} clients)")
 
-    if cfg.mode == "semifl":
-        clusters = experiment.build_assignment(cfg, clients)
+    if clusters is not None:
         clustering.save_assignment(clusters, out / "clusters.txt")
         print(f"wrote {out / 'clusters.txt'} ({len(clusters)} clusters, "
               f"pattern {cfg.pattern})")

@@ -121,7 +121,7 @@ def load_assignment(path) -> Clusters:
     """Read an explicit assignment file: one cluster per line, ids space-separated."""
     clusters = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for ln, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

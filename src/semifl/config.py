@@ -145,7 +145,7 @@ def parse_config(path, **overrides) -> ExperimentConfig:
     """
     path = os.fspath(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

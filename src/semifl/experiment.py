@@ -68,9 +68,10 @@ def _find_idx_file(root: str, role: str) -> str:
     raise DataError(f"{role}: none of {', '.join(candidates)} exist")
 
 
-def load_mnist(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
-    """Read the train/test IDX pairs from ``cfg.data_dir``, or from the
-    ``SEMIFL_DATA_DIR`` environment variable when ``data_dir`` is empty.
+def load_mnist(cfg: ExperimentConfig, split: str) -> LabeledSet:
+    """Read the ``split`` ("train" or "test") IDX pair from ``cfg.data_dir``,
+    or from the ``SEMIFL_DATA_DIR`` environment variable when ``data_dir`` is
+    empty.
 
     Both models are sized for 28x28 images, so other sizes stop here, and so
     does an empty split, which could neither train nor be evaluated.
@@ -79,29 +80,34 @@ def load_mnist(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     if not root:
         raise DataError("no MNIST directory: set data_dir or the SEMIFL_DATA_DIR "
                         "environment variable")
+    images = _find_idx_file(root, f"{split}_images")
+    ds = load_idx(images, _find_idx_file(root, f"{split}_labels"))
+    if len(ds) == 0:
+        raise DataError(f"{images}: no images")
+    rows, cols = ds.images.shape[2:]
+    if (rows, cols) != (28, 28):
+        raise DataError(f"{images}: images are {rows}x{cols}, the models need 28x28")
+    return ds
 
-    def read(split: str) -> LabeledSet:
-        images = _find_idx_file(root, f"{split}_images")
-        ds = load_idx(images, _find_idx_file(root, f"{split}_labels"))
-        if len(ds) == 0:
-            raise DataError(f"{images}: no images")
-        rows, cols = ds.images.shape[2:]
-        if (rows, cols) != (28, 28):
-            raise DataError(f"{images}: images are {rows}x{cols}, the models need 28x28")
-        return ds
 
-    return read("train"), read("test")
+def load_split(cfg: ExperimentConfig, split: str) -> LabeledSet:
+    """The ``split`` ("train" or "test") set of ``cfg.dataset``."""
+    kind, synth = cfg.dataset_kind()
+    if kind == "mnist":
+        return load_mnist(cfg, split)
+    classes, per_class = synth
+    if split == "train":
+        return generate_synthetic(classes, per_class, cfg.master_seed)
+    return generate_synthetic(classes, max(10, per_class // 4), cfg.master_seed + 1_000_003)
 
 
 def load_datasets(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
-    """Train and test sets according to ``cfg.dataset``."""
-    kind, synth = cfg.dataset_kind()
-    if kind == "mnist":
-        return load_mnist(cfg)
-    classes, per_class = synth
-    train = generate_synthetic(classes, per_class, cfg.master_seed)
-    test = generate_synthetic(classes, max(10, per_class // 4), cfg.master_seed + 1_000_003)
-    return train, test
+    """Train and test sets according to ``cfg.dataset``.
+
+    A run reads them one at a time (:func:`prepare`, then the test set); this
+    pair is kept for perfbench's setup timing.
+    """
+    return load_split(cfg, "train"), load_split(cfg, "test")
 
 
 def build_clients(cfg: ExperimentConfig, train: LabeledSet):
@@ -121,6 +127,19 @@ def build_assignment(cfg: ExperimentConfig, clients) -> clustering.Clusters:
     if kind == "shuffled":
         clusters = clustering.shuffle_within_clusters(clusters, seed)
     return clusters
+
+
+def prepare(cfg: ExperimentConfig) -> tuple[list[LabeledSet], clustering.Clusters | None]:
+    """The clients of a run and, in semifl, their clusters (None otherwise).
+
+    Both ``semifl train`` and ``semifl partition`` start here.  Only the
+    training set is read, and it dies as soon as ``build_clients`` has copied
+    the shards out of it.  The test set is left out: read here, it would be
+    held through ``build_clients`` beside the training set, and ``partition``
+    never reads it.
+    """
+    clients = build_clients(cfg, load_split(cfg, "train"))
+    return clients, build_assignment(cfg, clients) if cfg.mode == "semifl" else None
 
 
 def _environment() -> dict:
@@ -168,8 +187,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     """Execute one full run and write its artifacts into ``out_dir``.
 
     Each dataset lives only while something reads it: the training set goes
-    as soon as ``build_clients`` has copied the shards out of it, and the
-    client list once ``plan_rounds`` has made the plan. The plan's clients
+    as soon as ``build_clients`` has copied the shards out of it, before the
+    test set is read, so a run never holds both; the client list goes once
+    ``plan_rounds`` has made the plan. The plan's clients
     are the shards in semifl and fl and only the pool in cl. Releasing the
     source before ``plan_rounds`` pools the shards keeps a cl run from ever
     holding source, shards and pool at once.
@@ -185,10 +205,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     (out / "env.json").write_text(json.dumps(_environment(), indent=2) + "\n",
                                   encoding="utf-8")
 
-    train, test = load_datasets(cfg)
-    clients = build_clients(cfg, train)
-    del train
-    clusters = build_assignment(cfg, clients) if cfg.mode == "semifl" else None
+    clients, clusters = prepare(cfg)
+    test = load_split(cfg, "test")
     model = init_model(cfg.arch, cfg.master_seed)
     model_bytes = len(checkpoint_bytes(model))
     plan = federation.plan_rounds(cfg, clients, clusters)

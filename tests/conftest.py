@@ -111,7 +111,8 @@ def mnist_dir():
     for root in filter(None, [os.environ.get("SEMIFL_DATA_DIR"),
                               str(ROOT / "data")]):
         try:
-            experiment.load_mnist(ExperimentConfig(data_dir=root))
+            for split in ("train", "test"):
+                experiment.load_mnist(ExperimentConfig(data_dir=root), split)
         except DataError as exc:
             errors.append(str(exc))
         else:

@@ -149,6 +149,13 @@ class TestAssignmentFiles:
         loaded = clustering.load_assignment(path)
         assert loaded == ((0, 1, 2), (3, 4, 5))
 
+    def test_utf8_bom_is_ignored(self, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text("0 1 2\n3 4\n", encoding="utf-8")
+        bom.write_text("\ufeff0 1 2\n3 4\n", encoding="utf-8")
+        assert clustering.load_assignment(bom) == clustering.load_assignment(plain) \
+            == ((0, 1, 2), (3, 4))
+
     def test_bad_token_names_line(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("0 1\ntwo 3\n")

@@ -48,6 +48,13 @@ class TestParsing:
         assert cfg.rounds == 30
         assert cfg.dataset_kind() == ("synthetic", (10, 12))
 
+    def test_utf8_bom_is_ignored(self, tmp_path):
+        # editors on Windows may start a UTF-8 file with a byte-order mark
+        text = "mode = fl\nrounds = 30\n"
+        plain = config.parse_config(write(tmp_path, text))
+        assert config.parse_config(write(tmp_path, "\ufeff" + text, "bom.cfg")) == plain
+        assert plain.mode == "fl"
+
     def test_unknown_key_names_line(self, tmp_path):
         path = write(tmp_path, "mode = fl\nspeed = 9\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:2: unknown key 'speed'"):
@@ -157,5 +164,6 @@ class TestDataDir:
         # $SEMIFL_DATA_DIR is read only when data_dir is empty
         monkeypatch.setenv("SEMIFL_DATA_DIR", str(tmp_path / "bogus"))
         root = write_mnist_dir(tmp_path / "mnist")
-        train, test = experiment.load_mnist(config.ExperimentConfig(data_dir=str(root)))
-        assert (len(train), len(test)) == (100, 20)
+        cfg = config.ExperimentConfig(data_dir=str(root))
+        assert [len(experiment.load_mnist(cfg, split)) for split in ("train", "test")] \
+            == [100, 20]

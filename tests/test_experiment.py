@@ -156,13 +156,10 @@ class TestRunExperiment:
         assert (a / "model_final.sfl1").read_bytes() != (b / "model_final.sfl1").read_bytes()
 
     def test_explicit_assignment_and_order_shuffle(self, tmp_path):
-        # dogfood: build the c3 clusters, save, rerun via an explicit file
-        cfg = tiny_cfg(pattern="c3")
-        train, _ = experiment.load_datasets(cfg)
-        clients = experiment.build_clients(cfg, train)
-        built = experiment.build_assignment(cfg, clients)
-        path = tmp_path / "clusters.txt"
-        clustering.save_assignment(built, path)
+        # dogfood: `semifl partition` writes the c3 clusters, a rerun reads them
+        cfg = write_cfg(tmp_path, pattern="c3")
+        assert cli.main(["partition", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+        path = tmp_path / "p" / "clusters.txt"
 
         explicit = tiny_cfg(pattern="explicit", assignment_file=str(path))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -215,15 +212,19 @@ class TestDataLifetime:
 
     @pytest.mark.parametrize("mode", ["semifl", "fl", "cl"])
     def test_only_the_data_training_reads_is_alive_at_round_1(self, tmp_path, monkeypatch, mode):
-        # semifl and fl plans hold the shards; cl's holds only its pooled copy
-        load_datasets, build_clients = experiment.load_datasets, experiment.build_clients
+        # semifl and fl plans hold the shards; cl's holds only its pooled copy.
+        # The training set is dead before the test set is read
+        load_split, build_clients = experiment.load_split, experiment.build_clients
         run_round = federation.run_round
-        refs, started = {}, []
+        refs, started, train_dead_at_test = {}, [], []
 
-        def watched_load(cfg):
-            train, test = load_datasets(cfg)
-            refs["train"] = weakref.ref(train.images)
-            return train, test
+        def watched_load(cfg, split):
+            ds = load_split(cfg, split)
+            if split == "train":
+                refs["train"] = weakref.ref(ds.images)
+            else:
+                train_dead_at_test.append(refs["train"]() is None)
+            return ds
 
         def watched_clients(cfg, train):
             clients = build_clients(cfg, train)
@@ -238,31 +239,35 @@ class TestDataLifetime:
                 started.append(t)
             return run_round(model, plan, t)
 
-        monkeypatch.setattr(experiment, "load_datasets", watched_load)
+        monkeypatch.setattr(experiment, "load_split", watched_load)
         monkeypatch.setattr(experiment, "build_clients", watched_clients)
         monkeypatch.setattr(federation, "run_round", checked_round)
         experiment.run_experiment(tiny_cfg(mode=mode, rounds=1), tmp_path / "run")
         assert started == [1]
+        assert train_dead_at_test == [True]
 
     def test_partition_keeps_only_the_clients(self, tmp_path, monkeypatch):
-        # `semifl partition` reads neither set once the shards are copied out
-        load_datasets, build_assignment = experiment.load_datasets, experiment.build_assignment
-        refs, dead = [], []
+        # `semifl partition` reads no test set, and drops the training set
+        # once the shards are copied out
+        load_split, build_assignment = experiment.load_split, experiment.build_assignment
+        refs, read, dead = [], [], []
 
-        def watched_load(cfg):
-            sets = load_datasets(cfg)
-            refs.extend(weakref.ref(s.images) for s in sets)
-            return sets
+        def watched_load(cfg, split):
+            ds = load_split(cfg, split)
+            read.append(split)
+            refs.append(weakref.ref(ds.images))
+            return ds
 
         def checked_assignment(cfg, clients):
             dead.append([r() is None for r in refs])
             return build_assignment(cfg, clients)
 
-        monkeypatch.setattr(experiment, "load_datasets", watched_load)
+        monkeypatch.setattr(experiment, "load_split", watched_load)
         monkeypatch.setattr(experiment, "build_assignment", checked_assignment)
         cfg = write_cfg(tmp_path, pattern="c3")
         assert cli.main(["partition", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
-        assert dead == [[True, True]]  # train and test, at the one semifl assignment
+        assert read == ["train"]
+        assert dead == [[True]]  # the training set, at the one semifl assignment
 
 
 class TestSummarize:
@@ -475,6 +480,28 @@ class TestCli:
         assert rows[3] == {"client_id": "3", "examples": "12", "labels": "3"}
         loaded = clustering.load_assignment(out / "clusters.txt")
         assert len(loaded) == 10  # c1 with one client per label
+
+    def test_partition_refuses_a_bad_assignment_before_writing(self, tmp_path, capsys):
+        clusters = tmp_path / "clusters.txt"
+        clusters.write_text("0 1 2\n")  # leaves clients 3-9 uncovered
+        cfg = write_cfg(tmp_path, pattern="explicit", assignment_file=clusters)
+        out = tmp_path / "parts"
+        assert cli.main(["partition", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {clusters}: ")
+        assert "not in any cluster" in captured.err
+        assert not out.exists()
+
+    def test_partition_needs_only_the_training_pair(self, tmp_path):
+        root = write_mnist_dir(tmp_path / "mnist")
+        for name in ("t10k-images.idx3-ubyte", "t10k-labels.idx1-ubyte.gz"):
+            (root / name).unlink()
+        cfg = write_cfg(tmp_path, dataset="mnist", pattern="c3", clients=10, per_client=10,
+                        data_dir=root)
+        out = tmp_path / "parts"
+        assert cli.main(["partition", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(clustering.load_assignment(out / "clusters.txt")) == 1  # one c3 cluster
 
     def test_partition_fl_mode_skips_clusters(self, tmp_path):
         cfg = write_cfg(tmp_path, mode="fl")
