@@ -3,16 +3,18 @@
 Layout (all integers little-endian):
 
 * magic ``b"SFL1"``
-* u8 architecture-tag length, then the tag (utf-8)
+* the architecture tag as a text field: u8 length, then utf-8 bytes
 * u32 layer count
-* per layer: u8 name length + name, u8 weight rank + u32 dims,
-  u8 bias rank + u32 dims
+* per layer: its name as a text field, then the weight and the bias shape,
+  each a dims field: u8 rank, then one u32 per dimension
 * payload: each layer's weights then bias as float32 little-endian, C order
 * trailer: 8-byte blake2b digest of the payload
 
-Loading verifies structure and checksum and reproduces the saved parameters
-bit for bit.  Writes go through a temp file + rename so a crash cannot leave
-a half-written checkpoint in place.
+The writer and the reader share one helper per field kind.  Loading walks
+the header through one bounds-checked reader, verifies the trailing length
+and the checksum before it decodes the payload, and reproduces the saved
+parameters bit for bit.  Writes go through a temp file + rename so a crash
+cannot leave a half-written checkpoint in place.
 """
 
 from __future__ import annotations
@@ -31,27 +33,31 @@ MAGIC = b"SFL1"
 _DIGEST_SIZE = 8
 
 
-def _encode_shape(shape) -> bytes:
-    return struct.pack("<B", len(shape)) + b"".join(struct.pack("<I", d) for d in shape)
+def _text(value: str | None = None, take=None):
+    """A text field: its bytes for ``value``, or the string read through ``take``."""
+    if take is not None:
+        return take(take(1)[0]).decode("utf-8", errors="replace")
+    raw = value.encode("utf-8")
+    return struct.pack("<B", len(raw)) + raw
+
+
+def _dims(shape: tuple | None = None, take=None):
+    """A dims field: its bytes for ``shape``, or the shape read through ``take``."""
+    if take is not None:
+        rank = take(1)[0]
+        return struct.unpack(f"<{rank}I", take(4 * rank))
+    return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
 
 
 def checkpoint_bytes(model: ModelParams) -> bytes:
     """Serialise a model to the checkpoint wire format."""
-    header = bytearray()
-    header += MAGIC
-    tag = model.arch.encode("utf-8")
-    header += struct.pack("<B", len(tag)) + tag
-    header += struct.pack("<I", len(model.layers))
-    payload = bytearray()
+    header = [MAGIC, _text(model.arch), struct.pack("<I", len(model.layers))]
     for lp in model.layers:
-        name = lp.name.encode("utf-8")
-        header += struct.pack("<B", len(name)) + name
-        header += _encode_shape(lp.weights.shape)
-        header += _encode_shape(lp.bias.shape)
-        payload += np.ascontiguousarray(lp.weights, dtype="<f4").tobytes()
-        payload += np.ascontiguousarray(lp.bias, dtype="<f4").tobytes()
-    digest = hashlib.blake2b(bytes(payload), digest_size=_DIGEST_SIZE).digest()
-    return bytes(header) + bytes(payload) + digest
+        header += [_text(lp.name), _dims(lp.weights.shape), _dims(lp.bias.shape)]
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes()
+                       for lp in model.layers for a in (lp.weights, lp.bias))
+    digest = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
+    return b"".join(header) + payload + digest
 
 
 def save_checkpoint(model: ModelParams, path) -> None:
@@ -64,27 +70,6 @@ def save_checkpoint(model: ModelParams, path) -> None:
     os.replace(tmp, path)
 
 
-class _Cursor:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.path = path
-        self.pos = 0
-
-    def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DataError(f"{self.path}: truncated checkpoint "
-                            f"(wanted {n} bytes at offset {self.pos})")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.read(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.read(4))[0]
-
-
 def load_checkpoint(path) -> ModelParams:
     """Read and verify a checkpoint written by :func:`save_checkpoint`."""
     path = os.fspath(path)
@@ -93,38 +78,37 @@ def load_checkpoint(path) -> ModelParams:
             data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    pos = 0
 
-    cur = _Cursor(data, path)
-    if cur.read(4) != MAGIC:
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise DataError(f"{path}: truncated checkpoint (wanted {n} bytes at offset {pos})")
+        pos += n
+        return data[pos - n:pos]
+
+    if take(4) != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    arch = cur.read(cur.u8()).decode("utf-8", errors="replace")
+    arch = _text(take=take)
     if arch not in ARCHITECTURES:
         raise DataError(f"{path}: unknown architecture tag {arch!r}")
-    n_layers = cur.u32()
+    n_layers = struct.unpack("<I", take(4))[0]
     if not 1 <= n_layers <= 64:
         raise DataError(f"{path}: implausible layer count {n_layers}")
-
-    manifest = []
-    for _ in range(n_layers):
-        name = cur.read(cur.u8()).decode("utf-8", errors="replace")
-        w_shape = tuple(cur.u32() for _ in range(cur.u8()))
-        b_shape = tuple(cur.u32() for _ in range(cur.u8()))
-        manifest.append((name, w_shape, b_shape))
-
-    layers = []
-    payload_start = cur.pos
-    for name, w_shape, b_shape in manifest:
-        # math.prod, as numpy's fixed-width product wraps on a corrupt shape
-        w = np.frombuffer(cur.read(4 * math.prod(w_shape)), dtype="<f4").reshape(w_shape)
-        b = np.frombuffer(cur.read(4 * math.prod(b_shape)), dtype="<f4").reshape(b_shape)
-        layers.append(LayerParams(name, np.asarray(w, dtype=np.float32),
-                                  np.asarray(b, dtype=np.float32)))
-    payload = data[payload_start:cur.pos]
-    stored = cur.read(_DIGEST_SIZE)
-    if cur.pos != len(data):
-        raise DataError(f"{path}: {len(data) - cur.pos} trailing bytes after checksum")
+    manifest = [(_text(take=take), _dims(take=take), _dims(take=take))
+                for _ in range(n_layers)]
+    # math.prod, as numpy's fixed-width product wraps on a corrupt shape
+    sizes = [math.prod(shape) for _, w, b in manifest for shape in (w, b)]
+    payload = take(4 * sum(sizes))
+    stored = take(_DIGEST_SIZE)
+    if pos != len(data):
+        raise DataError(f"{path}: {len(data) - pos} trailing bytes after checksum")
     digest = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
     if stored != digest:
         raise DataError(f"{path}: payload checksum mismatch "
                         f"(stored {stored.hex()}, computed {digest.hex()})")
-    return ModelParams(arch, tuple(layers))
+    values = np.frombuffer(payload, dtype="<f4").astype(np.float32, copy=False)
+    arrays = iter(np.split(values, np.cumsum(sizes)[:-1]))
+    return ModelParams(arch, tuple(
+        LayerParams(name, next(arrays).reshape(w_shape), next(arrays).reshape(b_shape))
+        for name, w_shape, b_shape in manifest))

@@ -22,6 +22,7 @@ from .errors import DataError
 IDX_IMAGES_MAGIC = 0x803
 IDX_LABELS_MAGIC = 0x801
 NUM_CLASSES = 10  # digit classes: the label range and the models' output width
+IMAGE_SIDE = 28  # image height and width: synthetic images, MNIST's, the models' input
 _SYNTH_CHUNK = 64  # synthetic examples generated per batch of draws
 
 
@@ -99,7 +100,7 @@ def load_idx(images_path, labels_path) -> LabeledSet:
 
 
 def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
-    """Class-separable 28x28 toy images: one Gaussian bump per class.
+    """Class-separable IMAGE_SIDE x IMAGE_SIDE toy images: one Gaussian bump per class.
 
     Class c's bump sits at a fixed angle on a circle around the image centre,
     jittered per example, plus pixel noise.  Same (classes, per_class, seed)
@@ -107,21 +108,21 @@ def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
     ``ExperimentConfig.dataset_kind`` checks a run's.
     """
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:28, 0:28].astype(np.float64)
-    images = np.empty((classes * per_class, 1, 28, 28), dtype=np.float32)
+    yy, xx = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE].astype(np.float64)
+    images = np.empty((classes * per_class, 1, IMAGE_SIDE, IMAGE_SIDE), dtype=np.float32)
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     for c in range(classes):
         angle = 2.0 * np.pi * c / 10.0  # ten fixed anchor angles
-        cy, cx = 14.0 + 8.0 * np.sin(angle), 14.0 + 8.0 * np.cos(angle)
+        cy, cx = IMAGE_SIDE / 2 + 8.0 * np.sin(angle), IMAGE_SIDE / 2 + 8.0 * np.cos(angle)
         for k in range(c * per_class, (c + 1) * per_class, _SYNTH_CHUNK):
             n = min(_SYNTH_CHUNK, (c + 1) * per_class - k)
             # normal(0, s) is s times a standard normal draw, so row i holds example
-            # i's 2 jitter and 784 noise draws in the stream order of one call each
-            z = rng.normal(0.0, 1.0, size=(n, 2 + 28 * 28))
+            # i's 2 jitter and IMAGE_SIDE ** 2 noise draws in the stream order of one call each
+            z = rng.normal(0.0, 1.0, size=(n, 2 + IMAGE_SIDE ** 2))
             jy, jx = (0.8 * z[:, :2]).T[:, :, None, None]
             d2 = (yy - cy - jy) ** 2 + (xx - cx - jx) ** 2
             img = 0.9 * np.exp(-d2 / (2.0 * 2.2 ** 2))
-            img += 0.05 * z[:, 2:].reshape(n, 28, 28)
+            img += 0.05 * z[:, 2:].reshape(n, IMAGE_SIDE, IMAGE_SIDE)
             images[k:k + n, 0] = np.clip(img, 0.0, 1.0)
     return LabeledSet(images, labels)
 

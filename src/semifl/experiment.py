@@ -38,7 +38,7 @@ import numpy as np
 from . import clustering, federation
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .config import VALUE_KINDS, ExperimentConfig, render_config, validate_config
-from .data import LabeledSet, generate_synthetic, load_idx, partition
+from .data import IMAGE_SIDE, LabeledSet, generate_synthetic, load_idx, partition
 from .errors import ConfigError, DataError
 from .federation import RoundRecord
 from .metrics import evaluate_accuracy, layer_divergence
@@ -73,8 +73,9 @@ def load_mnist(cfg: ExperimentConfig, split: str) -> LabeledSet:
     or from the ``SEMIFL_DATA_DIR`` environment variable when ``data_dir`` is
     empty.
 
-    Both models are sized for 28x28 images, so other sizes stop here, and so
-    does an empty split, which could neither train nor be evaluated.
+    Both models are sized for square images of side ``IMAGE_SIDE`` (28), so
+    other sizes stop here, and so does an empty split, which could neither
+    train nor be evaluated.
     """
     root = cfg.data_dir or os.environ.get("SEMIFL_DATA_DIR", "")
     if not root:
@@ -85,8 +86,9 @@ def load_mnist(cfg: ExperimentConfig, split: str) -> LabeledSet:
     if len(ds) == 0:
         raise DataError(f"{images}: no images")
     rows, cols = ds.images.shape[2:]
-    if (rows, cols) != (28, 28):
-        raise DataError(f"{images}: images are {rows}x{cols}, the models need 28x28")
+    if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
+        raise DataError(f"{images}: images are {rows}x{cols}, "
+                        f"the models need {IMAGE_SIDE}x{IMAGE_SIDE}")
     return ds
 
 
@@ -186,6 +188,12 @@ def output_dir(path) -> Path:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     """Execute one full run and write its artifacts into ``out_dir``.
 
+    Everything that can fail on the input fails before anything is written:
+    the config, a used ``out_dir``, then the data.  ``prepare`` builds the
+    clients (and clusters), the test set is read, and only then is
+    ``out_dir`` created and ``config.resolved`` and ``env.json`` written, so
+    a data error (exit 2) leaves no ``out_dir`` behind, as in ``partition``.
+
     Each dataset lives only while something reads it: the training set goes
     as soon as ``build_clients`` has copied the shards out of it, before the
     test set is read, so a run never holds both; the client list goes once
@@ -199,14 +207,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     used = [p.name for pattern in _RUN_OUTPUTS for p in sorted(out.glob(pattern))]
     if used:
         raise ConfigError(f"output directory {out} already holds a run: {', '.join(used)}")
+    clients, clusters = prepare(cfg)
+    test = load_split(cfg, "test")
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(render_config(cfg), encoding="utf-8")
     import json  # here, not at module level: the import costs ~3 ms of start-up
     (out / "env.json").write_text(json.dumps(_environment(), indent=2) + "\n",
                                   encoding="utf-8")
 
-    clients, clusters = prepare(cfg)
-    test = load_split(cfg, "test")
     model = init_model(cfg.arch, cfg.master_seed)
     model_bytes = len(checkpoint_bytes(model))
     plan = federation.plan_rounds(cfg, clients, clusters)

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUM_CLASSES
+from .data import IMAGE_SIDE, NUM_CLASSES
 
 ARCHITECTURES = ("cnn", "mlp")
 CONV_CHUNK = 64  # most images per conv-stack pass in forward and per training chunk
@@ -106,7 +106,7 @@ def _layer(name: str, rng: np.random.Generator, shape: tuple) -> LayerParams:
                        np.zeros(shape[0], dtype=np.float32))
 
 
-def init_mlp(seed: int, in_dim: int = 784, hidden: int = 64) -> ModelParams:
+def init_mlp(seed: int, in_dim: int = IMAGE_SIDE ** 2, hidden: int = 64) -> ModelParams:
     """Fan-in uniform init of the mlp; small ``in_dim`` and ``hidden`` suit gradient checks."""
     rng = np.random.default_rng(seed)
     return ModelParams("mlp", (_layer("fc1", rng, (hidden, in_dim)),
@@ -114,7 +114,7 @@ def init_mlp(seed: int, in_dim: int = 784, hidden: int = 64) -> ModelParams:
 
 
 def init_cnn(seed: int, conv1: int = 10, conv2: int = 20, hidden: int = 50,
-             image_size: int = 28) -> ModelParams:
+             image_size: int = IMAGE_SIDE) -> ModelParams:
     """CNN init; ``image_size`` controls the fc3 input width (4x4 tiles at 28)."""
     side = ((image_size - 4) // 2 - 4) // 2  # two valid 5x5 convs, two 2x2 pools
     if side < 1 or (image_size - 4) % 2 or ((image_size - 4) // 2 - 4) % 2:

@@ -20,6 +20,7 @@ class TestRoundTrip:
         assert loaded.arch == arch
         assert models_equal(loaded, model)
         assert loaded.dtype == np.float32
+        assert checkpoint.checkpoint_bytes(loaded) == path.read_bytes()
 
     def test_trained_model_roundtrip(self, tmp_path):
         ds = data.generate_synthetic(3, 10, seed=0)
@@ -75,11 +76,15 @@ class TestCorruption:
             checkpoint.load_checkpoint(path)
 
     def test_payload_flip_fails_checksum(self, tmp_path):
-        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_mlp(0)))
-        blob[100] ^= 0xFF  # inside the payload
-        path = self._write(tmp_path, bytes(blob))
-        with pytest.raises(DataError, match="checksum mismatch"):
-            checkpoint.load_checkpoint(path)
+        blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
+        # the mlp payload runs from byte 48 (after the header) to 8 bytes before
+        # the end: its first byte, one inside, and its last
+        for at in (48, 100, len(blob) - 9):
+            flipped = bytearray(blob)
+            flipped[at] ^= 0xFF
+            path = self._write(tmp_path, bytes(flipped))
+            with pytest.raises(DataError, match="checksum mismatch"):
+                checkpoint.load_checkpoint(path)
 
     def test_digest_flip_fails_checksum(self, tmp_path):
         blob = bytearray(checkpoint.checkpoint_bytes(nn.init_mlp(0)))
@@ -90,9 +95,13 @@ class TestCorruption:
 
     def test_truncation(self, tmp_path):
         blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
-        path = self._write(tmp_path, blob[:len(blob) // 2])
-        with pytest.raises(DataError, match="truncated"):
-            checkpoint.load_checkpoint(path)
+        # mlp layout: b"SFL1", then the tag b"\x03mlp" in bytes 4-7; fc1's weight
+        # shape (rank 2, two u32 dims) in bytes 16-24; the payload from byte 48;
+        # the 8-byte digest.  Cut inside each, and half way through the file
+        for keep in (6, 20, 48 + 4, len(blob) // 2, len(blob) - 3):
+            path = self._write(tmp_path, blob[:keep])
+            with pytest.raises(DataError, match="truncated"):
+                checkpoint.load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
         blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))

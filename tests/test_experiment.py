@@ -366,7 +366,7 @@ class TestCli:
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert (f"data error: {root / 'train-images-idx3-ubyte.gz'}: images are 32x32, "
                 f"the models need 28x28") in capsys.readouterr().err
-        assert not (out / "metrics.csv").exists()
+        assert not out.exists()
 
     def test_empty_test_split_is_exit_2_before_training(self, tmp_path, capsys):
         root = write_mnist_dir(tmp_path / "mnist", n_test=0)
@@ -376,7 +376,7 @@ class TestCli:
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert (f"data error: {root / 't10k-images.idx3-ubyte'}: no images"
                 in capsys.readouterr().err)
-        assert not (out / "metrics.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("via", ["data_dir", "env"])
     def test_train_on_an_mnist_directory(self, tmp_path, monkeypatch, via):
@@ -491,6 +491,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"data error: {clusters}: ")
         assert "not in any cluster" in captured.err
+        assert not out.exists()
+
+    def test_train_refuses_a_bad_assignment_before_writing(self, tmp_path, capsys):
+        clusters = tmp_path / "clusters.txt"
+        clusters.write_text("0 1 2\n")  # leaves clients 3-9 uncovered
+        cfg = write_cfg(tmp_path, pattern="explicit", assignment_file=clusters)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {clusters}: ")
         assert not out.exists()
 
     def test_partition_needs_only_the_training_pair(self, tmp_path):
