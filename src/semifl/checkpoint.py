@@ -7,12 +7,14 @@ Layout (all integers little-endian):
 * u32 layer count
 * per layer: its name as a text field, then the weight and the bias shape,
   each a dims field: u8 rank, then one u32 per dimension
-* payload: each layer's weights then bias as float32 little-endian, C order
+* payload: ``model.flat``, each layer's weights then bias in layer order,
+  as float32 little-endian
 * trailer: 8-byte blake2b digest of the payload
 
 The writer and the reader share one helper per field kind.  Loading walks
 the header through one bounds-checked reader, verifies the trailing length
-and the checksum before it decodes the payload, and reproduces the saved
+and the checksum, then the layer names against ``nn.LAYER_NAMES``, before it
+decodes the payload as the returned model's ``flat``, reproducing the saved
 parameters bit for bit.  Writes go through a temp file + rename so a crash
 cannot leave a half-written checkpoint in place.
 """
@@ -27,7 +29,7 @@ import struct
 import numpy as np
 
 from .errors import DataError
-from .nn import ARCHITECTURES, LayerParams, ModelParams
+from .nn import ARCHITECTURES, LAYER_NAMES, LayerParams, ModelParams
 
 MAGIC = b"SFL1"
 _DIGEST_SIZE = 8
@@ -54,8 +56,7 @@ def checkpoint_bytes(model: ModelParams) -> bytes:
     header = [MAGIC, _text(model.arch), struct.pack("<I", len(model.layers))]
     for lp in model.layers:
         header += [_text(lp.name), _dims(lp.weights.shape), _dims(lp.bias.shape)]
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes()
-                       for lp in model.layers for a in (lp.weights, lp.bias))
+    payload = model.flat.astype("<f4", copy=False).tobytes()
     digest = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
     return b"".join(header) + payload + digest
 
@@ -107,8 +108,11 @@ def load_checkpoint(path) -> ModelParams:
     if stored != digest:
         raise DataError(f"{path}: payload checksum mismatch "
                         f"(stored {stored.hex()}, computed {digest.hex()})")
+    names = tuple(name for name, _, _ in manifest)
+    if names != LAYER_NAMES[arch]:
+        raise DataError(f"{path}: layer names {names} are not {arch}'s {LAYER_NAMES[arch]}")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float32, copy=False)
     arrays = iter(np.split(values, np.cumsum(sizes)[:-1]))
     return ModelParams(arch, tuple(
         LayerParams(name, next(arrays).reshape(w_shape), next(arrays).reshape(b_shape))
-        for name, w_shape, b_shape in manifest))
+        for name, w_shape, b_shape in manifest), values)

@@ -21,9 +21,9 @@ at C = 1 all of them train and nothing is drawn.
 engine.  Every random draw is keyed by (master_seed, purpose, round, id)
 through ``SeedSequence``, so a client's training stream depends only on who
 it is and which round it is -- not on scheduling order.  The server folds
-each upload into float64 layer sums as it arrives, in ascending chain order,
-so a round holds one head at a time, and averaging N copies of the same model
-reproduces it bit for bit.
+each upload's parameter vector into one float64 sum as it arrives, in
+ascending chain order, so a round holds one head at a time, and averaging N
+copies of the same model reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .clustering import Clusters
 from .config import ExperimentConfig
 from .data import LabeledSet
-from .nn import ModelParams, LayerParams, check_aligned, train_local_with_loss
+from .nn import ModelParams, check_aligned, train_local_with_loss
 
 # stream purposes
 _KIND_TRAIN = 0   # per-client local training (shuffles)
@@ -166,31 +166,24 @@ def run_round(model: ModelParams, plan: RoundPlan,
 
 
 def aggregate_mean(models: Iterable[ModelParams]) -> ModelParams:
-    """Unweighted layer-wise mean, folding the models in iteration order.
+    """Unweighted elementwise mean, folding the models in iteration order.
 
-    Each model is added into float64 layer sums as it is drawn, so a lazy
-    iterable is never held whole.  The sums are cast back to the first
-    model's dtype, so the mean of N identical models is bit-identical to the
-    input.
+    The first model's ``flat`` is cast to one float64 vector, and each later
+    model is added into it as it is drawn, so a lazy iterable is never held
+    whole.  The sum is divided and cast back to the first model's dtype, so
+    the mean of N identical models is bit-identical to the input.
     """
-    sums, n = None, 0
+    total, n = None, 0
     for m in models:
-        if sums is None:
-            out_dtype = m.dtype
-            sums = ModelParams(m.arch, tuple(
-                LayerParams(lp.name, np.zeros_like(lp.weights, dtype=np.float64),
-                            np.zeros_like(lp.bias, dtype=np.float64))
-                for lp in m.layers))
-        check_aligned(sums, m)
-        for s, lp in zip(sums.layers, m.layers):
-            np.add(s.weights, lp.weights, out=s.weights)
-            np.add(s.bias, lp.bias, out=s.bias)
+        if total is None:
+            total, out_dtype = m.astype(np.float64), m.dtype
+        else:
+            check_aligned(total, m)
+            np.add(total.flat, m.flat, out=total.flat)
         n += 1
-    if sums is None:
+    if total is None:
         raise ValueError("cannot aggregate an empty model list")
-    return ModelParams(sums.arch, tuple(
-        LayerParams(s.name, (s.weights / n).astype(out_dtype), (s.bias / n).astype(out_dtype))
-        for s in sums.layers))
+    return total.with_flat((total.flat / n).astype(out_dtype))
 
 
 def pool_clients(clients: list[LabeledSet]) -> LabeledSet:

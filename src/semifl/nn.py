@@ -13,7 +13,7 @@ caller, so every function here is a pure function of its inputs.
 Both networks end in one shared fc / ReLU / fc head, which checks its input
 width.  The mlp feeds it its input; the cnn feeds it the output of the conv
 stack, which has its own forward and backward.  Layer names are set only in
-:func:`init_mlp` and :func:`init_cnn`; gradients take theirs from the model.
+:data:`LAYER_NAMES`; gradients take theirs from the model.
 
 Inside the cnn, activations are channels-last, (B, H, W, C), from the input
 to the fc3 flatten: the im2col GEMM output is then already in that layout and
@@ -30,8 +30,8 @@ the SkylakeX kernel, the forward GEMM gives the same bits as over a row-major
 patch matrix.
 
 The backward reads the buffer along its rows: the weight gradient is the
-GEMM ``cols.T @ dmat`` over the row-major tap-major buffer, copied to C
-order in ``w``'s shape, and the bias gradient the BLAS column sum
+GEMM ``cols.T @ dmat`` over the row-major tap-major buffer, viewed in ``w``'s
+shape, and the bias gradient the BLAS column sum
 ``ones @ dmat``.  Their summation order sets the bits of the conv gradients,
 and so of every trained CNN, that the golden digests pin.  The input
 gradient needs no patch-sized matrix: it is one small GEMM per tap, added in
@@ -45,9 +45,12 @@ kernel its logits equal one pass bit for bit; on another BLAS kernel, such as
 AVX2's, a GEMM row's bits can depend on the row count, so they agree only to
 float32 rounding.
 
-Every gradient, and so every parameter :func:`sgd_step` makes from it, is C
-ordered: :func:`grad_check` perturbs parameters through flat views, and the
-forward GEMM reads ``w`` in the layout of a freshly initialised model.
+A model's parameters live in one C-ordered vector, ``ModelParams.flat``:
+each layer's weights then its bias, layer by layer, in the checkpoint's
+payload order.  Each layer's arrays are C-ordered views into it, so every
+whole-model operation (an SGD step, an average, a dtype cast, a checkpoint
+payload, a gradient check) is one operation on one array, and the forward
+GEMM reads ``w`` in the same layout whatever made the model.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ import numpy as np
 
 from .data import IMAGE_SIDE, NUM_CLASSES
 
-ARCHITECTURES = ("cnn", "mlp")
+LAYER_NAMES = {"cnn": ("conv1", "conv2", "fc3", "fc4"), "mlp": ("fc1", "fc2")}
+ARCHITECTURES = tuple(LAYER_NAMES)
 CONV_CHUNK = 64  # most images per conv-stack pass in forward and per training chunk
 
 
@@ -75,24 +79,45 @@ class LayerParams:
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Immutable parameter set for one model, tagged with its architecture."""
+    """Immutable parameter set for one model, tagged with its architecture.
+
+    ``flat`` holds every parameter, each layer's weights then its bias in
+    layer order, and each of ``layers``' arrays is a C-ordered view into it.
+    Build a model with :func:`pack` or :meth:`with_flat`.
+    """
 
     arch: str
     layers: tuple[LayerParams, ...]
+    flat: np.ndarray
 
     @property
     def dtype(self) -> np.dtype:
-        return self.layers[0].weights.dtype
+        return self.flat.dtype
+
+    def with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """This model's layer names and shapes laid over ``flat``, a vector of its size."""
+        return ModelParams(self.arch, _views(self.layers, flat), flat)
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            self.arch,
-            tuple(
-                LayerParams(lp.name, lp.weights.astype(dtype, order="C"),
-                            lp.bias.astype(dtype, order="C"))
-                for lp in self.layers
-            ),
-        )
+        return self.with_flat(self.flat.astype(dtype))
+
+
+def _views(layers, flat: np.ndarray) -> tuple[LayerParams, ...]:
+    """``layers``' names and shapes as views into ``flat``, each weight then bias in turn."""
+    views, end = [], 0
+    for lp in layers:
+        mid = end + lp.weights.size
+        views.append(LayerParams(lp.name, flat[end:mid].reshape(lp.weights.shape),
+                                 flat[mid:mid + lp.bias.size].reshape(lp.bias.shape)))
+        end = mid + lp.bias.size
+    return tuple(views)
+
+
+def pack(arch: str, layers) -> ModelParams:
+    """A model whose ``flat`` is a new C-ordered copy of ``layers``' arrays."""
+    layers = tuple(layers)
+    flat = np.concatenate([a for lp in layers for a in (lp.weights, lp.bias)], axis=None)
+    return ModelParams(arch, _views(layers, flat), flat)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +134,8 @@ def _layer(name: str, rng: np.random.Generator, shape: tuple) -> LayerParams:
 def init_mlp(seed: int, in_dim: int = IMAGE_SIDE ** 2, hidden: int = 64) -> ModelParams:
     """Fan-in uniform init of the mlp; small ``in_dim`` and ``hidden`` suit gradient checks."""
     rng = np.random.default_rng(seed)
-    return ModelParams("mlp", (_layer("fc1", rng, (hidden, in_dim)),
-                               _layer("fc2", rng, (NUM_CLASSES, hidden))))
+    shapes = ((hidden, in_dim), (NUM_CLASSES, hidden))
+    return pack("mlp", [_layer(n, rng, s) for n, s in zip(LAYER_NAMES["mlp"], shapes)])
 
 
 def init_cnn(seed: int, conv1: int = 10, conv2: int = 20, hidden: int = 50,
@@ -120,10 +145,9 @@ def init_cnn(seed: int, conv1: int = 10, conv2: int = 20, hidden: int = 50,
     if side < 1 or (image_size - 4) % 2 or ((image_size - 4) // 2 - 4) % 2:
         raise ValueError(f"image_size {image_size} does not fit the conv/pool stack")
     rng = np.random.default_rng(seed)
-    return ModelParams("cnn", (_layer("conv1", rng, (conv1, 1, 5, 5)),
-                               _layer("conv2", rng, (conv2, conv1, 5, 5)),
-                               _layer("fc3", rng, (hidden, conv2 * side * side)),
-                               _layer("fc4", rng, (NUM_CLASSES, hidden))))
+    shapes = ((conv1, 1, 5, 5), (conv2, conv1, 5, 5), (hidden, conv2 * side * side),
+              (NUM_CLASSES, hidden))
+    return pack("cnn", [_layer(n, rng, s) for n, s in zip(LAYER_NAMES["cnn"], shapes)])
 
 
 def init_model(arch: str, seed: int) -> ModelParams:
@@ -228,9 +252,9 @@ def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=
     """Gradients (dw, db, dx) of :func:`_conv2d`; dout and dx are channels-last.
 
     dw is one GEMM over the row-major tap-major buffer, ``cols.T @ dmat``,
-    copied to C order in ``w``'s shape (the transpose alone would leave it
-    F-ordered, and SGD would carry that layout into the weights); db is the
-    BLAS column sum ``ones @ dmat``.  Both read their operands along rows,
+    viewed F-ordered in ``w``'s shape (the gradient vector of
+    :func:`loss_and_grads` copies it in C order); db is the BLAS column sum
+    ``ones @ dmat``.  Both read their operands along rows,
     and their summation order sets the pinned gradient bits.
     dx, the input gradient of shape ``x_shape``, is None without ``x_shape``.
     It is built from one (B*OH*OW, Cout) x (Cout, Cin) GEMM per kernel tap,
@@ -240,7 +264,7 @@ def _conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape=
     bsz, oh, ow, cout = dout.shape
     _, cin, kh, kw = w.shape
     dmat = dout.reshape(bsz * oh * ow, cout)
-    dw = np.ascontiguousarray((cols.T @ dmat).T).reshape(w.shape)
+    dw = (cols.T @ dmat).T.reshape(w.shape)
     db = np.ones(dmat.shape[0], dtype=dmat.dtype) @ dmat
     dx = None
     if x_shape is not None:
@@ -377,13 +401,13 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
     """Mean softmax cross-entropy over the batch and its parameter gradients.
 
     Labels must lie in 0..n_classes-1, and the batch must not be empty.  The
-    returned gradients mirror ``model``'s structure layer for layer.
+    returned gradients are ``model``'s structure laid over one new vector.
 
     A cnn batch of more than :data:`CONV_CHUNK` images runs forward and
     backward over equal chunks of at most that many images (4 x 50 at 200),
     so its patch buffers and activations stay chunk-sized.  Each chunk's loss
     and logit gradient are divided by the whole batch size, and the chunk
-    gradients are summed in chunk order into the first chunk's arrays: the
+    gradient vectors are summed in chunk order into the first chunk's: the
     result is the batch mean, with float32 sums in another order than one
     pass over the batch.  Smaller cnn batches and every mlp batch take one
     pass.
@@ -405,17 +429,14 @@ def loss_and_grads(model: ModelParams, inputs: np.ndarray,
     for s in range(size, bsz, size):
         part, more = _loss_and_grads(model, x[s:s + size], labels[s:s + size], bsz)
         loss += part
-        for (dw, db), (mw, mb) in zip(grads, more):
-            dw += mw
-            db += mb
-    return loss, ModelParams(model.arch, tuple(
-        LayerParams(lp.name, dw, db) for lp, (dw, db) in zip(model.layers, grads)))
+        grads += more
+    return loss, model.with_flat(grads)
 
 
 def _loss_and_grads(model: ModelParams, x: np.ndarray, labels: np.ndarray, total: int):
     """One pass of :func:`loss_and_grads` over checked inputs: the loss and
-    the (dw, db) pairs of every layer, each summed over the batch and divided
-    by ``total``."""
+    the gradient vector, in ``model.flat``'s order, summed over the batch and
+    divided by ``total``."""
     feats, conv_cache = _conv_forward(model, x) if model.arch == "cnn" else (x, None)
     logits, a, m = _head(model, feats)
     loss, dlogits = _softmax_cross_entropy(logits, labels, total)
@@ -425,7 +446,7 @@ def _loss_and_grads(model: ModelParams, x: np.ndarray, labels: np.ndarray, total
     grads = [(dz.T @ feats, dz.sum(axis=0)), (dlogits.T @ a, dlogits.sum(axis=0))]
     if conv_cache is not None:
         grads = _conv_backward(model, dz @ hidden.weights, conv_cache) + grads
-    return loss, grads
+    return loss, np.concatenate([a for pair in grads for a in pair], axis=None)
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +468,8 @@ def check_aligned(a: ModelParams, b: ModelParams):
 def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One vanilla SGD update, ``w - lr * g``."""
     check_aligned(model, grads)
-
-    def step(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-        t = lr * g  # numpy's own order for w - lr * g, one temporary fewer
-        return np.subtract(w, t, out=t)
-
-    layers = tuple(
-        LayerParams(lp.name, step(lp.weights, gp.weights), step(lp.bias, gp.bias))
-        for lp, gp in zip(model.layers, grads.layers)
-    )
-    return ModelParams(model.arch, layers)
+    t = lr * grads.flat  # numpy's own order for w - lr * g, one temporary fewer
+    return model.with_flat(np.subtract(model.flat, t, out=t))
 
 
 def train_local_with_loss(model: ModelParams, images: np.ndarray, labels: np.ndarray,
@@ -506,20 +519,16 @@ def grad_check(model: ModelParams, inputs: np.ndarray, labels: np.ndarray,
         return _softmax_cross_entropy(forward(m, x64), labels)[0]
 
     worst = 0.0
-    for li, lp in enumerate(shadow.layers):
-        for field in ("weights", "bias"):
-            arr = getattr(lp, field)
-            analytic = getattr(grads.layers[li], field)
-            flat = arr.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
-                up = loss_at(shadow)
-                flat[i] = keep - step
-                down = loss_at(shadow)
-                flat[i] = keep
-                numeric = (up - down) / (2 * step)
-                a = float(analytic.reshape(-1)[i])
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-                worst = max(worst, rel)
+    flat = shadow.flat  # the layers are views of it
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + step
+        up = loss_at(shadow)
+        flat[i] = keep - step
+        down = loss_at(shadow)
+        flat[i] = keep
+        numeric = (up - down) / (2 * step)
+        a = float(grads.flat[i])
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        worst = max(worst, rel)
     return worst

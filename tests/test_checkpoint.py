@@ -132,6 +132,20 @@ class TestCorruption:
         with pytest.raises(DataError, match=f"implausible layer count {count}"):
             checkpoint.load_checkpoint(path)
 
+    def test_corrupt_layer_name(self, tmp_path):
+        # the digest covers only the payload; the names "fc1" and "fc2" sit in
+        # bytes 13-15 and 31-33 of an mlp file, and each overwrite must be refused
+        blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
+        assert blob[13:16] == b"fc1" and blob[31:34] == b"fc2"
+        for at in (13, 14, 15, 31, 32, 33):
+            for value in (0x00, 0x41, 0xFF):
+                bad = bytearray(blob)
+                bad[at] = value
+                path = self._write(tmp_path, bytes(bad))
+                with pytest.raises(DataError, match=r"layer names \(.*\) are not mlp's "
+                                                    r"\('fc1', 'fc2'\)"):
+                    checkpoint.load_checkpoint(path)
+
     def test_missing_file(self):
         with pytest.raises(DataError, match="cannot read"):
             checkpoint.load_checkpoint("/nonexistent/m.sfl1")

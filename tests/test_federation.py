@@ -62,7 +62,7 @@ class TestAggregateMean:
 
     def test_hand_mean_of_constants(self):
         def const(v):
-            return nn.ModelParams("mlp", (
+            return nn.pack("mlp", (
                 nn.LayerParams("fc1", np.full((2, 3), v, np.float32),
                                np.full(2, v, np.float32)),))
         got = federation.aggregate_mean([const(1.0), const(2.0), const(6.0)])

@@ -17,8 +17,7 @@ def constant_predictor(cls: int) -> nn.ModelParams:
     w2 = np.zeros((10, 4), dtype=np.float32)
     b2 = np.zeros(10, dtype=np.float32)
     b2[cls] = 1.0
-    return nn.ModelParams("mlp", (nn.LayerParams("fc1", w1, b1),
-                                  nn.LayerParams("fc2", w2, b2)))
+    return nn.pack("mlp", (nn.LayerParams("fc1", w1, b1), nn.LayerParams("fc2", w2, b2)))
 
 
 class TestEvaluateAccuracy:

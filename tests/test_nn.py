@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from semifl import nn
+from semifl import checkpoint, federation, nn
 from conftest import models_equal, other_blas_settings, run_child, skylakex_only
 
 
@@ -226,14 +226,40 @@ class TestLoss:
 
     @pytest.mark.parametrize("bsz", [3, 200])
     def test_grads_and_stepped_model_are_c_contiguous(self, bsz):
-        # grad_check perturbs parameters through reshape(-1) views, and the
-        # forward GEMM reads w.reshape(cout, -1): both assume C order
+        # the forward GEMM reads w.reshape(cout, -1) in the layout of a
+        # freshly initialised model
         m = nn.init_cnn(8)
         _, g = nn.loss_and_grads(m, *step_case(bsz))
         stepped = nn.sgd_step(m, g, 0.1)
         for params in (g, stepped):
             for lp in params.layers:
                 assert lp.weights.flags.c_contiguous and lp.bias.flags.c_contiguous, lp.name
+
+
+def assert_views_in_checkpoint_order(model):
+    """Each layer's arrays are C-ordered views of ``model.flat``, each layer's
+    weights then its bias in layer order, and ``flat`` is the checkpoint payload."""
+    at = 0
+    for lp in model.layers:
+        for a in (lp.weights, lp.bias):
+            assert a.flags.c_contiguous and np.shares_memory(a, model.flat), lp.name
+            assert a.ctypes.data == model.flat.ctypes.data + at * model.flat.itemsize, lp.name
+            at += a.size
+    assert model.flat.ndim == 1 and model.flat.size == at
+    payload = checkpoint.checkpoint_bytes(model)[-8 - 4 * at:-8]
+    assert payload == model.flat.astype("<f4").tobytes()
+
+
+@pytest.mark.parametrize("arch", nn.ARCHITECTURES)
+def test_layers_are_views_of_one_vector(tmp_path, arch):
+    # 70 images: the cnn's gradient is the sum of two 35-image chunks
+    m = nn.init_model(arch, 3)
+    _, g = nn.loss_and_grads(m, *step_case(70))
+    path = tmp_path / "m.sfl1"
+    checkpoint.save_checkpoint(m, path)
+    for made in (m, m.astype(np.float64), g, nn.sgd_step(m, g, 0.1),
+                 federation.aggregate_mean(iter([m, g])), checkpoint.load_checkpoint(path)):
+        assert_views_in_checkpoint_order(made)
 
 
 class TestGradCheck:
@@ -282,10 +308,12 @@ class TestGradCheck:
         assert nn.grad_check(m, x, y, step=1e-5) < 1e-4
 
     def test_cnn_with_fortran_ordered_weights(self):
-        # the float64 shadow is C-ordered whatever the layout of the model
+        # pack copies F-ordered weights into C-ordered views of the new vector
         m = nn.init_cnn(13, conv1=2, conv2=4, hidden=5, image_size=20)
-        m = nn.ModelParams(m.arch, tuple(
+        m = nn.pack(m.arch, tuple(
             nn.LayerParams(lp.name, np.asfortranarray(lp.weights), lp.bias) for lp in m.layers))
+        for lp in m.layers:
+            assert lp.weights.flags.c_contiguous and np.shares_memory(lp.weights, m.flat)
         x = np.random.default_rng(113).random((3, 1, 20, 20)).astype(np.float32)
         assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-5) < 1e-4
 
@@ -541,7 +569,7 @@ class TestMaxPool:
         w1 = np.zeros((1, 1, 5, 5), dtype=np.float32)
         w1[0, 0, 2, 2] = 1.0
         layers = (nn.LayerParams("conv1", w1, np.zeros(1, dtype=np.float32)),) + m.layers[1:]
-        m = nn.ModelParams("cnn", layers)
+        m = nn.pack("cnn", layers)
         x = np.zeros((1, 1, 16, 16), dtype=np.float32)
         x[0, 0, 2:4, 2:4] = 1.0
         _, g = nn.loss_and_grads(m, x, np.array([3]))
@@ -562,13 +590,13 @@ class TestSgd:
     def test_two_steps_equal_one_summed_step_dyadic(self):
         # dyadic values make floating-point linearity exact
         def model(vals):
-            return nn.ModelParams("mlp", (
+            return nn.pack("mlp", (
                 nn.LayerParams("fc1", np.float32([[vals[0]]]), np.float32([vals[1]])),
                 nn.LayerParams("fc2", np.float32([[vals[2]]]), np.float32([vals[3]]))))
         w = model([1.0, 0.5, 2.0, 0.25])
         g1 = model([0.25, 0.5, 0.5, 1.0])
         g2 = model([0.125, 0.25, 0.75, 0.5])
-        summed = nn.ModelParams("mlp", tuple(
+        summed = nn.pack("mlp", tuple(
             nn.LayerParams(a.name, a.weights + b.weights, a.bias + b.bias)
             for a, b in zip(g1.layers, g2.layers)))
         two = nn.sgd_step(nn.sgd_step(w, g1, 0.5), g2, 0.5)
@@ -592,7 +620,7 @@ class TestSgd:
         fc2 = nn.LayerParams("fc2", m.layers[1].weights, np.zeros(11, np.float32))
         with pytest.raises(ValueError, match=r"^layer fc2: shape mismatch in bias "
                                              r"\(10,\) vs \(11,\)$"):
-            nn.sgd_step(m, nn.ModelParams("mlp", (m.layers[0], fc2)), 0.1)
+            nn.sgd_step(m, nn.pack("mlp", (m.layers[0], fc2)), 0.1)
         with pytest.raises(ValueError, match="mismatch"):
             nn.sgd_step(m, nn.init_cnn(0), 0.1)
 
