@@ -19,9 +19,9 @@ from semifl import checkpoint, cli, data, metrics, nn
 
 
 def train(examples, seed, epochs):
-    model, _ = nn.train_local_with_loss(nn.init_mlp(0), examples.images, examples.labels,
-                                        epochs=epochs, batch_size=20, learning_rate=0.05,
-                                        rng=np.random.default_rng(seed))
+    model, _ = nn.train_local_with_loss(nn.init_model("mlp", 0), examples.images,
+                                        examples.labels, epochs=epochs, batch_size=20,
+                                        learning_rate=0.05, rng=np.random.default_rng(seed))
     return model
 
 

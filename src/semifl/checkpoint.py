@@ -13,9 +13,10 @@ Layout (all integers little-endian):
 
 The writer and the reader share one helper per field kind.  Loading walks
 the header through one bounds-checked reader, verifies the trailing length
-and the checksum, then the layer names against ``nn.LAYER_NAMES``, before it
-decodes the payload as the returned model's ``flat``, reproducing the saved
-parameters bit for bit.  Writes go through a temp file + rename so a crash
+and the checksum, then the layer names and every weight and bias shape
+against the architecture's table, ``nn.ARCHITECTURES``, before it decodes the
+payload as the returned model's ``flat``, reproducing the saved parameters
+bit for bit.  Writes go through a temp file + rename so a crash
 cannot leave a half-written checkpoint in place.
 """
 
@@ -29,7 +30,7 @@ import struct
 import numpy as np
 
 from .errors import DataError
-from .nn import ARCHITECTURES, LAYER_NAMES, LayerParams, ModelParams
+from .nn import ARCHITECTURES, LayerParams, ModelParams
 
 MAGIC = b"SFL1"
 _DIGEST_SIZE = 8
@@ -108,9 +109,14 @@ def load_checkpoint(path) -> ModelParams:
     if stored != digest:
         raise DataError(f"{path}: payload checksum mismatch "
                         f"(stored {stored.hex()}, computed {digest.hex()})")
+    table = ARCHITECTURES[arch]
     names = tuple(name for name, _, _ in manifest)
-    if names != LAYER_NAMES[arch]:
-        raise DataError(f"{path}: layer names {names} are not {arch}'s {LAYER_NAMES[arch]}")
+    if names != tuple(table):
+        raise DataError(f"{path}: layer names {names} are not {arch}'s {tuple(table)}")
+    for name, w_shape, b_shape in manifest:
+        if (w_shape, b_shape) != (table[name], table[name][:1]):
+            raise DataError(f"{path}: layer {name} has shapes {w_shape} and {b_shape}, "
+                            f"not {arch}'s {table[name]} and {table[name][:1]}")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float32, copy=False)
     arrays = iter(np.split(values, np.cumsum(sizes)[:-1]))
     return ModelParams(arch, tuple(

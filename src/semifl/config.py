@@ -73,7 +73,7 @@ VALUE_KINDS = {int: "an integer", float: "a number"}  # how errors name a numeri
 
 _CHOICES = {
     "mode": ("semifl", "fl", "cl"),
-    "arch": ARCHITECTURES,
+    "arch": tuple(ARCHITECTURES),
     "partition": ("iid", "noniid"),
     "pattern": PATTERNS + ("explicit",),
 }

@@ -108,7 +108,7 @@ def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
     ``ExperimentConfig.dataset_kind`` checks a run's.
     """
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE].astype(np.float64)
+    grid = np.arange(IMAGE_SIDE, dtype=np.float64)  # pixel rows and columns alike
     images = np.empty((classes * per_class, 1, IMAGE_SIDE, IMAGE_SIDE), dtype=np.float32)
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     for c in range(classes):
@@ -116,11 +116,14 @@ def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
         cy, cx = IMAGE_SIDE / 2 + 8.0 * np.sin(angle), IMAGE_SIDE / 2 + 8.0 * np.cos(angle)
         for k in range(c * per_class, (c + 1) * per_class, _SYNTH_CHUNK):
             n = min(_SYNTH_CHUNK, (c + 1) * per_class - k)
-            # normal(0, s) is s times a standard normal draw, so row i holds example
-            # i's 2 jitter and IMAGE_SIDE ** 2 noise draws in the stream order of one call each
-            z = rng.normal(0.0, 1.0, size=(n, 2 + IMAGE_SIDE ** 2))
+            # standard_normal draws normal(0, 1)'s stream, and normal(0, s) is s times
+            # such a draw, so row i holds example i's 2 jitter and IMAGE_SIDE ** 2
+            # noise draws in the stream order of one call each
+            z = rng.standard_normal((n, 2 + IMAGE_SIDE ** 2))
             jy, jx = (0.8 * z[:, :2]).T[:, :, None, None]
-            d2 = (yy - cy - jy) ** 2 + (xx - cx - jx) ** 2
+            # an (n, side, 1) row term plus an (n, 1, side) column term: each
+            # pixel takes the same float operations as over full (side, side) grids
+            d2 = (grid[:, None] - cy - jy) ** 2 + (grid - cx - jx) ** 2
             img = 0.9 * np.exp(-d2 / (2.0 * 2.2 ** 2))
             img += 0.05 * z[:, 2:].reshape(n, IMAGE_SIDE, IMAGE_SIDE)
             images[k:k + n, 0] = np.clip(img, 0.0, 1.0)

@@ -2,26 +2,32 @@
 
 Two fixed architectures are supported:
 
-* ``cnn`` -- conv(5x5, 1->10) / ReLU / maxpool(2x2) / conv(5x5, 10->20) /
-  ReLU / maxpool(2x2) / fc(320->50) / ReLU / fc(50->10)
-* ``mlp`` -- fc(784->64) / ReLU / fc(64->10)
+* ``cnn`` -- 5x5 conv / ReLU / 2x2 maxpool, twice, then fc / ReLU / fc
+* ``mlp`` -- fc / ReLU / fc
 
 Parameters are float32; training is plain minibatch SGD on softmax
 cross-entropy.  All randomness comes from generators passed in by the
 caller, so every function here is a pure function of its inputs.
 
+Each architecture's layer names and weight shapes are written once, in the
+table :data:`ARCHITECTURES`: :func:`init_model` draws its layers and
+``load_checkpoint`` checks a file's against it.  The kernels read every shape
+from the weights they are given, so a shrunken model built with :func:`pack`
+runs through them too.
+
 Both networks end in one shared fc / ReLU / fc head, which checks its input
 width.  The mlp feeds it its input; the cnn feeds it the output of the conv
-stack, which has its own forward and backward.  Layer names are set only in
-:data:`LAYER_NAMES`; gradients take theirs from the model.
+stack, which has its own forward and backward.  Gradients take their layer
+names from the model.
 
 Inside the cnn, activations are channels-last, (B, H, W, C), from the input
 to the fc3 flatten: the im2col GEMM output is then already in that layout and
-the 2x2 max-pool compares four strided views of it.  Only the 320-wide fc3
+the 2x2 max-pool compares four strided views of it.  Only the flat fc3
 input is put back in (C, H, W) order, so parameter shapes and the checkpoint
 layout stay channels-first.  Max-pool runs before ReLU, with which it
-commutes.  When cells of a pooling tile tie, the first in row-major order
-takes the whole gradient.
+commutes, so the pool's backward applies the ReLU mask as it routes.  When
+cells of a pooling tile tie, the first in row-major order takes the whole
+gradient.
 
 The im2col patch matrix ``cols`` is the transpose view of a tap-major buffer,
 (Cin, KH, KW, B, OH, OW).  Its columns stay in ``w``'s (Cin, KH, KW) order: a
@@ -63,8 +69,14 @@ import numpy as np
 
 from .data import IMAGE_SIDE, NUM_CLASSES
 
-LAYER_NAMES = {"cnn": ("conv1", "conv2", "fc3", "fc4"), "mlp": ("fc1", "fc2")}
-ARCHITECTURES = tuple(LAYER_NAMES)
+# Each architecture's layers in order, name -> weight shape; a bias has one entry
+# per weight row.  fc3 reads 20 maps of the side left after two valid 5x5 convs
+# and two 2x2 pools: 4 at 28.
+ARCHITECTURES = {
+    "cnn": {"conv1": (10, 1, 5, 5), "conv2": (20, 10, 5, 5),
+            "fc3": (50, 20 * (((IMAGE_SIDE - 4) // 2 - 4) // 2) ** 2), "fc4": (NUM_CLASSES, 50)},
+    "mlp": {"fc1": (64, IMAGE_SIDE ** 2), "fc2": (NUM_CLASSES, 64)},
+}
 CONV_CHUNK = 64  # most images per conv-stack pass in forward and per training chunk
 
 
@@ -131,32 +143,12 @@ def _layer(name: str, rng: np.random.Generator, shape: tuple) -> LayerParams:
                        np.zeros(shape[0], dtype=np.float32))
 
 
-def init_mlp(seed: int, in_dim: int = IMAGE_SIDE ** 2, hidden: int = 64) -> ModelParams:
-    """Fan-in uniform init of the mlp; small ``in_dim`` and ``hidden`` suit gradient checks."""
-    rng = np.random.default_rng(seed)
-    shapes = ((hidden, in_dim), (NUM_CLASSES, hidden))
-    return pack("mlp", [_layer(n, rng, s) for n, s in zip(LAYER_NAMES["mlp"], shapes)])
-
-
-def init_cnn(seed: int, conv1: int = 10, conv2: int = 20, hidden: int = 50,
-             image_size: int = IMAGE_SIDE) -> ModelParams:
-    """CNN init; ``image_size`` controls the fc3 input width (4x4 tiles at 28)."""
-    side = ((image_size - 4) // 2 - 4) // 2  # two valid 5x5 convs, two 2x2 pools
-    if side < 1 or (image_size - 4) % 2 or ((image_size - 4) // 2 - 4) % 2:
-        raise ValueError(f"image_size {image_size} does not fit the conv/pool stack")
-    rng = np.random.default_rng(seed)
-    shapes = ((conv1, 1, 5, 5), (conv2, conv1, 5, 5), (hidden, conv2 * side * side),
-              (NUM_CLASSES, hidden))
-    return pack("cnn", [_layer(n, rng, s) for n, s in zip(LAYER_NAMES["cnn"], shapes)])
-
-
 def init_model(arch: str, seed: int) -> ModelParams:
-    """Build a freshly initialised model of the given architecture."""
-    if arch == "mlp":
-        return init_mlp(seed)
-    if arch == "cnn":
-        return init_cnn(seed)
-    raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+    """A fresh ``arch`` model: its table's layers drawn in order from one seeded stream."""
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}; expected one of {tuple(ARCHITECTURES)}")
+    rng = np.random.default_rng(seed)
+    return pack(arch, [_layer(name, rng, shape) for name, shape in ARCHITECTURES[arch].items()])
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +236,7 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
             taps6[:, i, j] = shift[:, :, i:i + oh]
     cols = taps.T
     out = cols @ w.reshape(cout, -1).T
-    out += b
+    out.reshape(bsz, -1)[...] += np.tile(b, oh * ow)  # over whole rows, not Cout-wide ones
     return out.reshape(bsz, oh, ow, cout), cols
 
 
@@ -288,16 +280,19 @@ def _maxpool2(x: np.ndarray) -> np.ndarray:
                       np.maximum(t[:, :, 1, :, 0], t[:, :, 1, :, 1]))
 
 
-def _maxpool2_backward(dout: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _maxpool2_backward(dout: np.ndarray, x: np.ndarray, out: np.ndarray,
+                       mask: np.ndarray) -> np.ndarray:
     """Route each pooled gradient to the cell of its tile that holds the maximum.
 
-    ``x`` is the pooling input and ``out`` its :func:`_maxpool2` result.  When
-    several cells tie, the first in row-major order takes the whole gradient
-    and the others get zero.
+    ``x`` is the pooling input, ``out`` its :func:`_maxpool2` result and
+    ``mask`` the ReLU mask on ``out``: a tile whose mask is False routes
+    ``dout * False`` to every cell, the zeros that masking ``dout`` first would
+    give.  When several cells tie, the first in row-major order takes the
+    whole gradient and the others get zero.
     """
     t = _tiles(x)
     dx = np.empty(t.shape, dtype=dout.dtype)
-    free = np.ones(out.shape, dtype=bool)  # tiles whose maximum is still unclaimed
+    free = mask.copy()  # tiles whose gradient is still unrouted
     for i, j in ((0, 0), (0, 1), (1, 0)):
         hit = (t[:, :, i, :, j] == out) & free
         np.multiply(dout, hit, out=dx[:, :, i, :, j])
@@ -358,10 +353,10 @@ def _conv_backward(model: ModelParams, dflat: np.ndarray, cache) -> list:
     cols1, z1, q1, m1, cols2, z2, q2, m2 = cache
     w1, w2 = model.layers[0].weights, model.layers[1].weights
     bsz, side, _, ch = q2.shape
-    dq2 = dflat.reshape(bsz, ch, side, side).transpose(0, 2, 3, 1) * m2
-    dz2 = _maxpool2_backward(dq2, z2, q2)
+    dq2 = dflat.reshape(bsz, ch, side, side).transpose(0, 2, 3, 1)
+    dz2 = _maxpool2_backward(dq2, z2, q2, m2)
     dw2, db2, da1 = _conv2d_backward(dz2, cols2, w2, q1.shape)
-    dz1 = _maxpool2_backward(da1 * m1, z1, q1)
+    dz1 = _maxpool2_backward(da1, z1, q1, m1)
     dw1, db1, _ = _conv2d_backward(dz1, cols1, w1)
     return [(dw1, db1), (dw2, db2)]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semifl import data, experiment
+from semifl import data, experiment, nn
 from semifl.config import ExperimentConfig
 from semifl.errors import DataError
 
@@ -24,6 +24,23 @@ def models_equal(a, b) -> bool:
         and np.array_equal(la.weights, lb.weights)
         and np.array_equal(la.bias, lb.bias)
         for la, lb in zip(a.layers, b.layers)))
+
+
+def small_mlp(seed: int, in_dim: int, hidden: int):
+    """An mlp with ``in_dim`` inputs and ``hidden`` units, drawn as ``nn.init_model`` draws."""
+    rng = np.random.default_rng(seed)
+    return nn.pack("mlp", [nn._layer("fc1", rng, (hidden, in_dim)),
+                           nn._layer("fc2", rng, (data.NUM_CLASSES, hidden))])
+
+
+def small_cnn(seed: int, conv1: int, conv2: int, hidden: int, image_size: int):
+    """A cnn of ``conv1`` and ``conv2`` maps and ``hidden`` fc3 units for
+    ``image_size`` x ``image_size`` images, drawn as ``nn.init_model`` draws."""
+    side = ((image_size - 4) // 2 - 4) // 2  # two valid 5x5 convs, two 2x2 pools
+    rng = np.random.default_rng(seed)
+    shapes = {"conv1": (conv1, 1, 5, 5), "conv2": (conv2, conv1, 5, 5),
+              "fc3": (hidden, conv2 * side * side), "fc4": (data.NUM_CLASSES, hidden)}
+    return nn.pack("cnn", [nn._layer(name, rng, shape) for name, shape in shapes.items()])
 
 
 # exact only on OpenBLAS's SkylakeX kernel, where a GEMM element's bits do not

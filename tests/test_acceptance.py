@@ -21,7 +21,7 @@ import pytest
 from semifl import checkpoint, clustering, data, federation, metrics, nn
 from semifl.config import ExperimentConfig
 from semifl.experiment import run_experiment, summarize_run
-from conftest import models_equal, max_param_diff
+from conftest import max_param_diff, models_equal, small_cnn, small_mlp
 
 DESK_SEEDS = (0, 1, 2)
 
@@ -40,11 +40,11 @@ def test_criterion_1_property_suite(clients_100, tmp_path):
     t0 = time.time()
 
     # gradient checks <= 1e-3 relative
-    m_mlp = nn.init_mlp(5, in_dim=12, hidden=4)
+    m_mlp = small_mlp(5, in_dim=12, hidden=4)
     rng = np.random.default_rng(9)
     gc_mlp = nn.grad_check(m_mlp, rng.random((6, 12)).astype(np.float32),
                            rng.integers(0, 10, 6))
-    m_cnn = nn.init_cnn(11, conv1=2, conv2=3, hidden=4, image_size=16)
+    m_cnn = small_cnn(11, conv1=2, conv2=3, hidden=4, image_size=16)
     gc_cnn = nn.grad_check(m_cnn, np.random.default_rng(99).random(
         (2, 1, 16, 16)).astype(np.float32), np.array([0, 7]), step=1e-4)
     assert gc_mlp <= 1e-3 and gc_cnn <= 1e-3
@@ -86,11 +86,11 @@ def test_criterion_1_property_suite(clients_100, tmp_path):
         assert models_equal(checkpoint.load_checkpoint(path), model)
 
     # aggregation identities
-    m = nn.init_mlp(1)
+    m = nn.init_model("mlp", 1)
     assert models_equal(federation.aggregate_mean([m, m, m]), m)
-    two = federation.aggregate_mean([nn.init_mlp(1), nn.init_mlp(2)])
-    want = 0.5 * (nn.init_mlp(1).layers[0].weights.astype(np.float64)
-                  + nn.init_mlp(2).layers[0].weights.astype(np.float64))
+    two = federation.aggregate_mean([nn.init_model("mlp", 1), nn.init_model("mlp", 2)])
+    want = 0.5 * (nn.init_model("mlp", 1).layers[0].weights.astype(np.float64)
+                  + nn.init_model("mlp", 2).layers[0].weights.astype(np.float64))
     assert np.allclose(two.layers[0].weights, want, atol=1e-7)
 
     report("criterion 1: synthetic property suite",
@@ -108,7 +108,7 @@ def test_criterion_2a_singleton_clusters_match_fedavg(clients_100):
                                   singletons)
     fl = federation.plan_rounds(ExperimentConfig(mode="fl", client_fraction=1.0, **local),
                                 clients_100)
-    a = b = c = nn.init_mlp(13)
+    a = b = c = nn.init_model("mlp", 13)
     for t in (1, 2, 3):
         a, rec_a = federation.run_round(a, semi, t)
         b, rec_b = federation.run_round(b, fl, t)
@@ -133,7 +133,7 @@ def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):
     cfg = ExperimentConfig(mode="semifl", local_epochs=1, local_batch=len(shared),
                            learning_rate=0.1, master_seed=21)
     chain = (tuple(range(k)),)
-    model64 = nn.init_mlp(21).astype(np.float64)
+    model64 = nn.init_model("mlp", 21).astype(np.float64)
     x64 = shared.images.astype(np.float64)
 
     head, _ = federation.run_round(model64, federation.plan_rounds(cfg, cluster, chain), 1)
@@ -153,7 +153,7 @@ def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):
 def test_criterion_6_uplink_counts(clients_100):
     # live rounds over 100 clients / 10 clusters
     local = dict(local_epochs=1, local_batch=12, learning_rate=0.01, master_seed=0)
-    m0 = nn.init_mlp(0)
+    m0 = nn.init_model("mlp", 0)
     c1 = clustering.build_pattern("c1", clients_100)
     plans = {
         "fl 10%": federation.plan_rounds(

@@ -24,14 +24,14 @@ class TestRoundTrip:
 
     def test_trained_model_roundtrip(self, tmp_path):
         ds = data.generate_synthetic(3, 10, seed=0)
-        model, _ = nn.train_local_with_loss(nn.init_mlp(1), ds.images, ds.labels,
+        model, _ = nn.train_local_with_loss(nn.init_model("mlp", 1), ds.images, ds.labels,
                                             2, 10, 0.05, np.random.default_rng(2))
         path = tmp_path / "m.sfl1"
         checkpoint.save_checkpoint(model, path)
         assert models_equal(checkpoint.load_checkpoint(path), model)
 
     def test_loaded_model_is_usable(self, tmp_path):
-        model = nn.init_cnn(9)
+        model = nn.init_model("cnn", 9)
         path = tmp_path / "c.sfl1"
         checkpoint.save_checkpoint(model, path)
         loaded = checkpoint.load_checkpoint(path)
@@ -40,7 +40,7 @@ class TestRoundTrip:
 
     def test_no_temp_file_left(self, tmp_path):
         path = tmp_path / "m.sfl1"
-        checkpoint.save_checkpoint(nn.init_mlp(0), path)
+        checkpoint.save_checkpoint(nn.init_model("mlp", 0), path)
         assert [p.name for p in tmp_path.iterdir()] == ["m.sfl1"]
 
 
@@ -48,19 +48,19 @@ class TestSizeArithmetic:
     def test_mlp_size_from_manifest(self):
         # magic(4) + tag(1+3) + count(4) + 2 fc entries: (1+3 name) + (1+8 wshape)
         # + (1+4 bshape) = 18 each -> 48-byte header; float32 payload; 8-byte digest
-        blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
+        blob = checkpoint.checkpoint_bytes(nn.init_model("mlp", 0))
         assert len(blob) == 48 + 4 * 50890 + 8
 
     def test_cnn_size_from_manifest(self):
         names = [("conv1", 4), ("conv2", 4), ("fc3", 2), ("fc4", 2)]
         header = 4 + (1 + 3) + 4 + sum(
             (1 + len(nm)) + (1 + 4 * wrank) + (1 + 4 * 1) for nm, wrank in names)
-        blob = checkpoint.checkpoint_bytes(nn.init_cnn(0))
+        blob = checkpoint.checkpoint_bytes(nn.init_model("cnn", 0))
         assert len(blob) == header + 4 * 21840 + 8
         assert header == 104
 
     def test_magic_prefix(self):
-        assert checkpoint.checkpoint_bytes(nn.init_mlp(0))[:4] == b"SFL1"
+        assert checkpoint.checkpoint_bytes(nn.init_model("mlp", 0))[:4] == b"SFL1"
 
 
 class TestCorruption:
@@ -70,13 +70,13 @@ class TestCorruption:
         return path
 
     def test_bad_magic(self, tmp_path):
-        blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
+        blob = checkpoint.checkpoint_bytes(nn.init_model("mlp", 0))
         path = self._write(tmp_path, b"XXXX" + blob[4:])
         with pytest.raises(DataError, match="bad magic"):
             checkpoint.load_checkpoint(path)
 
     def test_payload_flip_fails_checksum(self, tmp_path):
-        blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
+        blob = checkpoint.checkpoint_bytes(nn.init_model("mlp", 0))
         # the mlp payload runs from byte 48 (after the header) to 8 bytes before
         # the end: its first byte, one inside, and its last
         for at in (48, 100, len(blob) - 9):
@@ -87,14 +87,14 @@ class TestCorruption:
                 checkpoint.load_checkpoint(path)
 
     def test_digest_flip_fails_checksum(self, tmp_path):
-        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_mlp(0)))
+        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_model("mlp", 0)))
         blob[-1] ^= 0x01
         path = self._write(tmp_path, bytes(blob))
         with pytest.raises(DataError, match="checksum mismatch"):
             checkpoint.load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
-        blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
+        blob = checkpoint.checkpoint_bytes(nn.init_model("mlp", 0))
         # mlp layout: b"SFL1", then the tag b"\x03mlp" in bytes 4-7; fc1's weight
         # shape (rank 2, two u32 dims) in bytes 16-24; the payload from byte 48;
         # the 8-byte digest.  Cut inside each, and half way through the file
@@ -104,13 +104,13 @@ class TestCorruption:
                 checkpoint.load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
-        blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
+        blob = checkpoint.checkpoint_bytes(nn.init_model("mlp", 0))
         path = self._write(tmp_path, blob + b"junk")
         with pytest.raises(DataError, match="trailing bytes"):
             checkpoint.load_checkpoint(path)
 
     def test_unknown_arch_tag(self, tmp_path):
-        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_mlp(0)))
+        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_model("mlp", 0)))
         blob[5:8] = b"gru"  # overwrite the arch tag characters
         path = self._write(tmp_path, bytes(blob))
         with pytest.raises(DataError, match="architecture tag"):
@@ -126,7 +126,7 @@ class TestCorruption:
 
     @pytest.mark.parametrize("count", [0, 65])
     def test_implausible_layer_count(self, tmp_path, count):
-        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_mlp(0)))
+        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_model("mlp", 0)))
         blob[8:12] = count.to_bytes(4, "little")  # after b"SFL1", 3, b"mlp"
         path = self._write(tmp_path, bytes(blob))
         with pytest.raises(DataError, match=f"implausible layer count {count}"):
@@ -135,7 +135,7 @@ class TestCorruption:
     def test_corrupt_layer_name(self, tmp_path):
         # the digest covers only the payload; the names "fc1" and "fc2" sit in
         # bytes 13-15 and 31-33 of an mlp file, and each overwrite must be refused
-        blob = checkpoint.checkpoint_bytes(nn.init_mlp(0))
+        blob = checkpoint.checkpoint_bytes(nn.init_model("mlp", 0))
         assert blob[13:16] == b"fc1" and blob[31:34] == b"fc2"
         for at in (13, 14, 15, 31, 32, 33):
             for value in (0x00, 0x41, 0xFF):
@@ -145,6 +145,24 @@ class TestCorruption:
                 with pytest.raises(DataError, match=r"layer names \(.*\) are not mlp's "
                                                     r"\('fc1', 'fc2'\)"):
                     checkpoint.load_checkpoint(path)
+
+    @pytest.mark.parametrize("arch, layer, shape", [("mlp", "fc1", (64, 784)),
+                                                     ("cnn", "fc3", (50, 320))])
+    def test_swapped_weight_dims_refused(self, tmp_path, arch, layer, shape):
+        # the digest covers only the payload, and swapping two dims keeps its
+        # size; fc1's weight dims are bytes 17-24 of an mlp file, after its
+        # name field and the rank byte
+        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_model(arch, 0)))
+        at = blob.index(b"\x03" + layer.encode()) + 5
+        assert arch != "mlp" or at == 17
+        assert struct.unpack_from("<2I", blob, at) == shape
+        struct.pack_into("<2I", blob, at, *shape[::-1])
+        path = self._write(tmp_path, bytes(blob))
+        out, inp = shape
+        with pytest.raises(DataError, match=rf"layer {layer} has shapes \({inp}, {out}\) and "
+                                            rf"\({out},\), not {arch}'s \({out}, {inp}\) and "
+                                            rf"\({out},\)$"):
+            checkpoint.load_checkpoint(path)
 
     def test_missing_file(self):
         with pytest.raises(DataError, match="cannot read"):

@@ -169,7 +169,7 @@ class TestSynthetic:
         # regression bound: 5 epochs on 2 classes x 50 must clear 0.9 holdout accuracy
         train = data.generate_synthetic(2, 50, seed=7)
         test = data.generate_synthetic(2, 50, seed=8)
-        model, _ = nn.train_local_with_loss(nn.init_mlp(0), train.images, train.labels,
+        model, _ = nn.train_local_with_loss(nn.init_model("mlp", 0), train.images, train.labels,
                                             5, 20, 0.01, np.random.default_rng(1))
         assert evaluate_accuracy(model, test.images, test.labels) > 0.9
 

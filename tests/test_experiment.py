@@ -542,8 +542,8 @@ class TestCli:
     def test_compare_text_pinned(self, tmp_path, capsys, monkeypatch):
         # the exact CSV, .10g values, of seed-4 against seed-5 initial CNNs
         monkeypatch.chdir(tmp_path)
-        checkpoint.save_checkpoint(nn.init_cnn(4), "a.sfl1")
-        checkpoint.save_checkpoint(nn.init_cnn(5), "b.sfl1")
+        checkpoint.save_checkpoint(nn.init_model("cnn", 4), "a.sfl1")
+        checkpoint.save_checkpoint(nn.init_model("cnn", 5), "b.sfl1")
         want = ("# subject=a.sfl1 reference=b.sfl1\n"
                 "layer,acs,red\n"
                 "conv1,-0.05496356349,1.436448506\n"
@@ -558,8 +558,8 @@ class TestCli:
 
     def test_compare_out_naming_a_directory_is_exit_1(self, tmp_path, capsys, monkeypatch):
         a, b, outdir = tmp_path / "a.sfl1", tmp_path / "b.sfl1", tmp_path / "outdir"
-        checkpoint.save_checkpoint(nn.init_mlp(0), a)
-        checkpoint.save_checkpoint(nn.init_mlp(1), b)
+        checkpoint.save_checkpoint(nn.init_model("mlp", 0), a)
+        checkpoint.save_checkpoint(nn.init_model("mlp", 1), b)
         outdir.mkdir()
         args = ["compare", "--subject", str(a), "--reference", str(b), "--out"]
         read = []
@@ -581,19 +581,30 @@ class TestCli:
         rc = cli.main(["compare", "--subject", str(bad), "--reference", str(bad)])
         assert rc == 2
 
+    def test_compare_swapped_weight_dims_is_exit_2(self, tmp_path, capsys):
+        # fc1's weight dims are bytes 17-24 of an mlp file; swapped, the payload
+        # keeps its size and digest, and the file is compared with itself
+        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_model("mlp", 0)))
+        blob[17:25] = blob[21:25] + blob[17:21]
+        bad = tmp_path / "bad.sfl1"
+        bad.write_bytes(bytes(blob))
+        assert cli.main(["compare", "--subject", str(bad), "--reference", str(bad)]) == 2
+        assert capsys.readouterr().err == (f"data error: {bad}: layer fc1 has shapes (784, 64) "
+                                           f"and (64,), not mlp's (64, 784) and (64,)\n")
+
     def test_compare_other_architecture_is_exit_2(self, tmp_path, capsys):
         mlp, cnn = tmp_path / "mlp.sfl1", tmp_path / "cnn.sfl1"
-        checkpoint.save_checkpoint(nn.init_mlp(0), mlp)
-        checkpoint.save_checkpoint(nn.init_cnn(0), cnn)
+        checkpoint.save_checkpoint(nn.init_model("mlp", 0), mlp)
+        checkpoint.save_checkpoint(nn.init_model("cnn", 0), cnn)
         assert cli.main(["compare", "--subject", str(mlp), "--reference", str(cnn)]) == 2
         assert capsys.readouterr().err == (f"data error: cannot compare {mlp} with {cnn}: "
                                            f"model mismatch: mlp/2 layers vs cnn/4\n")
 
     def test_compare_zero_norm_reference_is_exit_2(self, tmp_path, capsys):
         subject, reference = tmp_path / "subject.sfl1", tmp_path / "zero.sfl1"
-        zero = nn.init_mlp(1)
+        zero = nn.init_model("mlp", 1)
         zero.layers[0].weights[:] = 0.0
-        checkpoint.save_checkpoint(nn.init_mlp(0), subject)
+        checkpoint.save_checkpoint(nn.init_model("mlp", 0), subject)
         checkpoint.save_checkpoint(zero, reference)
         assert cli.main(["compare", "--subject", str(subject),
                          "--reference", str(reference)]) == 2

@@ -8,7 +8,7 @@ import pytest
 
 from semifl import clustering, data, experiment, federation, nn
 from semifl.config import ExperimentConfig
-from conftest import models_equal
+from conftest import models_equal, small_mlp
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ class TestStream:
 
 class TestAggregateMean:
     def test_identity_for_copies(self):
-        m = nn.init_mlp(0)
+        m = nn.init_model("mlp", 0)
         for n in (2, 3, 7):
             assert models_equal(federation.aggregate_mean([m] * n), m)
 
@@ -71,7 +71,7 @@ class TestAggregateMean:
         assert got.dtype == np.float32
 
     def test_matches_plain_mean(self):
-        models = [nn.init_mlp(s) for s in range(4)]
+        models = [nn.init_model("mlp", s) for s in range(4)]
         got = federation.aggregate_mean(models)
         want = np.mean([m.layers[0].weights.astype(np.float64) for m in models],
                        axis=0)
@@ -81,12 +81,13 @@ class TestAggregateMean:
         with pytest.raises(ValueError, match="empty"):
             federation.aggregate_mean([])
         with pytest.raises(ValueError, match="model mismatch: mlp/2 layers vs cnn/4"):
-            federation.aggregate_mean([nn.init_mlp(0), nn.init_cnn(0)])
+            federation.aggregate_mean([nn.init_model("mlp", 0), nn.init_model("cnn", 0)])
         with pytest.raises(ValueError, match="mismatch"):
-            federation.aggregate_mean([nn.init_mlp(0), nn.init_mlp(0, hidden=32)])
+            federation.aggregate_mean([nn.init_model("mlp", 0),
+                                       small_mlp(0, in_dim=784, hidden=32)])
 
     def test_iterator_folds_to_the_same_bits(self):
-        models = [nn.init_mlp(s) for s in range(5)]
+        models = [nn.init_model("mlp", s) for s in range(5)]
         assert models_equal(federation.aggregate_mean(iter(models)),
                             federation.aggregate_mean(models))
 
@@ -112,7 +113,7 @@ class TestPlan:
 class TestClusterChain:
     def test_chain_equals_primitive_composition(self, ten_clients):
         # full-batch, one epoch: the head must equal composing plain GD steps
-        m0 = nn.init_mlp(4)
+        m0 = nn.init_model("mlp", 4)
         head, _ = federation.run_round(
             m0, plan(ten_clients, ((0, 1, 2),), local_epochs=1, local_batch=12,
                      learning_rate=0.1), 1)
@@ -123,7 +124,7 @@ class TestClusterChain:
         assert models_equal(head, ref)
 
     def test_order_matters(self, ten_clients):
-        m0 = nn.init_mlp(4)
+        m0 = nn.init_model("mlp", 4)
         kw = dict(local_epochs=1, local_batch=12, learning_rate=0.1)
         fwd, _ = federation.run_round(m0, plan(ten_clients, ((0, 1, 2),), **kw), 1)
         rev, _ = federation.run_round(m0, plan(ten_clients, ((2, 1, 0),), **kw), 1)
@@ -136,7 +137,7 @@ class TestSemiflRound:
         # aggregating independently computed heads
         clusters = ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9))
         cfg = fed_cfg()
-        m0 = nn.init_mlp(1)
+        m0 = nn.init_model("mlp", 1)
         new, rec = federation.run_round(m0, plan(ten_clients, clusters), 2)
         heads = [chain_head(m0, ten_clients, cl, cfg, 2) for cl in clusters]
         assert models_equal(new, federation.aggregate_mean(heads))
@@ -145,7 +146,7 @@ class TestSemiflRound:
 
     def test_deterministic_across_calls(self, ten_clients):
         p = plan(ten_clients, ((0, 1), (2, 3)))
-        m0 = nn.init_mlp(2)
+        m0 = nn.init_model("mlp", 2)
         a, _ = federation.run_round(m0, p, 1)
         b, _ = federation.run_round(m0, p, 1)
         assert models_equal(a, b)
@@ -156,7 +157,7 @@ class TestSemiflRound:
 class TestFedavgRound:
     def test_full_participation_equals_primitive_mean(self, ten_clients):
         cfg = fed_cfg(mode="fl")
-        m0 = nn.init_mlp(3)
+        m0 = nn.init_model("mlp", 3)
         new, rec = federation.run_round(m0, plan(ten_clients, mode="fl"), 1)
         updates = [chain_head(m0, ten_clients, [cid], cfg, 1) for cid in range(10)]
         assert models_equal(new, federation.aggregate_mean(updates))
@@ -165,7 +166,7 @@ class TestFedavgRound:
     @pytest.mark.parametrize("layout, uploads", [("fl", 4), ("semifl", 2)], ids=LAYOUTS)
     def test_sampling_count_and_determinism(self, ten_clients, layout, uploads):
         p = plan(ten_clients, client_fraction=0.4, **LAYOUTS[layout])
-        m0 = nn.init_mlp(3)
+        m0 = nn.init_model("mlp", 3)
         a, rec = federation.run_round(m0, p, 4)
         b, _ = federation.run_round(m0, p, 4)
         assert rec.uplink_models == uploads  # round(0.4 * chains)
@@ -185,7 +186,7 @@ class TestFedavgRound:
         p = plan(ten_clients, client_fraction=0.2, local_epochs=1, **LAYOUTS[layout])
         for t in range(1, 7):
             trained.append([])
-            federation.run_round(nn.init_mlp(0), p, t)
+            federation.run_round(nn.init_model("mlp", 0), p, t)
         assert all(len(picks) == 2 for picks in trained)
         assert len({tuple(picks) for picks in trained}) > 1
 
@@ -194,7 +195,7 @@ class TestFedavgRound:
         # would be ~20 MB; one head at a time, the round peaks near 1.2 MB
         p = federation.plan_rounds(fed_cfg(mode="fl", local_epochs=1, local_batch=12),
                                    clients_100)
-        m0 = nn.init_mlp(0)
+        m0 = nn.init_model("mlp", 0)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -212,7 +213,7 @@ class TestFedavgRound:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_fraction_floor_one(self, ten_clients, layout):
         p = plan(ten_clients, client_fraction=0.01, **LAYOUTS[layout])
-        _, rec = federation.run_round(nn.init_mlp(0), p, 1)
+        _, rec = federation.run_round(nn.init_model("mlp", 0), p, 1)
         assert rec.uplink_models == 1  # max(1, round(0.01 * chains))
 
     @pytest.mark.parametrize("kw", [*LAYOUTS.values(), dict(mode="cl"),
@@ -228,14 +229,14 @@ class TestFedavgRound:
             return original(seed, kind, *args)
 
         monkeypatch.setattr(federation, "stream", spy)
-        federation.run_round(nn.init_mlp(0), plan(ten_clients, local_epochs=1, **kw), 1)
+        federation.run_round(nn.init_model("mlp", 0), plan(ten_clients, local_epochs=1, **kw), 1)
         assert kinds and federation._KIND_SAMPLE not in kinds
 
 
 class TestCentralized:
     def test_single_batch_round_is_one_gd_step(self, ten_clients):
         pool = federation.pool_clients(ten_clients)
-        m0 = nn.init_mlp(5)
+        m0 = nn.init_model("mlp", 5)
         new, rec = federation.run_round(m0, plan(ten_clients, mode="cl",
                                                  cl_batch=len(pool)), 1)
         _, g = nn.loss_and_grads(m0, pool.images, pool.labels)
@@ -252,7 +253,7 @@ class TestCentralized:
 
         monkeypatch.setattr(nn, "loss_and_grads", spy)
         p = plan(ten_clients, mode="cl", cl_batch=50)  # local_epochs=2 does not apply
-        federation.run_round(nn.init_mlp(0), p, 1)
+        federation.run_round(nn.init_model("mlp", 0), p, 1)
         assert calls == [50, 50, 20]  # ceil(120/50) batches, trailing partial kept
 
     def test_run_cl_cadence(self, tmp_path):
@@ -326,11 +327,11 @@ class TestDivergence:
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError, match=r"round 3, chain 1, client 3: "
                                                         r"training loss is nan"):
-            federation.run_round(nn.init_mlp(0), p, 3)
+            federation.run_round(nn.init_model("mlp", 0), p, 3)
 
     def test_pooled_set_named_in_cl(self, ten_clients):
         p = plan(ten_clients, mode="cl", cl_batch=120, learning_rate=1e30)
-        model, _ = federation.run_round(nn.init_mlp(0), p, 1)
+        model, _ = federation.run_round(nn.init_model("mlp", 0), p, 1)
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError, match="round 2, chain 0, the pooled set"):
             federation.run_round(model, p, 2)
@@ -342,7 +343,7 @@ class TestDivergence:
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError,
                               match="round 2: layer fc1 has non-finite parameters"):
-            federation.run_round(nn.init_mlp(0), p, 2)
+            federation.run_round(nn.init_model("mlp", 0), p, 2)
 
 
 class TestPool:

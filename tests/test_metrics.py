@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semifl import metrics, nn
-from conftest import other_blas_settings, run_child
+from conftest import other_blas_settings, run_child, small_mlp
 
 
 def constant_predictor(cls: int) -> nn.ModelParams:
@@ -42,7 +42,7 @@ class TestEvaluateAccuracy:
         rng = np.random.default_rng(2)
         images = rng.random((600, 1, 28, 28)).astype(np.float32)
         labels = rng.integers(0, 10, 600)
-        m = nn.init_mlp(3)
+        m = nn.init_model("mlp", 3)
         cut = metrics.EVAL_BATCH
         assert cut == 512
         head = metrics.evaluate_accuracy(m, images[:cut], labels[:cut])
@@ -52,7 +52,7 @@ class TestEvaluateAccuracy:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            metrics.evaluate_accuracy(nn.init_mlp(0),
+            metrics.evaluate_accuracy(nn.init_model("mlp", 0),
                                       np.zeros((0, 1, 28, 28), np.float32),
                                       np.zeros(0, np.int64))
 
@@ -182,7 +182,7 @@ class TestRed:
 
 class TestDivergence:
     def test_same_model_reports_identity(self):
-        m = nn.init_cnn(1)
+        m = nn.init_model("cnn", 1)
         div = metrics.layer_divergence(m, m)
         assert list(div) == ["conv1", "conv2", "fc3", "fc4"]
         for acs, red in div.values():
@@ -190,7 +190,7 @@ class TestDivergence:
             assert red == 0.0
 
     def test_entries_match_direct_computation(self):
-        a, b = nn.init_cnn(2), nn.init_cnn(3)
+        a, b = nn.init_model("cnn", 2), nn.init_model("cnn", 3)
         div = metrics.layer_divergence(a, b)
         for la, lb in zip(a.layers, b.layers):
             assert div[la.name] == (metrics.acs(la.weights, lb.weights),
@@ -198,9 +198,9 @@ class TestDivergence:
 
     def test_arch_mismatch(self):
         with pytest.raises(ValueError, match="model mismatch: mlp/2 layers vs cnn/4"):
-            metrics.layer_divergence(nn.init_mlp(0), nn.init_cnn(0))
+            metrics.layer_divergence(nn.init_model("mlp", 0), nn.init_model("cnn", 0))
         with pytest.raises(ValueError, match="layer fc1: shape mismatch"):
-            metrics.layer_divergence(nn.init_mlp(0), nn.init_mlp(0, hidden=32))
+            metrics.layer_divergence(nn.init_model("mlp", 0), small_mlp(0, in_dim=784, hidden=32))
 
     # float.hex() of (ACS, RED), seed 1 against seed 2.  Both metrics sum with
     # numpy, not BLAS, so these hold at any BLAS thread count and kernel.

@@ -8,7 +8,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from semifl import checkpoint, federation, nn
-from conftest import models_equal, other_blas_settings, run_child, skylakex_only
+from conftest import (models_equal, other_blas_settings, run_child, skylakex_only, small_cnn,
+                      small_mlp)
 
 
 def naive_forward_cnn(model, x):
@@ -45,11 +46,11 @@ def naive_forward_cnn(model, x):
 
 class TestInit:
     def test_same_seed_identical(self):
-        assert models_equal(nn.init_mlp(3), nn.init_mlp(3))
-        assert models_equal(nn.init_cnn(3), nn.init_cnn(3))
+        assert models_equal(nn.init_model("mlp", 3), nn.init_model("mlp", 3))
+        assert models_equal(nn.init_model("cnn", 3), nn.init_model("cnn", 3))
 
     def test_different_seed_differs(self):
-        assert not models_equal(nn.init_mlp(3), nn.init_mlp(4))
+        assert not models_equal(nn.init_model("mlp", 3), nn.init_model("mlp", 4))
 
     def test_param_counts(self):
         for arch, count in (("cnn", 21840), ("mlp", 50890)):
@@ -57,7 +58,7 @@ class TestInit:
             assert sum(lp.weights.size + lp.bias.size for lp in m.layers) == count
 
     def test_shapes_and_dtype(self):
-        m = nn.init_cnn(0)
+        m = nn.init_model("cnn", 0)
         shapes = {l.name: l.weights.shape for l in m.layers}
         assert shapes == {"conv1": (10, 1, 5, 5), "conv2": (20, 10, 5, 5),
                           "fc3": (50, 320), "fc4": (10, 50)}
@@ -67,7 +68,7 @@ class TestInit:
             assert np.all(l.bias == 0)
 
     def test_fan_in_bounds(self):
-        m = nn.init_mlp(1)
+        m = nn.init_model("mlp", 1)
         w1 = m.layers[0].weights
         assert np.all(np.abs(w1) <= 1.0 / np.sqrt(784))
         w2 = m.layers[1].weights
@@ -79,29 +80,24 @@ class TestInit:
         with pytest.raises(ValueError, match="architecture"):
             nn.init_model("resnet", 5)
 
-    def test_image_size_that_does_not_fit_the_stack_rejected(self):
-        # 27 - 4 = 23 does not halve: the first 2x2 pool would drop a row
-        with pytest.raises(ValueError, match="image_size 27 does not fit"):
-            nn.init_cnn(0, image_size=27)
-
 
 class TestForward:
     def test_cnn_matches_naive_reference_float64(self):
-        m = nn.init_cnn(7, conv1=3, conv2=4, hidden=6, image_size=16)
+        m = small_cnn(7, conv1=3, conv2=4, hidden=6, image_size=16)
         x = np.random.default_rng(0).random((3, 1, 16, 16))
         got = nn.forward(m.astype(np.float64), x)
         want = naive_forward_cnn(m, x)
         assert np.abs(got - want).max() < 1e-12
 
     def test_cnn_matches_naive_reference_28x28(self):
-        m = nn.init_cnn(3)
+        m = nn.init_model("cnn", 3)
         x = np.random.default_rng(1).random((2, 1, 28, 28)).astype(np.float32)
         got = nn.forward(m, x)
         want = naive_forward_cnn(m, x)
         assert np.abs(got - want).max() < 1e-5
 
     def test_mlp_matches_inline_formula(self):
-        m = nn.init_mlp(9)
+        m = nn.init_model("mlp", 9)
         x = np.random.default_rng(2).random((4, 784)).astype(np.float32)
         w1, b1 = m.layers[0].weights, m.layers[0].bias
         w2, b2 = m.layers[1].weights, m.layers[1].bias
@@ -109,27 +105,27 @@ class TestForward:
         assert np.allclose(nn.forward(m, x), want, atol=1e-6)
 
     def test_batch_rows_match_single_examples(self):
-        m = nn.init_cnn(4)
+        m = nn.init_model("cnn", 4)
         x = np.random.default_rng(3).random((5, 1, 28, 28)).astype(np.float32)
         batch = nn.forward(m, x)
         singles = np.vstack([nn.forward(m, x[i:i + 1]) for i in range(5)])
         assert np.allclose(batch, singles, atol=1e-6)
 
     def test_mlp_flattens_image_batches(self):
-        m = nn.init_mlp(0)
+        m = nn.init_model("mlp", 0)
         x = np.random.default_rng(4).random((3, 1, 28, 28)).astype(np.float32)
         assert np.array_equal(nn.forward(m, x), nn.forward(m, x.reshape(3, 784)))
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="mlp expects"):
-            nn.forward(nn.init_mlp(0), np.zeros((2, 100), dtype=np.float32))
+            nn.forward(nn.init_model("mlp", 0), np.zeros((2, 100), dtype=np.float32))
         with pytest.raises(ValueError, match="cnn expects"):
-            nn.forward(nn.init_cnn(0), np.zeros((2, 784), dtype=np.float32))
+            nn.forward(nn.init_model("cnn", 0), np.zeros((2, 784), dtype=np.float32))
 
     def test_cnn_image_size_checked_at_the_head(self):
         with pytest.raises(ValueError,
                            match=r"cnn expects 320 features at fc3, got shape \(2, 500\)"):
-            nn.forward(nn.init_cnn(0), np.zeros((2, 1, 32, 32), dtype=np.float32))
+            nn.forward(nn.init_model("cnn", 0), np.zeros((2, 1, 32, 32), dtype=np.float32))
 
 
 def step_case(bsz):
@@ -165,7 +161,7 @@ class TestLoss:
         assert np.allclose(dlogits.sum(axis=1), 0, atol=1e-12)
 
     def test_loss_and_grads_label_validation(self):
-        m = nn.init_mlp(0)
+        m = nn.init_model("mlp", 0)
         x = np.zeros((3, 784), dtype=np.float32)
         with pytest.raises(ValueError, match="labels"):
             nn.loss_and_grads(m, x, np.array([1, 2]))
@@ -190,14 +186,14 @@ class TestLoss:
         x, y = step_case(200)
         y[130] = 10
         with pytest.raises(ValueError, match=r"label 10 at batch index 130 is outside 0\.\.9"):
-            nn.loss_and_grads(nn.init_cnn(0), x, y)
+            nn.loss_and_grads(nn.init_model("cnn", 0), x, y)
 
     @pytest.mark.parametrize("bsz", [nn.CONV_CHUNK + 1, 200])
     def test_chunked_step_is_the_batch_mean(self, bsz):
         # the float64 step chunks too, so the mean of one-image steps, each a
         # single pass, pins it first; float32 chunk sums then stay within
         # ~84 eps of it, relative to each array's largest value (8.3e-7 seen)
-        m = nn.init_cnn(bsz)
+        m = nn.init_model("cnn", bsz)
         x, y = step_case(bsz)
         m64, x64 = m.astype(np.float64), x.astype(np.float64)
         singles = [nn.loss_and_grads(m64, x64[i:i + 1], y[i:i + 1]) for i in range(bsz)]
@@ -215,7 +211,7 @@ class TestLoss:
                     (lp.name, field)
 
     def test_grads_mirror_model_structure(self):
-        m = nn.init_cnn(8)
+        m = nn.init_model("cnn", 8)
         x = np.random.default_rng(7).random((2, 1, 28, 28)).astype(np.float32)
         _, g = nn.loss_and_grads(m, x, np.array([1, 2]))
         assert g.arch == m.arch
@@ -228,7 +224,7 @@ class TestLoss:
     def test_grads_and_stepped_model_are_c_contiguous(self, bsz):
         # the forward GEMM reads w.reshape(cout, -1) in the layout of a
         # freshly initialised model
-        m = nn.init_cnn(8)
+        m = nn.init_model("cnn", 8)
         _, g = nn.loss_and_grads(m, *step_case(bsz))
         stepped = nn.sgd_step(m, g, 0.1)
         for params in (g, stepped):
@@ -264,12 +260,12 @@ def test_layers_are_views_of_one_vector(tmp_path, arch):
 
 class TestGradCheck:
     def test_mlp_one_hidden_unit_one_example(self):
-        m = nn.init_mlp(3, in_dim=5, hidden=1)
+        m = small_mlp(3, in_dim=5, hidden=1)
         x = np.random.default_rng(8).random((1, 5)).astype(np.float32)
         assert nn.grad_check(m, x, np.array([4])) < 1e-3
 
     def test_mlp_small(self):
-        m = nn.init_mlp(5, in_dim=12, hidden=4)
+        m = small_mlp(5, in_dim=12, hidden=4)
         rng = np.random.default_rng(9)
         x = rng.random((6, 12)).astype(np.float32)
         y = rng.integers(0, 10, 6)
@@ -277,7 +273,7 @@ class TestGradCheck:
 
     def test_cnn_tiny(self):
         # step 1e-4: a 1e-3 probe can cross max-pool ties under conv1 params
-        m = nn.init_cnn(11, conv1=2, conv2=3, hidden=4, image_size=16)
+        m = small_cnn(11, conv1=2, conv2=3, hidden=4, image_size=16)
         x = np.random.default_rng(99).random((2, 1, 16, 16)).astype(np.float32)
         assert nn.grad_check(m, x, np.array([0, 7]), step=1e-4) < 1e-3
 
@@ -285,7 +281,7 @@ class TestGradCheck:
         # 4 conv2 channels over a 2x2 map (20x20 input) and 3 examples: a wrong
         # channels-last <-> (C,H,W) order at fc3 shows up as a gradient mismatch.
         # float64 analytic grads and a small step keep clear of max-pool kinks.
-        m = nn.init_cnn(12, conv1=2, conv2=4, hidden=5, image_size=20).astype(np.float64)
+        m = small_cnn(12, conv1=2, conv2=4, hidden=5, image_size=20).astype(np.float64)
         assert m.layers[2].weights.shape[1] == 4 * 2 * 2
         x = np.random.default_rng(98).random((3, 1, 20, 20))
         assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-6) < 1e-4
@@ -294,13 +290,13 @@ class TestGradCheck:
     def test_cnn_float32_20x20(self, seed):
         # a float32 model is checked on its float64 shadow on both sides; at
         # step 1e-5 seeds 12-19 stay below 5e-6 (1e-4 crosses a max-pool kink)
-        m = nn.init_cnn(seed, conv1=2, conv2=4, hidden=5, image_size=20)
+        m = small_cnn(seed, conv1=2, conv2=4, hidden=5, image_size=20)
         assert m.dtype == np.float32
         x = np.random.default_rng(seed + 100).random((3, 1, 20, 20)).astype(np.float32)
         assert nn.grad_check(m, x, np.array([1, 4, 8]), step=1e-5) < 1e-4
 
     def test_cnn_after_a_training_step(self):
-        m = nn.init_cnn(12, conv1=2, conv2=4, hidden=5, image_size=20)
+        m = small_cnn(12, conv1=2, conv2=4, hidden=5, image_size=20)
         x = np.random.default_rng(112).random((3, 1, 20, 20)).astype(np.float32)
         y = np.array([1, 4, 8])
         m, _ = nn.train_local_with_loss(m, x, y, epochs=1, batch_size=3,
@@ -309,7 +305,7 @@ class TestGradCheck:
 
     def test_cnn_with_fortran_ordered_weights(self):
         # pack copies F-ordered weights into C-ordered views of the new vector
-        m = nn.init_cnn(13, conv1=2, conv2=4, hidden=5, image_size=20)
+        m = small_cnn(13, conv1=2, conv2=4, hidden=5, image_size=20)
         m = nn.pack(m.arch, tuple(
             nn.LayerParams(lp.name, np.asfortranarray(lp.weights), lp.bias) for lp in m.layers))
         for lp in m.layers:
@@ -320,7 +316,7 @@ class TestGradCheck:
     def test_identity_activation_hook(self, monkeypatch):
         # with ReLU swapped for identity the net is linear; grads must still match
         monkeypatch.setattr(nn, "_relu", lambda z: (z, np.ones(z.shape, dtype=bool)))
-        m = nn.init_mlp(5, in_dim=12, hidden=4)
+        m = small_mlp(5, in_dim=12, hidden=4)
         rng = np.random.default_rng(10)
         x = rng.random((6, 12)).astype(np.float32)
         y = rng.integers(0, 10, 6)
@@ -432,7 +428,7 @@ def traced_peak_mb(fn, warm_up=False):
 
 def chunked_and_one_pass(bsz):
     """forward's chunked logits and the logits of one conv-stack pass over the whole batch."""
-    m = nn.init_cnn(bsz)
+    m = nn.init_model("cnn", bsz)
     x = np.random.default_rng(bsz).random((bsz, 1, 28, 28), dtype=np.float32)
     return nn.forward(m, x), nn._head(m, nn._conv_forward(m, x)[0])[0]
 
@@ -466,21 +462,21 @@ class TestConvMemory:
 
     def test_forward_512_peak(self):
         # one pass over 512 images peaked at 82 MB; a new thread allocates its buffers
-        m = nn.init_cnn(0)
+        m = nn.init_model("cnn", 0)
         x = np.random.default_rng(0).random((512, 1, 28, 28), dtype=np.float32)
         assert traced_peak_mb(lambda: nn.forward(m, x)) < 16
 
     def test_batch_200_step_peak(self):
         # one pass over 200 images peaked at 40.9 MB; a new thread allocates
         # its buffers, sized for a 50-image chunk
-        m = nn.init_cnn(1)
+        m = nn.init_model("cnn", 1)
         x, y = step_case(200)
         assert traced_peak_mb(lambda: nn.loss_and_grads(m, x, y)) < 16
 
     def test_repeated_batch_200_step_peak(self):
         # fresh im2col buffers in every step peaked at 39.6 MB, and reused
         # batch-sized ones at 16.4 MB
-        m = nn.init_cnn(1)
+        m = nn.init_model("cnn", 1)
         x, y = step_case(200)
         assert traced_peak_mb(lambda: nn.loss_and_grads(m, x, y), warm_up=True) < 15
 
@@ -522,7 +518,7 @@ class TestConvMemory:
         # the thread keeps one tap-major and one shift buffer per conv layer,
         # sized for the last (52-image) chunk.  Buffers kept per batch shape
         # would add ~1.9 MB, the batch-200 shift buffers alone 1.3 MB.
-        m = nn.init_cnn(4)
+        m = nn.init_model("cnn", 4)
         rng = np.random.default_rng(4)
         x = rng.random((500, 1, 28, 28), dtype=np.float32)
         y = rng.integers(0, 10, 500)
@@ -558,14 +554,27 @@ class TestMaxPool:
         x = np.float32(tile)[None, :, :, None]  # one tile, one channel, channels-last
         out = nn._maxpool2(x)
         assert out.shape == (1, 1, 1, 1) and out[0, 0, 0, 0] == np.max(tile)
-        dx = nn._maxpool2_backward(np.full(out.shape, 5.0, dtype=np.float32), x, out)
+        dx = nn._maxpool2_backward(np.full(out.shape, 5.0, dtype=np.float32), x, out, out > 0)
         assert dx[0, :, :, 0].tolist() == routed
+
+    @pytest.mark.parametrize("dout", [5.0, -5.0])
+    def test_false_mask_routes_nothing(self, dout):
+        # a tile that ReLU blocks gets dout * False in every cell: the zeros,
+        # signs included, that masking dout before routing would give
+        x = np.float32([[1, 7], [3, 2]])[None, :, :, None]
+        out = nn._maxpool2(x)
+        grad = np.full(out.shape, dout, dtype=np.float32)
+        dx = nn._maxpool2_backward(grad, x, out, np.zeros(out.shape, dtype=bool))
+        assert dx[0, :, :, 0].tolist() == [[0, 0], [0, 0]]
+        assert np.array_equal(np.signbit(dx), np.signbit(np.full(x.shape, dout * 0.0)))
+        masked = nn._maxpool2_backward(grad * False, x, out, np.ones(out.shape, dtype=bool))
+        assert np.array_equal(np.signbit(dx), np.signbit(masked))
 
     def test_four_way_tie_through_loss_and_grads(self):
         # conv1 copies the centre pixel of its 5x5 window, so the 2x2 block of
         # ones at input rows/cols 2..3 makes the four cells of pool1's first tile
         # tie at 1; every other conv1 output is 0 and ReLU blocks its gradient
-        m = nn.init_cnn(13, conv1=1, conv2=2, hidden=4, image_size=16)
+        m = small_cnn(13, conv1=1, conv2=2, hidden=4, image_size=16)
         w1 = np.zeros((1, 1, 5, 5), dtype=np.float32)
         w1[0, 0, 2, 2] = 1.0
         layers = (nn.LayerParams("conv1", w1, np.zeros(1, dtype=np.float32)),) + m.layers[1:]
@@ -582,7 +591,7 @@ class TestMaxPool:
 
 class TestSgd:
     def test_zero_lr_is_identity(self):
-        m = nn.init_mlp(0)
+        m = nn.init_model("mlp", 0)
         x = np.random.default_rng(11).random((4, 784)).astype(np.float32)
         _, g = nn.loss_and_grads(m, x, np.array([0, 1, 2, 3]))
         assert models_equal(nn.sgd_step(m, g, 0.0), m)
@@ -604,7 +613,7 @@ class TestSgd:
         assert models_equal(two, one)
 
     def test_step_reduces_loss_on_batch(self):
-        m = nn.init_mlp(12)
+        m = nn.init_model("mlp", 12)
         rng = np.random.default_rng(12)
         x = rng.random((16, 784)).astype(np.float32)
         y = rng.integers(0, 10, 16)
@@ -613,16 +622,16 @@ class TestSgd:
         assert after < before
 
     def test_shape_mismatch_rejected(self):
-        m = nn.init_mlp(0)
+        m = nn.init_model("mlp", 0)
         with pytest.raises(ValueError, match=r"^layer fc1: shape mismatch in weights "
                                              r"\(64, 784\) vs \(32, 784\)$"):
-            nn.sgd_step(m, nn.init_mlp(0, hidden=32), 0.1)
+            nn.sgd_step(m, small_mlp(0, in_dim=784, hidden=32), 0.1)
         fc2 = nn.LayerParams("fc2", m.layers[1].weights, np.zeros(11, np.float32))
         with pytest.raises(ValueError, match=r"^layer fc2: shape mismatch in bias "
                                              r"\(10,\) vs \(11,\)$"):
             nn.sgd_step(m, nn.pack("mlp", (m.layers[0], fc2)), 0.1)
         with pytest.raises(ValueError, match="mismatch"):
-            nn.sgd_step(m, nn.init_cnn(0), 0.1)
+            nn.sgd_step(m, nn.init_model("cnn", 0), 0.1)
 
 
 def train(model, images, labels, epochs, batch_size, learning_rate, rng):
@@ -640,7 +649,7 @@ class TestTrainLocal:
 
     def test_same_stream_same_result(self):
         x, y = self._toy()
-        m = nn.init_mlp(1)
+        m = nn.init_model("mlp", 1)
         a = train(m, x, y, 2, 10, 0.05, np.random.default_rng(77))
         b = train(m, x, y, 2, 10, 0.05, np.random.default_rng(77))
         assert models_equal(a, b)
@@ -649,7 +658,7 @@ class TestTrainLocal:
 
     def test_full_batch_epochs_equal_gd_steps(self):
         x, y = self._toy(n=12)
-        m = nn.init_mlp(2)
+        m = nn.init_model("mlp", 2)
         trained = train(m, x, y, 3, 12, 0.1, np.random.default_rng(0))
         ref = m
         for _ in range(3):
@@ -667,24 +676,24 @@ class TestTrainLocal:
             return original(model, inputs, labels)
 
         monkeypatch.setattr(nn, "loss_and_grads", spy)
-        train(nn.init_mlp(3), x, y, 2, 20, 0.01, np.random.default_rng(5))
+        train(nn.init_model("mlp", 3), x, y, 2, 20, 0.01, np.random.default_rng(5))
         assert seen == [20, 5, 20, 5]
 
     def test_mean_loss_reported(self):
         x, y = self._toy(n=20)
-        _, loss = nn.train_local_with_loss(nn.init_mlp(4), x, y, 1, 20, 0.01,
+        _, loss = nn.train_local_with_loss(nn.init_model("mlp", 4), x, y, 1, 20, 0.01,
                                            np.random.default_rng(0))
-        want, _ = nn.loss_and_grads(nn.init_mlp(4), x, y)
+        want, _ = nn.loss_and_grads(nn.init_model("mlp", 4), x, y)
         assert abs(loss - want) < 1e-6
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train(nn.init_mlp(0), np.zeros((0, 784), dtype=np.float32),
+            train(nn.init_model("mlp", 0), np.zeros((0, 784), dtype=np.float32),
                   np.zeros(0, dtype=np.int64), 5, 20, 0.01, np.random.default_rng(0))
 
     def test_outputs_stay_finite(self):
         x, y = self._toy(n=40)
-        m = train(nn.init_cnn(5), x, y, 5, 8, 0.1, np.random.default_rng(6))
+        m = train(nn.init_model("cnn", 5), x, y, 5, 8, 0.1, np.random.default_rng(6))
         for l in m.layers:
             assert np.all(np.isfinite(l.weights))
             assert np.all(np.isfinite(l.bias))
