@@ -1,65 +1,50 @@
-"""Binary model checkpoints.
+"""Binary model checkpoints, format 2.
 
-Layout (all integers little-endian):
+Layout:
 
-* magic ``b"SFL1"``
-* the architecture tag as a text field: u8 length, then utf-8 bytes
-* u32 layer count
-* per layer: its name as a text field, then the weight and the bias shape,
-  each a dims field: u8 rank, then one u32 per dimension
+* magic ``b"SFL2"``
+* the architecture tag: u8 length, then utf-8 bytes
 * payload: ``model.flat``, each layer's weights then bias in layer order,
   as float32 little-endian
-* trailer: 8-byte blake2b digest of the payload
+* trailer: 8-byte blake2b digest of every byte before it
 
-The writer and the reader share one helper per field kind.  Loading walks
-the header through one bounds-checked reader, verifies the trailing length
-and the checksum, then the layer names and every weight and bias shape
-against the architecture's table, ``nn.ARCHITECTURES``, before it decodes the
-payload as the returned model's ``flat``, reproducing the saved parameters
-bit for bit.  Writes go through a temp file + rename so a crash
+A file stores no layer name or shape: the tag names a table of
+``nn.ARCHITECTURES``, which fixes the payload's size and layout.  The digest
+covers the header as well as the payload, so one check covers every byte: a
+header field needs no check of its own beyond what finding the digest takes
+(the magic, a known tag, the length the table implies), and a corrupt byte
+that passes those is a checksum mismatch.  Loading copies the payload into
+``nn.blank_model(arch)``, reproducing the saved parameters bit for bit.
+
+A format-1 file (``b"SFL1"``, with a manifest of names and shapes) is
+refused by its magic; every run can be regenerated from its
+``config.resolved``.  Writes go through a temp file + rename so a crash
 cannot leave a half-written checkpoint in place.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
-import struct
 
 import numpy as np
 
 from .errors import DataError
-from .nn import ARCHITECTURES, LayerParams, ModelParams
+from .nn import ARCHITECTURES, ModelParams, blank_model
 
-MAGIC = b"SFL1"
+MAGIC = b"SFL2"
 _DIGEST_SIZE = 8
 
 
-def _text(value: str | None = None, take=None):
-    """A text field: its bytes for ``value``, or the string read through ``take``."""
-    if take is not None:
-        return take(take(1)[0]).decode("utf-8", errors="replace")
-    raw = value.encode("utf-8")
-    return struct.pack("<B", len(raw)) + raw
-
-
-def _dims(shape: tuple | None = None, take=None):
-    """A dims field: its bytes for ``shape``, or the shape read through ``take``."""
-    if take is not None:
-        rank = take(1)[0]
-        return struct.unpack(f"<{rank}I", take(4 * rank))
-    return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
 
 def checkpoint_bytes(model: ModelParams) -> bytes:
     """Serialise a model to the checkpoint wire format."""
-    header = [MAGIC, _text(model.arch), struct.pack("<I", len(model.layers))]
-    for lp in model.layers:
-        header += [_text(lp.name), _dims(lp.weights.shape), _dims(lp.bias.shape)]
-    payload = model.flat.astype("<f4", copy=False).tobytes()
-    digest = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-    return b"".join(header) + payload + digest
+    tag = model.arch.encode("utf-8")
+    body = MAGIC + bytes([len(tag)]) + tag + model.flat.astype("<f4", copy=False).tobytes()
+    return body + _digest(body)
 
 
 def save_checkpoint(model: ModelParams, path) -> None:
@@ -80,45 +65,21 @@ def load_checkpoint(path) -> ModelParams:
             data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise DataError(f"{path}: truncated checkpoint (wanted {n} bytes at offset {pos})")
-        pos += n
-        return data[pos - n:pos]
-
-    if take(4) != MAGIC:
-        raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    arch = _text(take=take)
+    if data[:4] != MAGIC:
+        raise DataError(f"{path}: bad magic {data[:4]!r}, not {MAGIC!r}: "
+                        f"not a format-2 checkpoint")
+    start = 5 + int.from_bytes(data[4:5], "little")  # the payload's first byte
+    arch = data[5:start].decode("utf-8", errors="replace")
     if arch not in ARCHITECTURES:
         raise DataError(f"{path}: unknown architecture tag {arch!r}")
-    n_layers = struct.unpack("<I", take(4))[0]
-    if not 1 <= n_layers <= 64:
-        raise DataError(f"{path}: implausible layer count {n_layers}")
-    manifest = [(_text(take=take), _dims(take=take), _dims(take=take))
-                for _ in range(n_layers)]
-    # math.prod, as numpy's fixed-width product wraps on a corrupt shape
-    sizes = [math.prod(shape) for _, w, b in manifest for shape in (w, b)]
-    payload = take(4 * sum(sizes))
-    stored = take(_DIGEST_SIZE)
-    if pos != len(data):
-        raise DataError(f"{path}: {len(data) - pos} trailing bytes after checksum")
-    digest = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
+    model = blank_model(arch)
+    size = start + model.flat.nbytes + _DIGEST_SIZE
+    if len(data) != size:
+        raise DataError(f"{path}: {len(data)} bytes, but the {arch} table implies {size} "
+                        f"(truncated, or trailing bytes)")
+    stored, digest = data[-_DIGEST_SIZE:], _digest(data[:-_DIGEST_SIZE])
     if stored != digest:
-        raise DataError(f"{path}: payload checksum mismatch "
+        raise DataError(f"{path}: checksum mismatch "
                         f"(stored {stored.hex()}, computed {digest.hex()})")
-    table = ARCHITECTURES[arch]
-    names = tuple(name for name, _, _ in manifest)
-    if names != tuple(table):
-        raise DataError(f"{path}: layer names {names} are not {arch}'s {tuple(table)}")
-    for name, w_shape, b_shape in manifest:
-        if (w_shape, b_shape) != (table[name], table[name][:1]):
-            raise DataError(f"{path}: layer {name} has shapes {w_shape} and {b_shape}, "
-                            f"not {arch}'s {table[name]} and {table[name][:1]}")
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float32, copy=False)
-    arrays = iter(np.split(values, np.cumsum(sizes)[:-1]))
-    return ModelParams(arch, tuple(
-        LayerParams(name, next(arrays).reshape(w_shape), next(arrays).reshape(b_shape))
-        for name, w_shape, b_shape in manifest), values)
+    model.flat[:] = np.frombuffer(data, dtype="<f4", count=model.flat.size, offset=start)
+    return model

@@ -252,8 +252,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
 def compare_checkpoints(subject_path, reference_path) -> dict[str, tuple[float, float]]:
     """Layer name -> (ACS, RED) of one checkpoint against another (the reference).
 
-    Checkpoints that cannot be compared (other architectures or shapes, or a
-    reference layer of zero norm) raise :class:`DataError`.
+    Checkpoints that cannot be compared raise :class:`DataError`.  A loaded
+    checkpoint has its architecture's table layout, so the only mismatch left
+    is another architecture; a reference layer of zero norm is the other case.
     """
     subject = load_checkpoint(subject_path)
     reference = load_checkpoint(reference_path)

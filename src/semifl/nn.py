@@ -10,10 +10,12 @@ cross-entropy.  All randomness comes from generators passed in by the
 caller, so every function here is a pure function of its inputs.
 
 Each architecture's layer names and weight shapes are written once, in the
-table :data:`ARCHITECTURES`: :func:`init_model` draws its layers and
-``load_checkpoint`` checks a file's against it.  The kernels read every shape
-from the weights they are given, so a shrunken model built with :func:`pack`
-runs through them too.
+table :data:`ARCHITECTURES`.  :func:`blank_model` lays the table over one
+vector of zeros; :func:`init_model` draws its layers into such a model, and
+``load_checkpoint`` copies a file's payload into one, so a checkpoint stores
+no name or shape of its own.  The kernels read every shape from the weights
+they are given, so a shrunken model built with :func:`pack` runs through them
+too.
 
 Both networks end in one shared fc / ReLU / fc head, which checks its input
 width.  The mlp feeds it its input; the cnn feeds it the output of the conv
@@ -136,19 +138,28 @@ def pack(arch: str, layers) -> ModelParams:
 # initialisation
 
 
-def _layer(name: str, rng: np.random.Generator, shape: tuple) -> LayerParams:
-    """float32 weights drawn U[-1/sqrt(fan_in), 1/sqrt(fan_in)] over ``shape[1:]``, zero biases."""
-    bound = 1.0 / math.sqrt(math.prod(shape[1:]))
-    return LayerParams(name, rng.uniform(-bound, bound, size=shape).astype(np.float32),
-                       np.zeros(shape[0], dtype=np.float32))
+def blank_model(arch: str) -> ModelParams:
+    """An ``arch`` model of float32 zeros, its layers as :data:`ARCHITECTURES` lists them."""
+    return pack(arch, [LayerParams(name, np.zeros(shape, np.float32),
+                                   np.zeros(shape[:1], np.float32))
+                       for name, shape in ARCHITECTURES[arch].items()])
 
 
 def init_model(arch: str, seed: int) -> ModelParams:
-    """A fresh ``arch`` model: its table's layers drawn in order from one seeded stream."""
+    """A fresh ``arch`` model: :func:`blank_model` with its weights drawn by
+    :func:`_draw_weights` from one seeded stream."""
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}; expected one of {tuple(ARCHITECTURES)}")
-    rng = np.random.default_rng(seed)
-    return pack(arch, [_layer(name, rng, shape) for name, shape in ARCHITECTURES[arch].items()])
+    return _draw_weights(blank_model(arch), np.random.default_rng(seed))
+
+
+def _draw_weights(model: ModelParams, rng: np.random.Generator) -> ModelParams:
+    """``model`` with each layer's weights drawn in place, in layer order, from
+    U[-1/sqrt(fan_in), 1/sqrt(fan_in)] over ``shape[1:]``; biases are kept."""
+    for lp in model.layers:
+        bound = 1.0 / math.sqrt(math.prod(lp.weights.shape[1:]))
+        lp.weights[...] = rng.uniform(-bound, bound, size=lp.weights.shape)
+    return model
 
 
 # ---------------------------------------------------------------------------

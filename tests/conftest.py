@@ -26,21 +26,27 @@ def models_equal(a, b) -> bool:
         for la, lb in zip(a.layers, b.layers)))
 
 
+def _drawn(arch: str, seed: int, shapes: dict):
+    """An ``arch`` model of ``shapes``' layers (name -> weight shape), drawn as
+    ``nn.init_model`` draws."""
+    blank = nn.pack(arch, [nn.LayerParams(name, np.zeros(shape, np.float32),
+                                          np.zeros(shape[:1], np.float32))
+                           for name, shape in shapes.items()])
+    return nn._draw_weights(blank, np.random.default_rng(seed))
+
+
 def small_mlp(seed: int, in_dim: int, hidden: int):
     """An mlp with ``in_dim`` inputs and ``hidden`` units, drawn as ``nn.init_model`` draws."""
-    rng = np.random.default_rng(seed)
-    return nn.pack("mlp", [nn._layer("fc1", rng, (hidden, in_dim)),
-                           nn._layer("fc2", rng, (data.NUM_CLASSES, hidden))])
+    return _drawn("mlp", seed, {"fc1": (hidden, in_dim), "fc2": (data.NUM_CLASSES, hidden)})
 
 
 def small_cnn(seed: int, conv1: int, conv2: int, hidden: int, image_size: int):
     """A cnn of ``conv1`` and ``conv2`` maps and ``hidden`` fc3 units for
     ``image_size`` x ``image_size`` images, drawn as ``nn.init_model`` draws."""
     side = ((image_size - 4) // 2 - 4) // 2  # two valid 5x5 convs, two 2x2 pools
-    rng = np.random.default_rng(seed)
-    shapes = {"conv1": (conv1, 1, 5, 5), "conv2": (conv2, conv1, 5, 5),
-              "fc3": (hidden, conv2 * side * side), "fc4": (data.NUM_CLASSES, hidden)}
-    return nn.pack("cnn", [nn._layer(name, rng, shape) for name, shape in shapes.items()])
+    return _drawn("cnn", seed, {"conv1": (conv1, 1, 5, 5), "conv2": (conv2, conv1, 5, 5),
+                                "fc3": (hidden, conv2 * side * side),
+                                "fc4": (data.NUM_CLASSES, hidden)})
 
 
 # exact only on OpenBLAS's SkylakeX kernel, where a GEMM element's bits do not

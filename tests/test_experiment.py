@@ -581,16 +581,14 @@ class TestCli:
         rc = cli.main(["compare", "--subject", str(bad), "--reference", str(bad)])
         assert rc == 2
 
-    def test_compare_swapped_weight_dims_is_exit_2(self, tmp_path, capsys):
-        # fc1's weight dims are bytes 17-24 of an mlp file; swapped, the payload
-        # keeps its size and digest, and the file is compared with itself
-        blob = bytearray(checkpoint.checkpoint_bytes(nn.init_model("mlp", 0)))
-        blob[17:25] = blob[21:25] + blob[17:21]
-        bad = tmp_path / "bad.sfl1"
-        bad.write_bytes(bytes(blob))
-        assert cli.main(["compare", "--subject", str(bad), "--reference", str(bad)]) == 2
-        assert capsys.readouterr().err == (f"data error: {bad}: layer fc1 has shapes (784, 64) "
-                                           f"and (64,), not mlp's (64, 784) and (64,)\n")
+    def test_compare_format_1_checkpoint_is_exit_2(self, tmp_path, capsys):
+        # a file with format 1's magic, compared with itself, is refused by its magic
+        blob = checkpoint.checkpoint_bytes(nn.init_model("mlp", 0))
+        old = tmp_path / "old.sfl1"
+        old.write_bytes(b"SFL1" + blob[4:])
+        assert cli.main(["compare", "--subject", str(old), "--reference", str(old)]) == 2
+        assert capsys.readouterr().err == (f"data error: {old}: bad magic b'SFL1', not b'SFL2': "
+                                           f"not a format-2 checkpoint\n")
 
     def test_compare_other_architecture_is_exit_2(self, tmp_path, capsys):
         mlp, cnn = tmp_path / "mlp.sfl1", tmp_path / "cnn.sfl1"

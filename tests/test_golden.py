@@ -55,22 +55,22 @@ CASES = {
 
 # case -> (model_final.sfl1, metrics.csv minus elapsed_ms)
 GOLDEN = {
-    "semifl-mlp": ("10a41fce2fc93cd5640a72fb3ff3e8d2",
-                   "6483f0168708f5c236f766f1343b7c9a"),
-    "semifl-cnn": ("280f01d6f3743a673f600fc8f3c46173",
-                   "6251ed39b2b929e79fc4212cc5da56d6"),
-    "fl-mlp": ("6224ec404144d8c32f06981e354e2149",
-               "faa10539f189d79c055562b3ada9884b"),
-    "fl-cnn": ("54f8cd2e43fa80dc08d91234143b4fa7",
-               "102288f082ee7ba0ebc8a1a87a0b3229"),
-    "cl-mlp": ("3379d19877301f8412d343e578c58a1f",
+    "semifl-mlp": ("04afc2f62b826a2588320e841d0d911e",
+                   "59b1cbeb4ebd34947dfad910fe197172"),
+    "semifl-cnn": ("02a529883d3ff8ed61b96bf96b115447",
+                   "56d9a5a7b53085212328f484253fa0ec"),
+    "fl-mlp": ("976aa88df98499273853b12054fb21d6",
+               "7987afbd7fb4e775217091eb94b8be67"),
+    "fl-cnn": ("36cfa749443c3d8d20c3c30a701c333c",
+               "4d6133a4d1b5da134090fe05d8739bf7"),
+    "cl-mlp": ("48873b51b76aa3940e5a3b048dbea57b",
                "814c68151b7712f1f76ed5026fd40963"),
-    "cl-cnn": ("a1c18d771cf9dd742d4efa69cec661b6",
+    "cl-cnn": ("509ede5ebbd5be6cce322e692e9abc2f",
                "3c761171bfc0cab441dd31272cd69f08"),
-    "fl-mlp-sampled": ("3478525d7968e8f3f39ea6e561a4e4c5",
-                       "32cbd903c9cd2959493e7b81b9cdec23"),
-    "semifl-cnn-shuffled": ("54400349a26b28da1621aa2b8a4bc840",
-                            "4c4e22d098aafb45c44ffc9ae9e2b27c"),
+    "fl-mlp-sampled": ("44d16abacf97e5e6b55983774c176779",
+                       "44cdd74f8f6f7833257c8bb3dc320c6a"),
+    "semifl-cnn-shuffled": ("60cc5ae44ba207e6a5ef2c56af824123",
+                            "38f34b2c8f0052041447d36d4effd134"),
 }
 
 # kernel case "<arch>-<function>-b<batch>" -> digest of the loss and
