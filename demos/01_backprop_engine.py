@@ -44,9 +44,9 @@ def main():
     test = data.generate_synthetic(classes=10, per_class=20, seed=4)
     model = nn.init_model("mlp", 5)
     before = metrics.evaluate_accuracy(model, test.images, test.labels)
-    model, loss = nn.train_local_with_loss(model, train.images, train.labels,
-                                           epochs=8, batch_size=20, learning_rate=0.05,
-                                           rng=np.random.default_rng(6))
+    model, loss = nn.train_local_with_loss(model, train.images, np.arange(len(train)),
+                                           train.labels, epochs=8, batch_size=20,
+                                           learning_rate=0.05, rng=np.random.default_rng(6))
     after = metrics.evaluate_accuracy(model, test.images, test.labels)
     print(f"synthetic blobs: accuracy {before:.2f} -> {after:.2f} "
           f"(mean step loss {loss:.3f})")

@@ -19,20 +19,23 @@ from semifl import checkpoint, cli, data, metrics, nn
 
 
 def train(examples, seed, epochs):
-    model, _ = nn.train_local_with_loss(nn.init_model("mlp", 0), examples.images,
-                                        examples.labels, epochs=epochs, batch_size=20,
-                                        learning_rate=0.05, rng=np.random.default_rng(seed))
+    """An mlp trained on a shard: rows of its source set."""
+    model, _ = nn.train_local_with_loss(nn.init_model("mlp", 0), examples.source.images,
+                                        examples.rows, examples.labels, epochs=epochs,
+                                        batch_size=20, learning_rate=0.05,
+                                        rng=np.random.default_rng(seed))
     return model
 
 
 def main():
     full = data.generate_synthetic(classes=10, per_class=80, seed=0)
-    reference = train(full, seed=1, epochs=8)
+    everything = full.shard(np.arange(len(full)))
+    reference = train(everything, seed=1, epochs=8)
 
     variants = {
-        "all 10 classes": full,
-        "5 classes": full.take(np.flatnonzero(full.labels < 5)),
-        "1 class": full.take(np.flatnonzero(full.labels == 3)),
+        "all 10 classes": everything,
+        "5 classes": full.shard(np.flatnonzero(full.labels < 5)),
+        "1 class": full.shard(np.flatnonzero(full.labels == 3)),
     }
     print(f"{'subject':>16}  {'fc1 acs':>8}  {'fc1 red':>8}")
     for name, subset in variants.items():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import NUM_CLASSES, LabeledSet
+from .data import NUM_CLASSES, Shard
 from .errors import DataError
 
 PATTERNS = ("c1", "c2", "c3", "c4")
@@ -26,7 +26,7 @@ PATTERNS = ("c1", "c2", "c3", "c4")
 Clusters = tuple[tuple[int, ...], ...]  # client ids per cluster, in training order
 
 
-def _clients_by_label(clients: list[LabeledSet]) -> dict[int, list[int]]:
+def _clients_by_label(clients: list[Shard]) -> dict[int, list[int]]:
     """Map label -> ascending client ids, for single-label clients only."""
     by_label: dict[int, list[int]] = {}
     for cid, c in enumerate(clients):
@@ -38,7 +38,7 @@ def _clients_by_label(clients: list[LabeledSet]) -> dict[int, list[int]]:
     return by_label
 
 
-def build_pattern(pattern: str, clients: list[LabeledSet]) -> Clusters:
+def build_pattern(pattern: str, clients: list[Shard]) -> Clusters:
     """Construct one of the built-in patterns over the given clients.
 
     Clients of equal label are consumed in ascending client-id order.  Raises

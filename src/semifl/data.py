@@ -4,6 +4,9 @@ Images are kept as float32 arrays of shape (M, 1, H, W) scaled to [0, 1];
 labels as int64 of shape (M,).  The IDX reader understands the classic
 big-endian MNIST container (magic 0x803 for images, 0x801 for labels) and
 transparently decompresses gzip files.
+
+A client is a :class:`Shard`: row indices into the one training set, with
+their labels, so a run holds every image once however it is partitioned.
 """
 
 from __future__ import annotations
@@ -26,8 +29,21 @@ IMAGE_SIDE = 28  # image height and width: synthetic images, MNIST's, the models
 _SYNTH_CHUNK = 64  # synthetic examples generated per batch of draws
 
 
+class _Labeled:
+    """Examples with integer ``labels``: their count and their distinct labels."""
+
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.labels.shape[0])
+
+    @property
+    def distinct_labels(self) -> tuple[int, ...]:
+        return tuple(sorted(set(int(v) for v in self.labels)))
+
+
 @dataclass(frozen=True, eq=False)
-class LabeledSet:
+class LabeledSet(_Labeled):
     """An array of images with aligned integer labels."""
 
     images: np.ndarray
@@ -38,16 +54,24 @@ class LabeledSet:
             raise DataError(f"{self.images.shape[0]} images vs "
                             f"{self.labels.shape[0]} labels")
 
-    def __len__(self) -> int:
-        return int(self.labels.shape[0])
+    def shard(self, rows) -> "Shard":
+        """The examples at ``rows``, as indices into this set: no image is copied."""
+        rows = np.asarray(rows)
+        return Shard(self, rows, self.labels[rows])
 
-    def take(self, indices) -> "LabeledSet":
-        idx = np.asarray(indices)
-        return LabeledSet(self.images[idx], self.labels[idx])
 
-    @property
-    def distinct_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(set(int(v) for v in self.labels)))
+@dataclass(frozen=True, eq=False)
+class Shard(_Labeled):
+    """A client's examples: rows of a shared :class:`LabeledSet`, not a copy of them.
+
+    ``labels`` is ``source.labels[rows]``, gathered once when the shard is
+    made; images are gathered a batch at a time, as
+    ``source.images[rows[...]]``, by whoever reads them.
+    """
+
+    source: LabeledSet
+    rows: np.ndarray
+    labels: np.ndarray
 
 
 def _read_maybe_gzip(path) -> bytes:
@@ -131,19 +155,19 @@ def generate_synthetic(classes: int, per_class: int, seed: int) -> LabeledSet:
 
 
 def partition_iid(source: LabeledSet, num_clients: int, per_client: int,
-                  seed: int) -> list[LabeledSet]:
+                  seed: int) -> list[Shard]:
     """Shuffle the source once and deal equal consecutive slices to clients."""
     need = num_clients * per_client
     if len(source) < need:
         raise DataError(f"need {need} examples for {num_clients} clients x "
                         f"{per_client}, source has {len(source)}")
     order = np.random.default_rng(seed).permutation(len(source))
-    return [source.take(order[cid * per_client:(cid + 1) * per_client])
+    return [source.shard(order[cid * per_client:(cid + 1) * per_client])
             for cid in range(num_clients)]
 
 
 def partition_noniid_shards(source: LabeledSet, num_clients: int,
-                            per_client: int) -> list[LabeledSet]:
+                            per_client: int) -> list[Shard]:
     """Give each client ``per_client`` examples of a single label.
 
     Examples are stably sorted by label, cut into single-label shards of
@@ -171,16 +195,17 @@ def partition_noniid_shards(source: LabeledSet, num_clients: int,
 
     # every label's shard r, labels ascending, before any label's shard r + 1
     dealt = (s for rank in zip_longest(*shards.values()) for s in rank if s is not None)
-    return [source.take(s) for s in islice(dealt, num_clients)]
+    return [source.shard(s) for s in islice(dealt, num_clients)]
 
 
 def partition(source: LabeledSet, mode: str, num_clients: int, per_client: int,
-              seed: int) -> list[LabeledSet]:
+              seed: int) -> list[Shard]:
     """Split ``source`` by the config's ``partition`` mode, ``iid`` or ``noniid``.
 
     Client ``k`` holds the ``k``-th shard of the returned list: a client's id is
-    its index.  ``seed`` drives the iid shuffle; the noniid shards are dealt in
-    label order.
+    its index, and its shard is rows of ``source``: no image is copied.
+    ``seed`` drives the iid shuffle; the noniid shards are dealt in label
+    order.
     """
     if mode == "iid":
         return partition_iid(source, num_clients, per_client, seed)

@@ -38,7 +38,7 @@ import numpy as np
 from . import clustering, federation
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .config import VALUE_KINDS, ExperimentConfig, render_config, validate_config
-from .data import IMAGE_SIDE, LabeledSet, generate_synthetic, load_idx, partition
+from .data import IMAGE_SIDE, LabeledSet, Shard, generate_synthetic, load_idx, partition
 from .errors import ConfigError, DataError
 from .federation import RoundRecord
 from .metrics import evaluate_accuracy, layer_divergence
@@ -112,7 +112,8 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     return load_split(cfg, "train"), load_split(cfg, "test")
 
 
-def build_clients(cfg: ExperimentConfig, train: LabeledSet):
+def build_clients(cfg: ExperimentConfig, train: LabeledSet) -> list[Shard]:
+    """The run's clients, each a :class:`Shard` of rows of ``train``."""
     return partition(train, cfg.partition, cfg.clients, cfg.per_client, cfg.master_seed)
 
 
@@ -131,14 +132,14 @@ def build_assignment(cfg: ExperimentConfig, clients) -> clustering.Clusters:
     return clusters
 
 
-def prepare(cfg: ExperimentConfig) -> tuple[list[LabeledSet], clustering.Clusters | None]:
+def prepare(cfg: ExperimentConfig) -> tuple[list[Shard], clustering.Clusters | None]:
     """The clients of a run and, in semifl, their clusters (None otherwise).
 
     Both ``semifl train`` and ``semifl partition`` start here.  Only the
-    training set is read, and it dies as soon as ``build_clients`` has copied
-    the shards out of it.  The test set is left out: read here, it would be
-    held through ``build_clients`` beside the training set, and ``partition``
-    never reads it.
+    training set is read, and the clients hold it: each is a :class:`Shard`,
+    row indices into it with their labels, so no image is copied and the set
+    lives exactly as long as its clients.  The test set is left out, because
+    ``partition`` never reads it.
     """
     clients = build_clients(cfg, load_split(cfg, "train"))
     return clients, build_assignment(cfg, clients) if cfg.mode == "semifl" else None
@@ -194,13 +195,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     ``out_dir`` created and ``config.resolved`` and ``env.json`` written, so
     a data error (exit 2) leaves no ``out_dir`` behind, as in ``partition``.
 
-    Each dataset lives only while something reads it: the training set goes
-    as soon as ``build_clients`` has copied the shards out of it, before the
-    test set is read, so a run never holds both; the client list goes once
-    ``plan_rounds`` has made the plan. The plan's clients
-    are the shards in semifl and fl and only the pool in cl. Releasing the
-    source before ``plan_rounds`` pools the shards keeps a cl run from ever
-    holding source, shards and pool at once.
+    A run holds each image once.  The clients are row indices into the
+    training set, and cl's pool is their rows concatenated, so the plan's
+    clients (the shards in semifl and fl, the pool in cl) hold the training
+    set and no copy of it.  Training gathers each batch from it, and the test
+    set, read after it, is the only other image array of the run.
     """
     validate_config(cfg)
     out = output_dir(out_dir)
@@ -218,7 +217,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[RoundRecord]:
     model = init_model(cfg.arch, cfg.master_seed)
     model_bytes = len(checkpoint_bytes(model))
     plan = federation.plan_rounds(cfg, clients, clusters)
-    del clients
     pattern = cfg.pattern if cfg.mode == "semifl" else "-"
 
     records: list[RoundRecord] = []

@@ -9,9 +9,9 @@ they train and in what happens to the heads:
 * ``semifl`` -- one chain per cluster; the server averages the heads.
 * ``fl``     -- classic FedAvg, which is semifl over singleton clusters: every
   client is a one-client chain.
-* ``cl``     -- centralized pooled minibatch SGD: the pooled set is the one
-  client of the one chain, trained for one epoch at ``cl_batch``; with no
-  server, its head is the new model.
+* ``cl``     -- centralized pooled minibatch SGD: the pool, every client's
+  rows in one shard, is the one client of the one chain, trained for one
+  epoch at ``cl_batch``; with no server, its head is the new model.
 
 With a server, each round trains max(1, round(C*N)) of the N chains (FedAvg's
 client fraction C, which in semifl picks clusters), drawn afresh every round;
@@ -37,7 +37,7 @@ import numpy as np
 
 from .clustering import Clusters
 from .config import ExperimentConfig
-from .data import LabeledSet
+from .data import Shard
 from .nn import ModelParams, check_aligned, train_local_with_loss
 
 # stream purposes
@@ -67,7 +67,7 @@ class RoundRecord:
 class RoundPlan:
     """What one mode trains in every round of a run."""
 
-    clients: Sequence[LabeledSet]  # client k trains on clients[k] and stream id k
+    clients: Sequence[Shard]  # client k trains on clients[k] and stream id k
     chains: Clusters                # client ids per chain, in training order
     epochs: int
     batch_size: int
@@ -77,7 +77,7 @@ class RoundPlan:
     seed: int
 
 
-def plan_rounds(cfg: ExperimentConfig, clients: list[LabeledSet],
+def plan_rounds(cfg: ExperimentConfig, clients: list[Shard],
                 clusters: Clusters | None = None) -> RoundPlan:
     """The chains, streams and hyperparameters of ``cfg.mode``.
 
@@ -137,11 +137,10 @@ def run_round(model: ModelParams, plan: RoundPlan,
     def train_chain(ci: int, chain: tuple[int, ...]) -> ModelParams:
         head = model
         for ident in chain:
-            examples = plan.clients[ident]
+            shard = plan.clients[ident]
             head, loss = train_local_with_loss(
-                head, examples.images, examples.labels,
-                plan.epochs, plan.batch_size, plan.learning_rate,
-                stream(plan.seed, kind, round_idx, ident))
+                head, shard.source.images, shard.rows, shard.labels, plan.epochs,
+                plan.batch_size, plan.learning_rate, stream(plan.seed, kind, round_idx, ident))
             if not math.isfinite(loss):
                 who = f"client {ident}" if plan.server else "the pooled set"
                 raise FloatingPointError(
@@ -186,8 +185,14 @@ def aggregate_mean(models: Iterable[ModelParams]) -> ModelParams:
     return total.with_flat((total.flat / n).astype(out_dtype))
 
 
-def pool_clients(clients: list[LabeledSet]) -> LabeledSet:
-    """Union of all client shards, concatenated in ascending client-id order."""
-    images = np.concatenate([c.images for c in clients], axis=0)
-    labels = np.concatenate([c.labels for c in clients], axis=0)
-    return LabeledSet(images, labels)
+def pool_clients(clients: list[Shard]) -> Shard:
+    """Every client's rows and labels, concatenated in ascending client-id order.
+
+    The pool is one more shard of the clients' one training set: it copies
+    rows, never images.
+    """
+    source = clients[0].source
+    if any(c.source is not source for c in clients):
+        raise ValueError("cannot pool clients of different training sets")
+    return Shard(source, np.concatenate([c.rows for c in clients]),
+                 np.concatenate([c.labels for c in clients]))

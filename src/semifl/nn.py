@@ -48,7 +48,9 @@ gradient needs no patch-sized matrix: it is one small GEMM per tap, added in
 A training batch of more than :data:`CONV_CHUNK` images runs forward and
 backward in equal chunks of at most that many, and its gradient is the sum
 of the chunk gradients in chunk order, so the chunk split is part of the bits
-of such a step.  Evaluation chunks only the conv stack.  On the SkylakeX
+of such a step.  Evaluation chunks only the conv stack, by
+:data:`FORWARD_CHUNK` images: the shape of a batch-20 training step, whose
+conv buffers it then reuses instead of replacing them.  On the SkylakeX
 kernel its logits equal one pass bit for bit; on another BLAS kernel, such as
 AVX2's, a GEMM row's bits can depend on the row count, so they agree only to
 float32 rounding.
@@ -79,7 +81,8 @@ ARCHITECTURES = {
             "fc3": (50, 20 * (((IMAGE_SIDE - 4) // 2 - 4) // 2) ** 2), "fc4": (NUM_CLASSES, 50)},
     "mlp": {"fc1": (64, IMAGE_SIDE ** 2), "fc2": (NUM_CLASSES, 64)},
 }
-CONV_CHUNK = 64  # most images per conv-stack pass in forward and per training chunk
+CONV_CHUNK = 64  # most images per training chunk
+FORWARD_CHUNK = 20  # images per conv-stack pass in forward: a batch-20 step's buffer shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,10 +187,12 @@ def _thread_buffer(kind: str, rows: int, shape: tuple, dtype) -> np.ndarray:
     and fault it in again on every step.  That happens while glibc's mmap
     threshold is below the buffer's size.  glibc raises the threshold only
     when it frees an mmapped block of at most 32 MB, so the regime this cache
-    exists for is a run whose freed training set is larger than that and that
-    has not evaluated yet (evaluation frees multi-MB buffers): a fresh
-    ``semifl train`` of one c3 CNN round on ``synthetic:10x6000`` ran 13-30%
-    slower with per-call buffers, at 6-8x the minor page faults.
+    exists for is a run that has freed no such block yet, as on a training
+    set larger than that, which the run holds to its end: a fresh ``semifl
+    train`` of one c3 CNN round on ``synthetic:10x6000`` ran 13-30% slower
+    with per-call buffers, at 6-8x the minor page faults.  :func:`forward`
+    runs every chunk in a batch-20 step's shape, so evaluating between such
+    steps keeps the buffers as they are.
 
     A buffer of another shape is dropped before its successor is allocated:
     once the caller holds no view of it, the two never coexist and the
@@ -209,8 +214,8 @@ def _taps_buffer(rows: int, m: int, dtype) -> np.ndarray:
 
     Its rows are padded by 16 floats: when a row of m floats is a multiple of
     4 KiB, the GEMM's reads down the rows alias in cache.  Both conv layers
-    hit that at any batch that is a multiple of 16 images, such as every
-    64-image chunk of :func:`forward`.
+    hit that at any batch that is a multiple of 16 images, such as a 64-image
+    training chunk.
     """
     return _thread_buffer("taps", rows, (rows, m + 16), dtype)[:, :m]
 
@@ -386,19 +391,26 @@ def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Compute class logits, shape (B, 10).
 
     With no backward to feed, the cnn's conv stack runs over chunks of
-    :data:`CONV_CHUNK` images, dropping each chunk's cache, so a 512-image
+    :data:`FORWARD_CHUNK` images, dropping each chunk's cache, so a 512-image
     evaluation batch holds only chunk-sized patch buffers and activations.
-    The head then runs once over all the features: an fc GEMM row's bits can
-    depend on the row count.  On the SkylakeX kernel the logits equal one pass
-    over the whole batch bit for bit; on a kernel whose conv GEMM rows also
-    depend on the row count, such as AVX2's, they agree to float32 rounding.
+    The last chunk ends at the last image and overlaps its predecessor, whose
+    features for the shared images are kept, so every chunk of a batch of at
+    least that many images has a batch-20 training step's shape: after such
+    a step, evaluation allocates no conv buffer.  The head then runs once
+    over all the features: an fc GEMM row's bits can depend on the row
+    count.  On the SkylakeX kernel the logits equal one pass over the whole
+    batch bit for bit; on a kernel whose conv GEMM rows also depend on the
+    row count, such as AVX2's, they agree to float32 rounding.
     :func:`loss_and_grads` chunks the whole network instead, and changes the
     summation order of its gradients.
     """
     x = _as_model_input(model, inputs)
     if model.arch == "cnn":
-        x = np.concatenate([_conv_forward(model, x[s:s + CONV_CHUNK])[0]
-                            for s in range(0, x.shape[0], CONV_CHUNK)])
+        n, parts = x.shape[0], []
+        for s in range(0, n, FORWARD_CHUNK):
+            start = max(0, min(s, n - FORWARD_CHUNK))  # the last chunk ends at n
+            parts.append(_conv_forward(model, x[start:start + FORWARD_CHUNK])[0][s - start:])
+        x = np.concatenate(parts)
     return _head(model, x)[0]
 
 
@@ -478,11 +490,15 @@ def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     return model.with_flat(np.subtract(model.flat, t, out=t))
 
 
-def train_local_with_loss(model: ModelParams, images: np.ndarray, labels: np.ndarray,
-                          epochs: int, batch_size: int, learning_rate: float,
+def train_local_with_loss(model: ModelParams, images: np.ndarray, rows: np.ndarray,
+                          labels: np.ndarray, epochs: int, batch_size: int,
+                          learning_rate: float,
                           rng: np.random.Generator) -> tuple[ModelParams, float]:
-    """Minibatch SGD for ``epochs`` epochs; returns the model and its mean per-step loss.
+    """Minibatch SGD on ``images[rows]`` with ``labels``, one per row, for
+    ``epochs`` epochs; returns the model and its mean per-step loss.
 
+    ``images`` may be a whole training set: each batch is gathered from it as
+    ``images[rows[order[...]]]``, so the examples are never copied whole.
     Each epoch reshuffles the example order; a trailing partial batch is kept.
     When the whole set fits in one batch the source order is used as-is, so a
     full-batch epoch is exactly one plain gradient-descent step.  The
@@ -491,14 +507,13 @@ def train_local_with_loss(model: ModelParams, images: np.ndarray, labels: np.nda
     n = labels.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    x = _as_model_input(model, images)
     n_batches = -(-n // batch_size)  # ceil
     losses = []
     for _ in range(epochs):
         order = rng.permutation(n) if n_batches > 1 else np.arange(n)
         for s in range(n_batches):
             take = order[s * batch_size:(s + 1) * batch_size]
-            loss, grads = loss_and_grads(model, x[take], labels[take])
+            loss, grads = loss_and_grads(model, images[rows[take]], labels[take])
             model = sgd_step(model, grads, learning_rate)
             losses.append(loss)
     return model, float(np.mean(losses))

@@ -107,6 +107,11 @@ def write_mnist_dir(root: Path, side: int = 28, n_train: int = 100, n_test: int 
     return root
 
 
+def images_of(shard) -> np.ndarray:
+    """A copy of a :class:`data.Shard`'s images, gathered from its source."""
+    return shard.source.images[shard.rows]
+
+
 def max_param_diff(a, b) -> float:
     return max(
         max(np.abs(la.weights - lb.weights).max(), np.abs(la.bias - lb.bias).max())

@@ -21,7 +21,7 @@ import pytest
 from semifl import checkpoint, clustering, data, federation, metrics, nn
 from semifl.config import ExperimentConfig
 from semifl.experiment import run_experiment, summarize_run
-from conftest import max_param_diff, models_equal, small_cnn, small_mlp
+from conftest import images_of, max_param_diff, models_equal, small_cnn, small_mlp
 
 DESK_SEEDS = (0, 1, 2)
 
@@ -52,11 +52,12 @@ def test_criterion_1_property_suite(clients_100, tmp_path):
     # partition disjointness + single-label purity
     src = data.generate_synthetic(10, 30, seed=3)
     shards = data.partition_noniid_shards(src, 20, 10)
-    keys = [img.tobytes() for c in shards for img in c.images]
+    assert all(c.source is src for c in shards)
+    keys = [img.tobytes() for c in shards for img in images_of(c)]
     assert len(keys) == len(set(keys)) == 200
     assert all(len(c.distinct_labels) == 1 for c in shards)
     iid = data.partition_iid(src, 10, 25, seed=1)
-    ikeys = [img.tobytes() for c in iid for img in c.images]
+    ikeys = [img.tobytes() for c in iid for img in images_of(c)]
     assert len(ikeys) == len(set(ikeys)) == 250
 
     # c1..c4 postconditions
@@ -115,8 +116,9 @@ def test_criterion_2a_singleton_clusters_match_fedavg(clients_100):
         # FedAvg from its primitives, outside the round engine: every client
         # trains from the global model on its own stream, then a plain mean
         c = federation.aggregate_mean([
-            nn.train_local_with_loss(c, cl.images, cl.labels, local["local_epochs"],
-                                     local["local_batch"], local["learning_rate"],
+            nn.train_local_with_loss(c, cl.source.images, cl.rows, cl.labels,
+                                     local["local_epochs"], local["local_batch"],
+                                     local["learning_rate"],
                                      federation.stream(local["master_seed"], 0, t, cid))[0]
             for cid, cl in enumerate(clients_100)])
         assert models_equal(a, b), f"diverged at round {t}"
@@ -129,7 +131,7 @@ def test_criterion_2a_singleton_clusters_match_fedavg(clients_100):
 def test_criterion_2b_full_batch_chain_is_gd(synth_10x12):
     k = 5
     shared = synth_10x12  # every client holds the identical dataset
-    cluster = [shared] * k
+    cluster = [shared.shard(np.arange(len(shared)))] * k
     cfg = ExperimentConfig(mode="semifl", local_epochs=1, local_batch=len(shared),
                            learning_rate=0.1, master_seed=21)
     chain = (tuple(range(k)),)

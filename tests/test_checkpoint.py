@@ -22,8 +22,9 @@ class TestRoundTrip:
 
     def test_trained_model_roundtrip(self, tmp_path):
         ds = data.generate_synthetic(3, 10, seed=0)
-        model, _ = nn.train_local_with_loss(nn.init_model("mlp", 1), ds.images, ds.labels,
-                                            2, 10, 0.05, np.random.default_rng(2))
+        model, _ = nn.train_local_with_loss(nn.init_model("mlp", 1), ds.images,
+                                            np.arange(len(ds)), ds.labels, 2, 10, 0.05,
+                                            np.random.default_rng(2))
         path = tmp_path / "m.sfl1"
         checkpoint.save_checkpoint(model, path)
         assert models_equal(checkpoint.load_checkpoint(path), model)

@@ -88,8 +88,8 @@ class TestPatternErrors:
 
     def test_multi_label_client_rejected(self):
         src = data.generate_synthetic(10, 12, seed=1)
-        mixed = [src.take(range(i * 12, i * 12 + 12)) for i in range(10)]
-        mixed.append(src.take([0, 13]))  # labels {0, 1}
+        mixed = [src.shard(range(i * 12, i * 12 + 12)) for i in range(10)]
+        mixed.append(src.shard([0, 13]))  # labels {0, 1}
         with pytest.raises(DataError, match="single-label"):
             clustering.build_pattern("c1", mixed)
 

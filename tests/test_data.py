@@ -10,7 +10,7 @@ import pytest
 from semifl import data, nn
 from semifl.errors import DataError
 from semifl.metrics import evaluate_accuracy
-from conftest import idx_images_bytes, idx_labels_bytes
+from conftest import idx_images_bytes, idx_labels_bytes, images_of
 
 
 @pytest.fixture
@@ -138,6 +138,14 @@ class TestLabeledSet:
         with pytest.raises(DataError, match="3 images vs 2 labels"):
             data.LabeledSet(np.zeros((3, 1, 2, 2), np.float32), np.zeros(2, np.int64))
 
+    def test_shard_is_rows_with_their_labels(self):
+        src = data.generate_synthetic(3, 4, seed=0)
+        shard = src.shard([5, 0, 11])
+        assert shard.source is src and shard.rows.tolist() == [5, 0, 11]
+        assert shard.labels.tolist() == [1, 0, 2] and len(shard) == 3
+        assert shard.distinct_labels == (0, 1, 2)
+        assert not hasattr(shard, "images")  # images stay in the source
+
 
 class TestSynthetic:
     # per_class 1, below, at and above the 64-example chunk, and 3 or 7 classes
@@ -169,14 +177,21 @@ class TestSynthetic:
         # regression bound: 5 epochs on 2 classes x 50 must clear 0.9 holdout accuracy
         train = data.generate_synthetic(2, 50, seed=7)
         test = data.generate_synthetic(2, 50, seed=8)
-        model, _ = nn.train_local_with_loss(nn.init_model("mlp", 0), train.images, train.labels,
-                                            5, 20, 0.01, np.random.default_rng(1))
+        model, _ = nn.train_local_with_loss(nn.init_model("mlp", 0), train.images,
+                                            np.arange(len(train)), train.labels, 5, 20, 0.01,
+                                            np.random.default_rng(1))
         assert evaluate_accuracy(model, test.images, test.labels) > 0.9
 
 
-def _rows_key(ds):
+def _rows_key(images):
     """Hashable identity per example (pixel bytes)."""
-    return [ds.images[i].tobytes() for i in range(len(ds))]
+    return [img.tobytes() for img in images]
+
+
+def _is_rows_of(client, src) -> bool:
+    """Whether ``client`` is rows of ``src`` with their labels, holding no image."""
+    return (isinstance(client, data.Shard) and client.source is src
+            and np.array_equal(client.labels, src.labels[client.rows]))
 
 
 class TestPartitionIid:
@@ -185,8 +200,9 @@ class TestPartitionIid:
         clients = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
         assert len(clients) == 7
         assert all(len(c) == 20 for c in clients)
-        src_keys = set(_rows_key(src))
-        all_keys = [k for c in clients for k in _rows_key(c)]
+        assert all(_is_rows_of(c, src) for c in clients)
+        src_keys = set(_rows_key(src.images))
+        all_keys = [k for c in clients for k in _rows_key(images_of(c))]
         assert len(all_keys) == 140
         assert len(set(all_keys)) == 140  # disjoint
         assert set(all_keys) <= src_keys  # drawn from the source
@@ -195,11 +211,9 @@ class TestPartitionIid:
         src = data.generate_synthetic(5, 30, seed=2)
         a = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
         b = data.partition_iid(src, num_clients=7, per_client=20, seed=5)
-        assert all(np.array_equal(x.images, y.images)
-                   for x, y in zip(a, b))
+        assert all(np.array_equal(x.rows, y.rows) for x, y in zip(a, b))
         other = data.partition_iid(src, 7, 20, seed=6)
-        assert any(not np.array_equal(x.images, y.images)
-                   for x, y in zip(a, other))
+        assert any(not np.array_equal(x.rows, y.rows) for x, y in zip(a, other))
 
     def test_insufficient_examples(self):
         src = data.generate_synthetic(2, 10, seed=0)
@@ -224,7 +238,8 @@ class TestPartitionNoniid:
     def test_disjoint(self):
         src = data.generate_synthetic(10, 30, seed=9)
         clients = data.partition_noniid_shards(src, num_clients=20, per_client=10)
-        keys = [k for c in clients for k in _rows_key(c)]
+        assert all(_is_rows_of(c, src) for c in clients)
+        keys = [k for c in clients for k in _rows_key(images_of(c))]
         assert len(keys) == len(set(keys)) == 200
 
     def test_remainders_discarded(self):
@@ -254,8 +269,9 @@ class TestPartitionNoniid:
         src = data.LabeledSet(images, labels)
         c0, c1 = data.partition_noniid_shards(src, num_clients=2, per_client=3)
         # label 0 examples in source order: rows 1, 3, 5 ; label 1: rows 0, 2, 4
-        assert list(c0.images[:, 0, 0, 0]) == pytest.approx([0.2, 0.4, 0.6])
-        assert list(c1.images[:, 0, 0, 0]) == pytest.approx([0.1, 0.3, 0.5])
+        assert c0.rows.tolist() == [1, 3, 5] and c1.rows.tolist() == [0, 2, 4]
+        assert list(images_of(c0)[:, 0, 0, 0]) == pytest.approx([0.2, 0.4, 0.6])
+        assert list(images_of(c1)[:, 0, 0, 0]) == pytest.approx([0.1, 0.3, 0.5])
 
     def test_dispatch(self):
         src = data.generate_synthetic(10, 12, seed=1)

@@ -2,14 +2,14 @@
 
 import csv
 import json
+import tracemalloc
 import warnings
-import weakref
 from importlib.metadata import EntryPoint
 
 import numpy as np
 import pytest
 
-from semifl import checkpoint, cli, clustering, config, experiment, federation, nn
+from semifl import checkpoint, cli, clustering, config, data, experiment, federation, nn
 from semifl.config import ExperimentConfig, parse_config, render_config, validate_config
 from semifl.errors import ConfigError, DataError
 from conftest import ROOT, run_python, write_mnist_dir
@@ -208,66 +208,75 @@ class TestRunExperiment:
 
 
 class TestDataLifetime:
-    """A run holds each dataset only while something still reads it."""
+    """A run holds each image once: every client, and cl's pool, is rows of the
+    one training set, so no image copy of client or pool size is ever alive
+    beside it."""
 
     @pytest.mark.parametrize("mode", ["semifl", "fl", "cl"])
     def test_only_the_data_training_reads_is_alive_at_round_1(self, tmp_path, monkeypatch, mode):
-        # semifl and fl plans hold the shards; cl's holds only its pooled copy.
-        # The training set is dead before the test set is read
-        load_split, build_clients = experiment.load_split, experiment.build_clients
-        run_round = federation.run_round
-        refs, started, train_dead_at_test = {}, [], []
+        # semifl and fl plans hold the clients, cl's the pool: rows of the
+        # training set, which is read once and is alive while they are
+        load_split, run_round = experiment.load_split, federation.run_round
+        loaded, started = {}, []
 
         def watched_load(cfg, split):
-            ds = load_split(cfg, split)
-            if split == "train":
-                refs["train"] = weakref.ref(ds.images)
-            else:
-                train_dead_at_test.append(refs["train"]() is None)
-            return ds
-
-        def watched_clients(cfg, train):
-            clients = build_clients(cfg, train)
-            refs["shards"] = [weakref.ref(c.images) for c in clients]
-            return clients
+            loaded[split] = load_split(cfg, split)
+            return loaded[split]
 
         def checked_round(model, plan, t):
             if t == 1:
-                assert refs["train"]() is None
-                assert [r() is not None for r in refs["shards"]] == \
-                    [mode != "cl"] * len(refs["shards"])
+                train = loaded["train"]
+                assert [type(c) for c in plan.clients] == \
+                    [data.Shard] * (1 if mode == "cl" else TINY["clients"])
+                assert all(c.source is train for c in plan.clients)
+                assert sum(len(c) for c in plan.clients) == TINY["clients"] * TINY["per_client"]
                 started.append(t)
             return run_round(model, plan, t)
 
         monkeypatch.setattr(experiment, "load_split", watched_load)
-        monkeypatch.setattr(experiment, "build_clients", watched_clients)
         monkeypatch.setattr(federation, "run_round", checked_round)
         experiment.run_experiment(tiny_cfg(mode=mode, rounds=1), tmp_path / "run")
         assert started == [1]
-        assert train_dead_at_test == [True]
+        assert list(loaded) == ["train", "test"]
+
+    @pytest.mark.parametrize("mode", ["semifl", "cl"])
+    def test_preparing_and_planning_peak_near_the_training_set(self, mode):
+        # with 90% of the set dealt out, copied shards peaked at 1.96x the
+        # training set and cl's pool of them at 1.91x; rows of it peak at
+        # 1.09x and 1.06x, the generator's per-chunk temporaries included
+        cfg = tiny_cfg(mode=mode, arch="cnn", dataset="synthetic:10x1000", clients=100,
+                       per_client=90, pattern="c3")
+        train_bytes = 10_000 * (28 * 28 * 4 + 8)  # float32 images and int64 labels
+        tracemalloc.start()
+        try:
+            clients, clusters = experiment.prepare(cfg)
+            federation.plan_rounds(cfg, clients, clusters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * train_bytes
 
     def test_partition_keeps_only_the_clients(self, tmp_path, monkeypatch):
-        # `semifl partition` reads no test set, and drops the training set
-        # once the shards are copied out
+        # `semifl partition` reads no test set, and its clients are rows of
+        # the training set, not copies of them
         load_split, build_assignment = experiment.load_split, experiment.build_assignment
-        refs, read, dead = [], [], []
+        loaded, checked = [], []
 
         def watched_load(cfg, split):
-            ds = load_split(cfg, split)
-            read.append(split)
-            refs.append(weakref.ref(ds.images))
-            return ds
+            loaded.append(load_split(cfg, split))
+            return loaded[-1]
 
         def checked_assignment(cfg, clients):
-            dead.append([r() is None for r in refs])
+            checked.append(all(type(c) is data.Shard and c.source is loaded[0]
+                               for c in clients))
             return build_assignment(cfg, clients)
 
         monkeypatch.setattr(experiment, "load_split", watched_load)
         monkeypatch.setattr(experiment, "build_assignment", checked_assignment)
         cfg = write_cfg(tmp_path, pattern="c3")
         assert cli.main(["partition", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
-        assert read == ["train"]
-        assert dead == [[True]]  # the training set, at the one semifl assignment
+        assert len(loaded) == 1  # the training set
+        assert checked == [True]  # at the one semifl assignment
 
 
 class TestSummarize:

@@ -8,7 +8,7 @@ import pytest
 
 from semifl import clustering, data, experiment, federation, nn
 from semifl.config import ExperimentConfig
-from conftest import models_equal, small_mlp
+from conftest import images_of, models_equal, small_mlp
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def chain_head(model, clients, chain, cfg, round_idx):
     """Oracle: train the clients of ``chain`` (ids) one after another from ``model``."""
     for cid in chain:
         model, _ = nn.train_local_with_loss(
-            model, clients[cid].images, clients[cid].labels,
+            model, clients[cid].source.images, clients[cid].rows, clients[cid].labels,
             cfg.local_epochs, cfg.local_batch, cfg.learning_rate,
             federation.stream(cfg.master_seed, 0, round_idx, cid))
     return model
@@ -106,7 +106,8 @@ class TestPlan:
         cl = plan(ten_clients, PAIRS, mode="cl")  # cl ignores the clusters
         assert cl.chains == ((0,),)
         [pool] = cl.clients
-        assert np.array_equal(pool.images, np.concatenate([c.images for c in ten_clients]))
+        assert pool.source is ten_clients[0].source  # rows of the one training set
+        assert np.array_equal(pool.rows, np.concatenate([c.rows for c in ten_clients]))
         assert np.array_equal(pool.labels, np.concatenate([c.labels for c in ten_clients]))
 
 
@@ -119,7 +120,7 @@ class TestClusterChain:
                      learning_rate=0.1), 1)
         ref = m0
         for c in ten_clients[:3]:
-            _, g = nn.loss_and_grads(ref, c.images, c.labels)
+            _, g = nn.loss_and_grads(ref, images_of(c), c.labels)
             ref = nn.sgd_step(ref, g, 0.1)
         assert models_equal(head, ref)
 
@@ -177,9 +178,9 @@ class TestFedavgRound:
         trained = []
         original = federation.train_local_with_loss
 
-        def spy(model, images, labels, *args):
-            trained[-1].append(images[0].tobytes())
-            return original(model, images, labels, *args)
+        def spy(model, images, rows, labels, *args):
+            trained[-1].append(int(rows[0]))
+            return original(model, images, rows, labels, *args)
 
         monkeypatch.setattr(federation, "train_local_with_loss", spy)
         # two of ten fl clients, or one of five semifl pairs: two clients either way
@@ -239,7 +240,7 @@ class TestCentralized:
         m0 = nn.init_model("mlp", 5)
         new, rec = federation.run_round(m0, plan(ten_clients, mode="cl",
                                                  cl_batch=len(pool)), 1)
-        _, g = nn.loss_and_grads(m0, pool.images, pool.labels)
+        _, g = nn.loss_and_grads(m0, images_of(pool), pool.labels)
         assert models_equal(new, nn.sgd_step(m0, g, 0.05))
         assert rec.uplink_models == 0
 
@@ -352,5 +353,11 @@ class TestPool:
         assert len(pool) == 120
         for cid in range(10):
             rows = slice(12 * cid, 12 * (cid + 1))
-            assert np.array_equal(pool.images[rows], ten_clients[cid].images)
+            assert np.array_equal(pool.rows[rows], ten_clients[cid].rows)
             assert np.array_equal(pool.labels[rows], ten_clients[cid].labels)
+        assert pool.source is ten_clients[0].source
+
+    def test_clients_of_two_training_sets_are_refused(self, ten_clients):
+        other = data.generate_synthetic(10, 12, seed=42)  # equal values, another array
+        with pytest.raises(ValueError, match="different training sets"):
+            federation.pool_clients([*ten_clients, other.shard([0])])

@@ -79,7 +79,7 @@ KERNEL_GOLDEN = {
     "cnn-loss_and_grads-b1": "8be410c0633125bb53c863f45071ac72",
     "cnn-loss_and_grads-b20": "15470ce181de7fde7232a064d06843bd",
     "cnn-loss_and_grads-b200": "790cc3dacbe7bf818c9189219efb8ee5",
-    "cnn-forward-b512": "7eb527510e4e11929adaa19c51646cfa",
+    "cnn-forward-b512": "3051856bc94298cfd4e0a47237ebea56",
     "mlp-loss_and_grads-b200": "7f3c529c39b467a8f0bee0aa4f1a3882",
 }
 

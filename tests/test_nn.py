@@ -299,7 +299,7 @@ class TestGradCheck:
         m = small_cnn(12, conv1=2, conv2=4, hidden=5, image_size=20)
         x = np.random.default_rng(112).random((3, 1, 20, 20)).astype(np.float32)
         y = np.array([1, 4, 8])
-        m, _ = nn.train_local_with_loss(m, x, y, epochs=1, batch_size=3,
+        m, _ = nn.train_local_with_loss(m, x, np.arange(3), y, epochs=1, batch_size=3,
                                         learning_rate=0.1, rng=np.random.default_rng(0))
         assert nn.grad_check(m, x, y, step=1e-5) < 1e-4
 
@@ -440,13 +440,19 @@ def one_pass_gap_eps(bsz) -> float:
                  / (np.finfo(np.float32).eps * np.abs(one_pass).max()))
 
 
+def conv_buffers() -> dict:
+    """This thread's conv buffers, by kind and conv layer row count."""
+    return {(kind, layer): buf for kind in ("taps", "shift")
+            for layer, buf in getattr(nn._scratch, kind, {}).items()}
+
+
 class TestConvMemory:
     """Chunked forward-only evaluation and reused im2col buffers, at the same bits."""
 
     # on the AVX2 kernel a conv GEMM row's bits depend on the row count
     @skylakex_only
-    @pytest.mark.parametrize("bsz", [1, nn.CONV_CHUNK - 1, nn.CONV_CHUNK,
-                                     nn.CONV_CHUNK + 1, 200, 512, 800])
+    @pytest.mark.parametrize("bsz", [1, nn.FORWARD_CHUNK - 1, nn.FORWARD_CHUNK,
+                                     nn.FORWARD_CHUNK + 1, 63, 64, 65, 200, 512, 800])
     def test_chunked_forward_equals_one_pass(self, bsz):
         chunked, one_pass = chunked_and_one_pass(bsz)
         assert chunked.tobytes() == one_pass.tobytes()
@@ -457,7 +463,7 @@ class TestConvMemory:
         # kernel a conv GEMM row's bits depend on the row count, and the chunked
         # logits were seen ~5 eps of the largest logit away from one pass
         code = ("import test_nn as t; "
-                "print(max(t.one_pass_gap_eps(b) for b in (65, 200, 512, 800)))")
+                "print(max(t.one_pass_gap_eps(b) for b in (21, 65, 200, 512, 800)))")
         assert float(run_child(code, blas_env)) <= 32
 
     def test_forward_512_peak(self):
@@ -514,14 +520,15 @@ class TestConvMemory:
         assert traced_peak_mb(both) < 1.5 * taps_mb
 
     def test_kept_buffers_follow_the_last_batch_shape(self):
-        # steps at 20 and 200, then a 500-image forward in chunks of 64 and 52:
-        # the thread keeps one tap-major and one shift buffer per conv layer,
-        # sized for the last (52-image) chunk.  Buffers kept per batch shape
-        # would add ~1.9 MB, the batch-200 shift buffers alone 1.3 MB.
+        # steps at 20 and 200, then a 510-image forward in chunks of 20, the
+        # last of them overlapping: the thread keeps one tap-major and one
+        # shift buffer per conv layer, sized for the last (20-image) chunk.
+        # Buffers kept per batch shape would add ~6.4 MB, the batch-200 (4 x
+        # 50) ones.
         m = nn.init_model("cnn", 4)
         rng = np.random.default_rng(4)
-        x = rng.random((500, 1, 28, 28), dtype=np.float32)
-        y = rng.integers(0, 10, 500)
+        x = rng.random((510, 1, 28, 28), dtype=np.float32)
+        y = rng.integers(0, 10, 510)
 
         def kept_bytes():
             tracemalloc.start()
@@ -533,11 +540,28 @@ class TestConvMemory:
             finally:
                 tracemalloc.stop()
 
-        tail = 500 % nn.CONV_CHUNK
-        assert tail == 52
-        taps = 25 * (tail * 24 * 24 + 16) + 250 * (tail * 8 * 8 + 16)  # (rows, M + 16)
-        shift = tail * 28 * 24 + 10 * tail * 12 * 8  # (Cin, B, H, OW)
+        chunk = nn.FORWARD_CHUNK
+        taps = 25 * (chunk * 24 * 24 + 16) + 250 * (chunk * 8 * 8 + 16)  # (rows, M + 16)
+        shift = chunk * 28 * 24 + 10 * chunk * 12 * 8  # (Cin, B, H, OW)
         assert run_in_thread(kept_bytes) < 4 * (taps + shift) + 2 ** 18
+
+    def test_forward_after_a_batch_20_step_allocates_no_conv_buffer(self):
+        # every chunk of a 512-image forward, the last one overlapping its
+        # predecessor, has the step's shape; chunks of 64, or a 12-image tail,
+        # would replace all four buffers
+        m = nn.init_model("cnn", 6)
+        x, y = step_case(20)
+        images = np.random.default_rng(6).random((512, 1, 28, 28), dtype=np.float32)
+
+        def buffers_around_forward():
+            nn.loss_and_grads(m, x, y)
+            before = conv_buffers()
+            nn.forward(m, images)
+            return before, conv_buffers()
+
+        before, after = run_in_thread(buffers_around_forward)
+        assert len(before) == 4 and before.keys() == after.keys()
+        assert all(after[k] is before[k] for k in before)
 
 
 class TestMaxPool:
@@ -635,9 +659,10 @@ class TestSgd:
 
 
 def train(model, images, labels, epochs, batch_size, learning_rate, rng):
-    """The model that ``train_local_with_loss`` returns, without its loss."""
-    return nn.train_local_with_loss(model, images, labels, epochs, batch_size,
-                                    learning_rate, rng)[0]
+    """The model that ``train_local_with_loss`` returns on all of ``images``,
+    without its loss."""
+    return nn.train_local_with_loss(model, images, np.arange(len(labels)), labels, epochs,
+                                    batch_size, learning_rate, rng)[0]
 
 
 class TestTrainLocal:
@@ -681,10 +706,22 @@ class TestTrainLocal:
 
     def test_mean_loss_reported(self):
         x, y = self._toy(n=20)
-        _, loss = nn.train_local_with_loss(nn.init_model("mlp", 4), x, y, 1, 20, 0.01,
-                                           np.random.default_rng(0))
+        _, loss = nn.train_local_with_loss(nn.init_model("mlp", 4), x, np.arange(20), y, 1, 20,
+                                           0.01, np.random.default_rng(0))
         want, _ = nn.loss_and_grads(nn.init_model("mlp", 4), x, y)
         assert abs(loss - want) < 1e-6
+
+    @pytest.mark.parametrize("arch", nn.ARCHITECTURES)
+    def test_rows_of_a_larger_set_train_as_their_copy(self, arch):
+        # batches gathered through the rows hold the values a copy of the rows would
+        x, y = self._toy(n=40)
+        rows = np.random.default_rng(3).permutation(40)[:25]
+        m = nn.init_model(arch, 6)
+        a, loss_a = nn.train_local_with_loss(m, x, rows, y[rows], 2, 10, 0.05,
+                                             np.random.default_rng(8))
+        b, loss_b = nn.train_local_with_loss(m, x[rows], np.arange(25), y[rows], 2, 10, 0.05,
+                                             np.random.default_rng(8))
+        assert models_equal(a, b) and loss_a == loss_b
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
